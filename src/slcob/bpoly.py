@@ -4,10 +4,10 @@ The Hurewicz model stores everything as integer polynomials in the homology
 generators b_i (weight i).  A monomial b_{i1} b_{i2} ... is the partition
 (i1 >= i2 >= ...); a polynomial is a dict {partition: int} with no zero
 values.  This bare representation is the hot path of the whole package;
-GradedPoly wraps it only at module boundaries.
+GradedPoly wraps it only at module boundaries.  Chern monomials c^omega
+are partitions too, and the reciprocal Chern class is computed here with
+c_i in the role of b_i.
 """
-
-from fractions import Fraction
 
 from .partitions import merge
 
@@ -23,10 +23,6 @@ def add(a, b):
         elif k in out:
             del out[k]
     return out
-
-
-def sub(a, b):
-    return add(a, {k: -v for k, v in b.items()})
 
 
 def scale(a, c):
@@ -49,16 +45,6 @@ def mul(a, b, bound=None):
             elif k in out:
                 del out[k]
     return out
-
-
-def weight_of(a):
-    """Weight if homogeneous, else ValueError; 0 for the zero polynomial."""
-    ws = {sum(k) for k in a}
-    if not ws:
-        return 0
-    if len(ws) > 1:
-        raise ValueError("not homogeneous: weights %s" % sorted(ws))
-    return ws.pop()
 
 
 def gen(i):
@@ -123,18 +109,3 @@ def ser_powers(f, top, count):
         cur = ser_mul(cur, f, top)
         out.append(cur)
     return out
-
-
-# -- conversions ----------------------------------------------------------
-
-
-def to_fractions(a):
-    return {k: Fraction(v) for k, v in a.items()}
-
-
-def assert_integral(a):
-    for k, v in a.items():
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError("non-integral coefficient %s at %s" % (v, k))
-    return {k: int(v) for k, v in a.items() if int(v)}

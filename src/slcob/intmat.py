@@ -7,7 +7,6 @@ which keeps coefficient growth tame in practice.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,6 @@ class IntMatrix:
         assert len(vec) == self.cols
         return [sum(self.entries[i][k] * vec[k] for k in range(self.cols))
                 for i in range(self.rows)]
-
-    def is_diagonal(self):
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
 
 
 def _ext_gcd(a, b):
@@ -317,43 +312,6 @@ def solve_int(mat, target):
                 return None
             y[i] = ub[i] // di
     return v.apply(y)
-
-
-def solve_rational(mat, target):
-    """The unique rational solution of mat*x = target for injective mat,
-    or None if inconsistent.  Plain fraction Gauss; used for coordinates
-    in a fixed basis."""
-    rows, cols = mat.rows, mat.cols
-    a = [[Fraction(mat.entries[i][j]) for j in range(cols)] + [Fraction(target[i])]
-         for i in range(rows)]
-    pivot_row_of = [None] * cols
-    r = 0
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_row_of[c] = r
-        r += 1
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for c in range(cols):
-        if pivot_row_of[c] is not None:
-            x[c] = a[pivot_row_of[c]][cols]
-    # consistency for non-pivot columns (solution must be unique on them = 0)
-    for i in range(rows):
-        s = sum(Fraction(mat.entries[i][j]) * x[j] for j in range(cols))
-        if s != target[i]:
-            return None
-    return x
 
 
 def hermite_column_form(mat):

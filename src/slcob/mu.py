@@ -8,25 +8,25 @@ a generator search using the classical s-number criterion: degree n admits
 a polynomial generator with s_n = p exactly when n+1 is a power of the
 prime p, and s_n = 1 otherwise.  Monomials in the chosen generators give
 an integral basis of every degree.
+
+Everything is integer arithmetic.  A generator x_k is a nonzero multiple
+of b_k plus products, so x^omega is supported on b^omega and on
+partitions with more parts: ordered by number of parts, the basis matrix
+is triangular, and lattice coordinates follow by back-substitution with
+exact division by its diagonal.  Chern monomials are partitions too, so
+the reciprocal-class matrix is computed in bpoly.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import bpoly
-from .gradedpoly import GradedPoly, reciprocal
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _ext_gcd
 from .partitions import partitions_of
-from .symfun import m_monomial_in_e
+from .symfun import BasisConstructionError, m_monomial_in_e
 
 
 class NotInLattice(ValueError):
-    pass
-
-
-class BasisConstructionError(RuntimeError):
     pass
 
 
@@ -75,17 +75,6 @@ class MUClass:
         return MUClass.from_dict(self.degree + other.degree,
                                  bpoly.mul(self.coeffs(), other.coeffs()))
 
-    def poly(self, bound=None):
-        bound = bound if bound is not None else max(self.degree, 1)
-        weights = {"b%d" % i: i for i in range(1, bound + 1)}
-        coeffs = {}
-        for part, c in self.hb:
-            mon = {}
-            for i in part:
-                mon["b%d" % i] = mon.get("b%d" % i, 0) + 1
-            coeffs[tuple(sorted(mon.items()))] = Fraction(c)
-        return GradedPoly(weights, bound, coeffs)
-
     def __str__(self):
         if not self.hb:
             return "0"
@@ -106,40 +95,30 @@ def s_number(x):
 # -- characteristic-number dictionary ------------------------------------
 
 
-def _chern_weights(n):
-    return {"c%d" % i: i for i in range(1, n + 1)}
-
-
-def _cpoly_coefficient(poly, omega):
-    """Coefficient of the Chern monomial prod c_{omega_i} in a GradedPoly
-    over the c-variables."""
-    mon = {}
-    for i in omega:
-        mon["c%d" % i] = mon.get("c%d" % i, 0) + 1
-    return poly.coefficient(tuple(sorted(mon.items())))
-
-
 @lru_cache(maxsize=None)
 def reciprocal_class_matrix(n):
     """Matrix R[omega][omega']: the Chern monomial c^omega of the
     reciprocal total Chern class, expanded in Chern monomials of the
-    original bundle.  Involutive: applying R twice is the identity."""
-    weights = _chern_weights(n)
-    total = GradedPoly.const(weights, n, 1)
-    for i in range(1, n + 1):
-        total = total + GradedPoly.gen(weights, n, "c%d" % i)
-    recip = reciprocal(total)
-    pieces = {w: recip.homogeneous_part(w) for w in range(1, n + 1)}
+    original bundle.  Involutive: applying R twice is the identity.
+
+    Chern monomials are partitions, so the computation runs in bpoly with
+    c_i in the role of b_i: the weight-w piece of 1/(1 + c1 + c2 + ...)
+    is r_w = -(c1 r_{w-1} + c2 r_{w-2} + ... + c_w)."""
+    pieces = [dict(bpoly.ONE)]
+    for w in range(1, n + 1):
+        r = {}
+        for i in range(1, w + 1):
+            r = bpoly.add(r, bpoly.mul(bpoly.gen(i), pieces[w - i]))
+        pieces.append(bpoly.scale(r, -1))
     mat = {}
     for omega in partitions_of(n):
-        prod = GradedPoly.const(weights, n, 1)
+        prod = dict(bpoly.ONE)
         for part in omega:
-            prod = prod * pieces[part]
+            prod = bpoly.mul(prod, pieces[part])
         for omega2 in partitions_of(n):
-            c = _cpoly_coefficient(prod, omega2)
-            assert c.denominator == 1
+            c = prod.get(omega2, 0)
             if c:
-                mat[(omega, omega2)] = int(c)
+                mat[(omega, omega2)] = c
     return mat
 
 
@@ -339,18 +318,6 @@ def select_generator(ctx, n):
     return combo
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 class MUBasis:
     """Monomial basis x^omega of every degree <= max_n, with coordinate
     matrices in the b-monomial coordinates and exact solving."""
@@ -383,7 +350,10 @@ class MUBasis:
         """Columns = b-monomial coordinates of the basis classes."""
         if n not in self._matrices:
             parts = partitions_of(n)
-            cols = [[cls.coefficient(p) for p in parts] for _, cls in self.basis(n)]
+            cols = []
+            for _, cls in self.basis(n):
+                coeffs = cls.coeffs()
+                cols.append([coeffs.get(p, 0) for p in parts])
             rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(parts))]
             self._matrices[n] = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, 0)
         return self._matrices[n]
@@ -391,43 +361,56 @@ class MUBasis:
     def rank(self, n):
         return len(partitions_of(n))
 
-    def _inverse(self, n):
-        """Cached rational inverse of the coordinate matrix."""
+    def _triangular(self, n):
+        """The basis matrix as (j, diagonal entry, off-diagonal entries of
+        column j), ordered by the number of parts of the label of j.
+
+        Each generator is a nonzero multiple of b_k plus products, so
+        x^omega is supported on b^omega and on partitions with more parts:
+        in this order the matrix is lower triangular.  Raises
+        BasisConstructionError if it is not."""
         if n not in self._solvers:
             m = self.matrix(n)
-            size = m.rows
-            a = []
-            for i in range(size):
-                row = [Fraction(m.entries[i][j]) for j in range(size)]
-                row += [Fraction(1 if i == j else 0) for j in range(size)]
-                a.append(row)
-            for col in range(size):
-                sel = next(r for r in range(col, size) if a[r][col] != 0)
-                a[col], a[sel] = a[sel], a[col]
-                pv = a[col][col]
-                a[col] = [x / pv for x in a[col]]
-                for r in range(size):
-                    if r != col and a[r][col] != 0:
-                        f = a[r][col]
-                        a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            self._solvers[n] = [row[size:] for row in a]
+            parts = partitions_of(n)
+            steps = []
+            for j in sorted(range(len(parts)), key=lambda j: len(parts[j])):
+                col = [(i, m.entries[i][j]) for i in range(m.rows)
+                       if i != j and m.entries[i][j]]
+                if not m.entries[j][j] or any(
+                        len(parts[i]) <= len(parts[j]) for i, _ in col):
+                    raise BasisConstructionError(
+                        "degree %d: basis element x^%s is not supported on "
+                        "b^%s and longer partitions" % (n, parts[j], parts[j]))
+                steps.append((j, m.entries[j][j], col))
+            self._solvers[n] = steps
         return self._solvers[n]
 
     def to_coordinates(self, x):
-        """Coordinates of a class in the degree-n monomial basis; raises
-        NotInLattice if the class is not an integer combination."""
+        """Coordinates of a class in the degree-n monomial basis, by
+        substitution in the triangular order (exact division by each
+        diagonal entry); raises NotInLattice if the class is not an
+        integer combination."""
         n = x.degree
         if n == 0:
             return [x.coefficient(())]
+        coeffs = x.coeffs()
         parts = partitions_of(n)
-        target = [x.coefficient(p) for p in parts]
-        inv = self._inverse(n)
-        coords = []
-        for row in inv:
-            c = sum(r * t for r, t in zip(row, target) if t)
-            if isinstance(c, Fraction) and c.denominator != 1:
-                raise NotInLattice("fractional coordinate %s in degree %d" % (c, n))
-            coords.append(int(c))
+        resid = [coeffs.get(p, 0) for p in parts]
+        coords = [0] * len(resid)
+        for j, diag, col in self._triangular(n):
+            if not resid[j]:
+                continue
+            q, r = divmod(resid[j], diag)
+            if r:
+                raise NotInLattice("coordinate %d/%d of x^%s is not an integer"
+                                   % (resid[j], diag, parts[j]))
+            coords[j] = q
+            resid[j] -= q * diag
+            for i, v in col:
+                resid[i] -= q * v
+        if any(resid):
+            raise BasisConstructionError(
+                "degree %d: nonzero residual after back-substitution" % n)
         return coords
 
     def contains(self, x):

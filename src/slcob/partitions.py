@@ -74,8 +74,3 @@ def merge(p, q):
     (3, 2, 1, 1)
     """
     return tuple(sorted(p + q, reverse=True))
-
-
-def partition_index(omega):
-    """Position of a partition in partitions_of(sum(omega))."""
-    return partitions_of(sum(omega)).index(tuple(omega))

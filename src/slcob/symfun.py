@@ -2,22 +2,59 @@
 
 Bases indexed by partitions of w in the global reverse-lexicographic order:
   m (monomial), e (elementary, = Chern monomials), p (power sums).
-Everything a characteristic class needs reduces to three facts:
+Everything a characteristic class needs reduces to integer counting:
 
-  * p_lambda expanded in the m basis has the integer coefficients
-    "number of ways to distribute the parts of lambda onto the parts of mu";
-  * Newton's identity  k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    converts e to p (rationally);
-  * m and e are both Z-bases, so the composite matrices are unimodular.
+  * p_lambda expanded in the m basis has the coefficients "number of ways
+    to distribute the parts of lambda onto the parts of mu";
+  * e_mu expanded in the m basis has the coefficients "number of 0/1
+    matrices with row sums mu and column sums nu";
+  * e_mu = m_mu' + (m_nu with nu below the conjugate mu' in dominance
+    order) (Macdonald, Symmetric Functions and Hall Polynomials, I.2 and
+    I.6).  Dominance refines the reverse-lexicographic order, so with its
+    rows re-indexed by mu' the e-to-m matrix is upper unitriangular, and
+    its inverse, the m-to-e matrix, follows by integer back-substitution.
 
 Vectors over a weight are dicts {partition: coefficient}; matrices are
 dicts {(row_partition, col_partition): coefficient}.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .partitions import merge, partitions_of
+from .partitions import partitions_of
+
+
+class BasisConstructionError(RuntimeError):
+    pass
+
+
+def _distribute(lam, i, slots, memo):
+    """Maps of the parts lam[i:] onto `slots` (remaining capacities, sorted
+    and without zeros) that fill every slot exactly.  Slots of equal
+    capacity are interchangeable, so each capacity is tried once and the
+    count is weighted by its multiplicity."""
+    if i == len(lam):
+        return 0 if slots else 1
+    key = (i, slots)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    part = lam[i]
+    total = 0
+    for s, cap in enumerate(slots):
+        if cap < part:
+            break
+        if s and slots[s - 1] == cap:
+            continue
+        nxt = list(slots)
+        if cap == part:
+            del nxt[s]
+        else:
+            nxt[s] = cap - part
+            nxt.sort(reverse=True)
+        total += slots.count(cap) * _distribute(lam, i + 1, tuple(nxt), memo)
+    memo[key] = total
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -25,22 +62,8 @@ def distribute_count(lam, mu):
     """Coefficient of the monomial x^mu in p_lam = prod_i (sum_j x_j^{lam_i}):
     the number of maps from the parts of lam onto the slots of mu filling
     each slot exactly."""
-    slots = tuple(mu)
-    lam_list = tuple(lam)
-
-    @lru_cache(maxsize=None)
-    def rec(i, remaining):
-        if i == len(lam_list):
-            return 1 if all(r == 0 for r in remaining) else 0
-        total = 0
-        for s in range(len(remaining)):
-            if remaining[s] >= lam_list[i]:
-                nxt = list(remaining)
-                nxt[s] -= lam_list[i]
-                total += rec(i + 1, tuple(nxt))
-        return total
-
-    return rec(0, slots)
+    slots = tuple(sorted((s for s in mu if s), reverse=True))
+    return _distribute(tuple(lam), 0, slots, {})
 
 
 def p_vec_to_m_vec(vec, combine=None):
@@ -60,82 +83,100 @@ def p_vec_to_m_vec(vec, combine=None):
             if c:
                 cur = out.get(mu, zero_like)
                 out[mu] = addc(cur, scalec(coeff, c))
-    if combine is None:
-        return {k: v for k, v in out.items() if v}
     return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def e_in_p(k):
-    """e_k as a p-basis vector with Fraction coefficients (Newton)."""
-    if k == 0:
-        return {(): Fraction(1)}
-    out = {}
-    for i in range(1, k + 1):
-        prev = e_in_p(k - i)
-        sign = Fraction((-1) ** (i - 1), k)
-        for lam, c in prev.items():
-            key = merge(lam, (i,))
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return {k2: v for k2, v in out.items() if v}
+def _zero_one_count(rows, cols, memo):
+    """Number of 0/1 matrices with row sums `rows` and column sums `cols`
+    (both partitions).  The first row takes one unit from each of rows[0]
+    distinct columns; columns of equal remaining sum are interchangeable,
+    so the choice is how many to take from each such group."""
+    if not rows:
+        return 0 if cols else 1
+    key = (rows, cols)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    if rows[0] <= len(cols):
+        groups = []
+        for c in cols:
+            if groups and groups[-1][0] == c:
+                groups[-1][1] += 1
+            else:
+                groups.append([c, 1])
+        # (ways, units still to take, new column sums); groups go in
+        # decreasing order, so the new column sums stay sorted
+        partial = [(1, rows[0], ())]
+        for value, mult in groups:
+            nxt = []
+            for ways, need, new in partial:
+                for k in range(min(mult, need) + 1):
+                    nxt.append((ways * comb(mult, k), need - k,
+                                new + (value,) * (mult - k) + (value - 1,) * k))
+            partial = nxt
+        rest = rows[1:]
+        for ways, need, new in partial:
+            if need == 0:
+                while new and new[-1] == 0:
+                    new = new[:-1]
+                total += ways * _zero_one_count(rest, new, memo)
+    memo[key] = total
+    return total
 
 
-@lru_cache(maxsize=None)
-def e_monomial_in_p(mu):
-    """e_mu = prod e_{mu_i} as a p-basis vector (Fractions)."""
-    out = {(): Fraction(1)}
-    for part in mu:
-        factor = e_in_p(part)
-        nxt = {}
-        for l1, c1 in out.items():
-            for l2, c2 in factor.items():
-                key = merge(l1, l2)
-                nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-        out = {k: v for k, v in nxt.items() if v}
-    return out
+def _conjugate(mu):
+    """The conjugate partition: mu'_j = number of parts of mu that are > j.
+
+    >>> _conjugate((3, 1))
+    (2, 1, 1)
+    """
+    return tuple(sum(1 for part in mu if part > j)
+                 for j in range(mu[0] if mu else 0))
 
 
 @lru_cache(maxsize=None)
 def e_to_m_matrix(w):
-    """Matrix E with E[mu][nu] = coefficient of m_nu in e_mu (integers)."""
+    """Matrix E with E[mu][nu] = coefficient of m_nu in e_mu: the number of
+    0/1 matrices with row sums mu and column sums nu."""
+    memo = {}
     parts = partitions_of(w)
     mat = {}
     for mu in parts:
-        mvec = p_vec_to_m_vec({
-            lam: c for lam, c in e_monomial_in_p(mu).items()})
-        for nu, c in mvec.items():
-            assert c.denominator == 1
-            mat[(mu, nu)] = int(c)
+        for nu in parts:
+            c = _zero_one_count(mu, nu, memo)
+            if c:
+                mat[(mu, nu)] = c
     return mat
 
 
 @lru_cache(maxsize=None)
 def m_to_e_matrix(w):
-    """Inverse of e_to_m_matrix over Z (both are Z-bases)."""
+    """Inverse of e_to_m_matrix over Z, by back-substitution in the
+    triangular order: m_nu = e_nu' - sum over nu2 after nu of
+    E[nu'][nu2] m_nu2.  Raises BasisConstructionError if E is not
+    unitriangular in that order."""
     parts = partitions_of(w)
-    n = len(parts)
+    index = {p: i for i, p in enumerate(parts)}
     E = e_to_m_matrix(w)
-    a = [[Fraction(E.get((parts[i], parts[j]), 0)) for i in range(n)]
-         + [Fraction(1 if i == j else 0) for i in range(n)]
-         for j in range(n)]
-    # rows indexed by nu (m-coordinates), columns by mu; invert by Gauss
-    for col in range(n):
-        sel = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[sel] = a[sel], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = {}
-    for j, nu in enumerate(parts):      # m_nu = sum_mu out[(nu, mu)] e_mu
-        for i, mu in enumerate(parts):
-            c = a[i][n + j]
-            assert c.denominator == 1, "m-to-e transition must be integral"
-            if c:
-                out[(nu, mu)] = int(c)
-    return out
+    rows = [dict() for _ in parts]  # rows[index of nu'][nu] = E[(nu', nu)]
+    for (mu, nu), c in E.items():
+        rows[index[_conjugate(mu)]][nu] = c
+    in_e = {}  # nu -> {mu: coefficient of e_mu in m_nu}
+    for i in range(len(parts) - 1, -1, -1):
+        nu = parts[i]
+        row = rows[i]
+        if row.get(nu) != 1 or any(index[nu2] < i for nu2 in row):
+            raise BasisConstructionError(
+                "e-to-m matrix at weight %d is not unitriangular at %s"
+                % (w, nu))
+        vec = {_conjugate(nu): 1}
+        for nu2, c in row.items():
+            if nu2 != nu:
+                for mu, d in in_e[nu2].items():
+                    vec[mu] = vec.get(mu, 0) - c * d
+        in_e[nu] = {mu: c for mu, c in vec.items() if c}
+    return {(nu, mu): c for nu in parts for mu, c in in_e[nu].items()}
 
 
 def m_vec_to_e_vec(vec, w, combine):
@@ -155,4 +196,4 @@ def m_monomial_in_e(omega):
     """m_omega as an integer combination of Chern monomials e_mu."""
     w = sum(omega)
     M = m_to_e_matrix(w)
-    return {mu: c for (nu, mu), c in M.items() if nu == omega}
+    return {mu: M[(omega, mu)] for mu in partitions_of(w) if (omega, mu) in M}

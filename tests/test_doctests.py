@@ -1,6 +1,6 @@
 import doctest
 
-from slcob import abelian, partitions
+from slcob import abelian, partitions, symfun
 
 
 def test_partition_doctests():
@@ -10,4 +10,9 @@ def test_partition_doctests():
 
 def test_abelian_doctests():
     results = doctest.testmod(abelian)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_symfun_doctests():
+    results = doctest.testmod(symfun)
     assert results.failed == 0 and results.attempted > 0

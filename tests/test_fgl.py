@@ -73,7 +73,10 @@ def test_associativity_directly():
     w["z"] = 1
     lift = GradedPoly(w, F.bound, dict(F.coeffs))
     inner_xy = GradedPoly(w, F.bound, dict(F.coeffs))
-    left = lift.substitute("x", inner_xy).substitute("y", GradedPoly.gen(w, F.bound, "z"))
+    # F(F(x,y), z): rename y -> z first, so that the second substitution
+    # x -> F(x,y) does not also rewrite the y inside F(x,y)
+    z = GradedPoly.gen(w, F.bound, "z")
+    left = lift.substitute("y", z).substitute("x", inner_xy)
     inner_yz = {}
     for m, c in F.coeffs.items():
         d = dict(m)

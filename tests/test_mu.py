@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import gauss_jordan_inverse, graded_reciprocal_class_matrix
 from slcob import mu
+from slcob.fgl import FGLContext
 from slcob.partitions import partition_count, partitions_of
 
 
@@ -182,3 +186,60 @@ def test_basis_change_unimodular(basis):
         cm = IntMatrix.from_rows([[c[i] for c in coords]
                                   for i in range(len(coords))])
         assert all(x == 1 for x in diagonal_of(smith_normal_form(cm)[1]))
+
+
+def test_reciprocal_class_matrix_against_graded_oracle():
+    for n in range(0, 11):
+        R = mu.reciprocal_class_matrix(n)
+        assert R == graded_reciprocal_class_matrix(n)
+        parts = partitions_of(n)
+        for a in parts:
+            for b in parts:
+                s = sum(R.get((a, c), 0) * R.get((c, b), 0) for c in parts)
+                assert s == (1 if a == b else 0)
+
+
+def test_coordinates_against_gauss_jordan(basis):
+    rng = random.Random(17)
+    for n in range(1, 8):
+        m = basis.matrix(n)
+        inv = gauss_jordan_inverse(m.tolists())
+        parts = partitions_of(n)
+        for k in range(6):
+            target = [rng.randint(-50, 50) for _ in parts]
+            if k % 2:  # a lattice point
+                target = m.apply(target)
+            x = mu.MUClass.from_dict(n, dict(zip(parts, target)))
+            exact = [sum(r * t for r, t in zip(row, target)) for row in inv]
+            if all(c.denominator == 1 for c in exact):
+                assert basis.to_coordinates(x) == exact
+            else:
+                with pytest.raises(mu.NotInLattice):
+                    basis.to_coordinates(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coordinates_round_trip(basis, data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    coords = data.draw(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                                min_size=partition_count(n),
+                                max_size=partition_count(n)))
+    assert basis.to_coordinates(basis.from_coordinates(n, coords)) == coords
+
+
+def test_b1_squared_not_in_lattice(basis):
+    x = mu.MUClass.from_dict(2, {(1, 1): 1})
+    with pytest.raises(mu.NotInLattice):
+        basis.to_coordinates(x)
+    assert not basis.contains(x)
+
+
+def test_broken_basis_raises():
+    """A degree-2 generator without a b_2 term breaks the triangular
+    support the coordinate solver relies on."""
+    broken = mu.MUBasis(FGLContext(3))
+    broken.generators[2] = broken.generators[1] * broken.generators[1]
+    x = broken.basis(2)[1][1]
+    with pytest.raises(mu.BasisConstructionError):
+        broken.to_coordinates(x)

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+import pytest
+
+from oracles import e_monomial_in_p, gauss_jordan_inverse, newton_e_to_m_matrix
+from slcob import symfun
 from slcob.partitions import partitions_of
-from slcob.symfun import (distribute_count, e_monomial_in_p, e_to_m_matrix,
-                          m_monomial_in_e, m_to_e_matrix, p_vec_to_m_vec)
+from slcob.symfun import (BasisConstructionError, distribute_count,
+                          e_to_m_matrix, m_monomial_in_e, m_to_e_matrix,
+                          p_vec_to_m_vec)
 
 
 def expand_in_variables(term, k):
@@ -43,15 +48,44 @@ def test_newton_small_cases():
     assert ((2,), (2,)) not in E
 
 
+def test_e_to_m_matches_newton():
+    """The 0/1-matrix count equals the expansion through Newton's identity
+    and the p basis."""
+    for w in range(0, 11):
+        assert e_to_m_matrix(w) == newton_e_to_m_matrix(w)
+
+
 def test_m_to_e_inverse():
-    for w in range(1, 7):
+    for w in range(1, 13):
         E = e_to_m_matrix(w)
         M = m_to_e_matrix(w)
         parts = partitions_of(w)
         for a in parts:
+            row = [(mu, c) for mu in parts for c in [M.get((a, mu), 0)] if c]
             for b in parts:
-                s = sum(M.get((a, mu), 0) * E.get((mu, b), 0) for mu in parts)
+                s = sum(c * E.get((mu, b), 0) for mu, c in row)
                 assert s == (1 if a == b else 0)
+
+
+def test_m_to_e_matches_gauss_jordan():
+    for w in range(1, 9):
+        parts = partitions_of(w)
+        E = e_to_m_matrix(w)
+        # rows indexed by nu (m-coordinates), columns by mu
+        inv = gauss_jordan_inverse(
+            [[E.get((mu, nu), 0) for mu in parts] for nu in parts])
+        M = m_to_e_matrix(w)
+        for i, mu in enumerate(parts):
+            for j, nu in enumerate(parts):
+                assert inv[i][j] == M.get((nu, mu), 0)
+
+
+def test_m_to_e_rejects_non_triangular_e(monkeypatch):
+    broken = dict(e_to_m_matrix(3))
+    broken[((3,), (3,))] = 1  # e_3 has no m_(3) term
+    monkeypatch.setattr(symfun, "e_to_m_matrix", lambda w: broken)
+    with pytest.raises(BasisConstructionError):
+        m_to_e_matrix.__wrapped__(3)
 
 
 def test_m_monomial_in_e_examples():
