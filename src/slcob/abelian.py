@@ -8,12 +8,12 @@ of normal forms is decidable.
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gcd
 
-from .intmat import diagonal_of, smith_normal_form
+from .intmat import smith_normal_form
 
 
 def _factorint(n):
+    """{prime: exponent} of n by trial division ({} for n < 2)."""
     out = {}
     d = 2
     while d * d <= n:
@@ -24,6 +24,10 @@ def _factorint(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _is_prime(n):
+    return _factorint(n) == {n: 1}
 
 
 def _strip_primes(n, primes):
@@ -136,11 +140,6 @@ class FGAbGroup:
                 divisors.append(q)
         return FGAbGroup.from_divisors(divisors, self.inverted_primes)
 
-    def same_groups(self, other):
-        """Equality of normal forms ignoring the inverted-prime decoration."""
-        return (self.free_rank == other.free_rank
-                and self.invariant_factors == other.invariant_factors)
-
     def to_json(self):
         return {
             "free_rank": self.free_rank,
@@ -169,12 +168,5 @@ class FGAbGroup:
 
 def cokernel(mat, inverted_primes=()):
     """Normal form of Z^rows / column span of mat, localized at Z[1/e]."""
-    _, d, _ = smith_normal_form(mat)
-    diag = diagonal_of(d)
-    r = sum(1 for x in diag if x != 0)
-    divisors = [x for x in diag if x != 0] + [0] * (mat.rows - r)
-    return FGAbGroup.from_divisors(divisors, inverted_primes)
-
-
-def lcm(a, b):
-    return abs(a * b) // gcd(a, b) if a and b else 0
+    d = smith_normal_form(mat)
+    return FGAbGroup.from_divisors(d + [0] * (mat.rows - len(d)), inverted_primes)

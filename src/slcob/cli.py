@@ -167,8 +167,9 @@ def cmd_cf(args):
     trunc, _, _, fmt = effective_settings(args)
     ctx, basis, cf = fixtures(trunc)
     max_n = args.max_degree if args.max_degree is not None else trunc - 1
-    if max_n > trunc - 1:
-        raise ValueError("homology needs degree + 1 within the truncation")
+    if not 0 <= max_n <= trunc - 1:
+        raise ValueError("--max-degree must be between 0 and %d (homology "
+                         "needs degree + 1 within the truncation)" % (trunc - 1))
     if args.cf_cmd == "homology":
         rows = []
         for n in range(0, max_n + 1):
@@ -248,6 +249,8 @@ def cmd_witt(args):
 
 def cmd_kq(args):
     _, field, q, fmt = effective_settings(args)
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative")
     fd = field_descriptor(field or "c", q)
     pres = KQPresentation(fd)
     rows = [{"n": n, "group": str(pres.kq_diagonal(n)),

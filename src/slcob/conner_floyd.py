@@ -11,9 +11,8 @@ with exact integer linear algebra; homology is always an elementary abelian
           0                 otherwise,
 
 and the free ranks satisfy rank Ker(shift-2 op) = p(n) - p(n-2) and
-rank(cycles) = p(n) - p(n-1).  The module also carries the additive model
-of the special unitary cobordism groups and the image lattices of the
-special linear theory inside the general one.
+rank(cycles) = p(n) - p(n-1).  The module also carries the image lattices
+of the special linear theory inside the general one.
 """
 
 from functools import lru_cache
@@ -50,10 +49,7 @@ class ConnerFloyd:
                 continue
             cols.append(self.basis.to_coordinates(img) if not img.is_zero()
                         else [0] * target_dim)
-        if n < op.shift or target_dim == 0:
-            return IntMatrix.zero(0, len(cols))
-        rows = [[c[i] for c in cols] for i in range(target_dim)]
-        return IntMatrix.from_rows(rows)
+        return IntMatrix.from_columns(target_dim, cols)
 
     def delta_cokernel(self, n):
         """Cokernel of the shift-2 operation from degree n to n-2 on the
@@ -106,11 +102,7 @@ class ConnerFloyd:
                 raise ConventionError(
                     "boundary image escapes the Wall lattice in degree %d" % n)
             cols.append(sol)
-        tgt_rank = self.w_rank(n - 1)
-        if not cols:
-            return IntMatrix.zero(tgt_rank, 0)
-        rows = [[c[i] for c in cols] for i in range(tgt_rank)]
-        return IntMatrix.from_rows(rows)
+        return IntMatrix.from_columns(self.w_rank(n - 1), cols)
 
     # -- cycles, boundaries, homology ---------------------------------------
 
@@ -158,12 +150,7 @@ class ConnerFloyd:
                     "boundary is not a cycle in degree %d (differential "
                     "squared nonzero)" % n)
             cols.append(sol)
-        if not cols:
-            mat = IntMatrix.zero(z.cols, 0)
-        else:
-            mat = IntMatrix.from_rows([[c[i] for c in cols]
-                                       for i in range(z.cols)])
-        return cokernel(mat, inverted_primes)
+        return cokernel(IntMatrix.from_columns(z.cols, cols), inverted_primes)
 
     def cf_homology(self, n, inverted_primes=()):
         """(cycles, boundaries, homology) in degree n: the two lattices in
@@ -183,18 +170,6 @@ class ConnerFloyd:
             FGAbGroup.trivial(inverted_primes)
 
     # -- downstream groups ---------------------------------------------------
-
-    def msu_additive(self, n, inverted_primes=()):
-        """Additive model of the special unitary cobordism group in degree
-        n: free of rank p(n) - p(n-1), plus (Z/2)^p((n-1)/4) when
-        n = 1 mod 4."""
-        assert n >= 0
-        free = partition_count(n) - partition_count(n - 1)
-        out = FGAbGroup.free(free, inverted_primes)
-        if n % 4 == 1:
-            t = partition_count((n - 1) // 4)
-            out = out.direct_sum(FGAbGroup.cyclic(2, inverted_primes).power(t))
-        return out
 
     def msl_image_in_mgl(self, n):
         """The image lattice of the special linear theory in degree n:

@@ -1,12 +1,20 @@
-"""Exact integer matrices: Smith and Hermite normal forms, kernels, solving.
+"""Exact integer matrices: one column echelon routine and what it serves.
 
 Matrices are dense lists of rows of Python ints (arbitrary precision), small
 enough here that correctness beats asymptotics: nothing in the pipeline
-exceeds a few hundred rows.  Pivoting always selects a minimal nonzero entry,
-which keeps coefficient growth tame in practice.
+exceeds a few hundred rows.  All integer elimination goes through
+`_column_echelon`, the reduced column Hermite form with a minimal pivot,
+which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
+
+  hermite_column_form  one pass on the columns, zero columns dropped;
+  kernel_basis         one pass on the columns stacked over an identity;
+  HNFSolver            the same pass, then forward substitution per target;
+  smith_normal_form    passes on the columns and on the transpose until
+                       diagonal, then (gcd, lcm) on diagonal pairs.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,13 @@ class IntMatrix:
         return cls(len(rows_list), ncols, tuple(rows_list))
 
     @classmethod
+    def from_columns(cls, rows, columns):
+        """The rows x len(columns) matrix with the given columns."""
+        if not rows or not columns:
+            return cls.zero(rows, len(columns))
+        return cls.from_rows(zip(*columns))
+
+    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
@@ -33,18 +48,11 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def tolists(self):
         return [list(r) for r in self.entries]
-
-    def transpose(self):
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)]) \
-            if self.cols else IntMatrix.zero(0, self.rows)
 
     def __mul__(self, other):
         assert self.cols == other.rows
@@ -64,146 +72,13 @@ class IntMatrix:
                 for i in range(self.rows)]
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _is_diag(m, rows, cols):
-    return all(m[i][j] == 0
-               for i in range(rows) for j in range(cols) if i != j)
-
-
-def smith_normal_form(mat):
-    """Return (U, D, V) with U*mat*V = D, U and V unimodular, D diagonal
-    with d1 | d2 | ... and nonnegative diagonal entries.
-
-    Alternates entry-reduced column and row echelon passes until the
-    matrix is diagonal (naive single-pivot elimination explodes
-    coefficients already on 12x26 inputs), then enforces the divisibility
-    chain with explicit 2x2 Bezout transforms."""
-    rows, cols = mat.rows, mat.cols
-    m = mat.tolists()
-    u = IntMatrix.identity(rows).tolists()
-    v = IntMatrix.identity(cols).tolists()
-
-    for _ in range(200):
-        if _is_diag(m, rows, cols):
-            break
-        # column pass: m <- m * V_pass (ride the transform along)
-        columns = [[m[i][j] for i in range(rows)]
-                   + [1 if t == j else 0 for t in range(cols)]
-                   for j in range(cols)]
-        _column_echelon(rows, cols, columns)
-        for j in range(cols):
-            for i in range(rows):
-                m[i][j] = columns[j][i]
-        vpass = [[columns[j][rows + t] for j in range(cols)] for t in range(cols)]
-        v = [[sum(v[i][k] * vpass[k][j] for k in range(cols))
-              for j in range(cols)] for i in range(cols)]
-        if _is_diag(m, rows, cols):
-            break
-        # row pass: m <- U_pass * m via the same routine on the transpose
-        rowcols = [[m[i][j] for j in range(cols)]
-                   + [1 if t == i else 0 for t in range(rows)]
-                   for i in range(rows)]
-        _column_echelon(cols, rows, rowcols)
-        for i in range(rows):
-            for j in range(cols):
-                m[i][j] = rowcols[i][j]
-        upass = [[rowcols[i][cols + t] for t in range(rows)] for i in range(rows)]
-        u = [[sum(upass[i][k] * u[k][j] for k in range(rows))
-              for j in range(rows)] for i in range(rows)]
-    else:
-        raise RuntimeError("Smith normal form did not converge")
-
-    # bubble nonzero diagonal entries to the front
-    diag_len = min(rows, cols)
-    for i in range(diag_len):
-        if m[i][i] == 0:
-            j = next((k for k in range(i + 1, diag_len) if m[k][k] != 0), None)
-            if j is not None:
-                _swap_diag(m, u, v, i, j, rows, cols)
-
-    # divisibility chain via 2x2 transforms on diag entries
-    changed = True
-    while changed:
-        changed = False
-        for i in range(diag_len):
-            for j in range(i + 1, diag_len):
-                a, b = m[i][i], m[j][j]
-                if a == 0 or b % a == 0:
-                    continue
-                g, s, t = _ext_gcd(a, b)
-                # row_i += row_j ; then col mixing sends diag(a,b) to
-                # diag(g, a*b/g); the Bezout 2x2 blocks below are unimodular
-                for col in range(cols):
-                    m[i][col] += m[j][col]
-                for col in range(rows):
-                    u[i][col] += u[j][col]
-                # columns: (ci, cj) <- (s*ci + t*cj, -(b/g)*ci + (a/g)*cj)
-                bg, ag = b // g, a // g
-                for r in range(rows):
-                    ci, cj = m[r][i], m[r][j]
-                    m[r][i] = s * ci + t * cj
-                    m[r][j] = -bg * ci + ag * cj
-                for r in range(cols):
-                    ci, cj = v[r][i], v[r][j]
-                    v[r][i] = s * ci + t * cj
-                    v[r][j] = -bg * ci + ag * cj
-                # clear the (j, i) entry left by the row addition
-                q = m[j][i] // m[i][i]
-                if q:
-                    for col in range(cols):
-                        m[j][col] -= q * m[i][col]
-                    for col in range(rows):
-                        u[j][col] -= q * u[i][col]
-                assert m[i][j] == 0 and m[j][i] == 0
-                changed = True
-
-    # make diagonal nonnegative (sign absorbed into V)
-    for k in range(diag_len):
-        if m[k][k] < 0:
-            for r in m:
-                r[k] = -r[k]
-            for r in v:
-                r[k] = -r[k]
-
-    return (IntMatrix.from_rows(u) if rows else IntMatrix.zero(0, 0),
-            IntMatrix.from_rows(m) if rows else IntMatrix.zero(0, cols),
-            IntMatrix.from_rows(v) if cols else IntMatrix.zero(0, 0))
-
-
-def _swap_diag(m, u, v, i, j, rows, cols):
-    m[i], m[j] = m[j], m[i]
-    u[i], u[j] = u[j], u[i]
-    for r in range(rows):
-        m[r][i], m[r][j] = m[r][j], m[r][i]
-    for r in range(cols):
-        v[r][i], v[r][j] = v[r][j], v[r][i]
-
-
-def diagonal_of(d):
-    return [d.entries[k][k] for k in range(min(d.rows, d.cols))]
-
-
-def rank(mat):
-    return sum(1 for x in diagonal_of(smith_normal_form(mat)[1]) if x != 0)
-
-
 def _column_echelon(rows, ncols, columns):
     """In-place column reduction to echelon form with fully reduced
     off-pivot entries (column Hermite form).  `columns` is a list of
     column lists that may be longer than `rows`; only the first `rows`
     entries steer pivoting, the rest ride along (used for kernels).
-    Returns the list of pivot rows per finalized column."""
+    Returns the list of pivot rows per finalized column; the columns
+    after the last pivot column are zero in the first `rows` entries."""
     nc = ncols
     k = 0
     pivot_rows = []
@@ -238,24 +113,60 @@ def _column_echelon(rows, ncols, columns):
     return pivot_rows
 
 
+def _hermite_columns(rows, columns):
+    """Reduce `columns` in place and return its nonzero columns: the
+    reduced column Hermite form of their span."""
+    return columns[:len(_column_echelon(rows, len(columns), columns))]
+
+
+def _over_identity(mat):
+    """The columns of mat, each followed by the matching identity column."""
+    n = mat.cols
+    return [list(mat.column(j)) + [1 if i == j else 0 for i in range(n)]
+            for j in range(n)]
+
+
+def smith_normal_form(mat):
+    """The nonzero invariant factors [d1 | d2 | ... | dr] of mat, r its
+    rank.
+
+    Alternates column echelon passes on the matrix and on its transpose
+    until it is diagonal (naive single-pivot elimination explodes
+    coefficients already on 12x26 inputs), then replaces diagonal pairs
+    (a, b) by (gcd, lcm) until each entry divides the next.
+
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
+    [1, 6]
+    """
+    rows = mat.rows
+    columns = [list(mat.column(j)) for j in range(mat.cols)]
+    for _ in range(200):
+        columns = _hermite_columns(rows, columns)
+        if all(x == 0 for k, c in enumerate(columns)
+               for i, x in enumerate(c) if i != k):
+            break
+        rows = len(columns)
+        columns = [list(r) for r in zip(*columns)]
+    else:
+        raise RuntimeError("Smith normal form did not converge")
+    d = [c[k] for k, c in enumerate(columns)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
 def kernel_basis(mat):
     """Columns forming a Z-basis of {v : mat*v = 0}, as an IntMatrix
     (cols x k), in reduced column Hermite form.  The kernel of an integer
     matrix is saturated.  Computed by column-reducing mat stacked over an
     identity block, which keeps entries small."""
     n = mat.cols
-    if n == 0:
-        return IntMatrix.zero(0, 0)
-    columns = [list(mat.column(j)) + [1 if i == j else 0 for i in range(n)]
-               for j in range(n)]
+    columns = _over_identity(mat)
     _column_echelon(mat.rows, n, columns)
     kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
-    if not kernel_cols:
-        return IntMatrix.zero(n, 0)
-    # canonicalize the kernel basis itself
-    _column_echelon(n, len(kernel_cols), kernel_cols)
-    kernel_cols = [c for c in kernel_cols if any(c)]
-    return IntMatrix.from_rows([list(r) for r in zip(*kernel_cols)])
+    return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
 
 
 class HNFSolver:
@@ -264,12 +175,9 @@ class HNFSolver:
 
     def __init__(self, mat):
         self.mat = mat
-        n = mat.cols
-        columns = [list(mat.column(j)) + [1 if i == j else 0 for i in range(n)]
-                   for j in range(n)]
-        self.pivot_rows = _column_echelon(mat.rows, n, columns)
+        columns = _over_identity(mat)
+        self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
         self.columns = columns
-        self.npiv = len(self.pivot_rows)
 
     def solve(self, target):
         """An integral x with M x = target, or None."""
@@ -296,81 +204,13 @@ class HNFSolver:
         return self.solve(target) is not None
 
 
-def solve_int(mat, target):
-    """An integer solution x of mat*x = target, or None."""
-    u, d, v = smith_normal_form(mat)
-    ub = u.apply(list(target))
-    diag = diagonal_of(d)
-    y = [0] * mat.cols
-    for i in range(mat.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return v.apply(y)
-
-
 def hermite_column_form(mat):
     """Column-style Hermite normal form: returns H with the same column
     span over Z as mat, columns in echelon form with positive pivots and
     entries to the right of a pivot reduced modulo it.  Zero columns are
     dropped."""
-    rows, cols = mat.rows, mat.cols
-    m = [list(mat.column(j)) for j in range(cols)]  # work on columns
-
-    def col_reduce(cj, ck, q):
-        m[cj] = [a - q * b for a, b in zip(m[cj], m[ck])]
-
-    h = []
-    pivot_row = 0
-    work = [c[:] for c in m]
-    while pivot_row < rows and work:
-        nz = [c for c in work if any(c[pivot_row:])]
-        if not nz:
-            break
-        # gcd out the current pivot row among all columns with support here
-        while True:
-            cands = [c for c in work if c[pivot_row] != 0]
-            if len(cands) <= 1:
-                break
-            cands.sort(key=lambda c: abs(c[pivot_row]))
-            base = cands[0]
-            changed = False
-            for c in cands[1:]:
-                q = c[pivot_row] // base[pivot_row]
-                for i in range(rows):
-                    c[i] -= q * base[i]
-                changed = changed or c[pivot_row] != 0
-            if not changed:
-                break
-        cands = [c for c in work if c[pivot_row] != 0]
-        if cands:
-            piv = cands[0]
-            work.remove(piv)
-            if piv[pivot_row] < 0:
-                piv = [-x for x in piv]
-            # reduce previously found pivots' rows? keep simple echelon:
-            h.append(piv)
-        pivot_row += 1
-    # reduce entries above each pivot across columns of h
-    # (columns ordered by pivot row ascending)
-    pivots = []
-    for c in h:
-        pr = next(i for i in range(rows) if c[i] != 0)
-        pivots.append(pr)
-    for idx in range(len(h)):
-        for jdx in range(idx):
-            pr = pivots[idx]
-            if h[jdx][pr] != 0:
-                q = h[jdx][pr] // h[idx][pr]
-                h[jdx] = [a - q * b for a, b in zip(h[jdx], h[idx])]
-    if not h:
-        return IntMatrix.zero(rows, 0)
-    return IntMatrix.from_rows([list(r) for r in zip(*h)])
+    columns = [list(mat.column(j)) for j in range(mat.cols)]
+    return IntMatrix.from_columns(mat.rows, _hermite_columns(mat.rows, columns))
 
 
 def same_column_span(a, b):

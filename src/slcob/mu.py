@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bpoly
-from .intmat import IntMatrix, _ext_gcd
+from .abelian import _factorint
+from .intmat import IntMatrix
 from .partitions import partitions_of
 from .symfun import BasisConstructionError, m_monomial_in_e
 
@@ -276,16 +277,21 @@ def degree_catalog(ctx, n):
 def generator_target(n):
     """|s_n| required of a polynomial generator in degree n: p if n+1 is a
     power of the prime p, else 1."""
-    m = n + 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            q = m
-            while q % d == 0:
-                q //= d
-            return d if q == 1 else 1
-        d += 1
-    return m  # n+1 prime
+    primes = _factorint(n + 1)
+    return next(iter(primes)) if len(primes) == 1 else 1
+
+
+def _ext_gcd(a, b):
+    """(g, s, t) with g = s*a + t*b, g = +-gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
 
 
 def select_generator(ctx, n):
@@ -453,8 +459,8 @@ class MUBasis:
                     break
         if not cols:
             cols = [[1]]
-        rows = [[c[i] for c in cols] for i in range(len(parts))]
-        return same_column_span(IntMatrix.from_rows(rows), self.matrix(n))
+        return same_column_span(IntMatrix.from_columns(len(parts), cols),
+                                self.matrix(n))
 
 
 def multiply(basis, x, y):

@@ -82,6 +82,9 @@ def identity_op():
 def landweber_novikov(omega):
     """The operation dual to the b-monomial of omega: its class is the
     monomial symmetric function of the Chern roots."""
+    if any(part < 1 for part in omega):
+        raise ValueError("the partition %r of a Landweber-Novikov "
+                         "operation needs positive parts" % (omega,))
     omega = tuple(sorted(omega, reverse=True))
     w = sum(omega)
     return CohOperation.from_dict("s%s" % (omega,), w, {w: {omega: dict(bpoly.ONE)}})

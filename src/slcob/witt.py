@@ -22,7 +22,7 @@ verification surface, not of this table module.
 
 from dataclasses import dataclass
 
-from .abelian import FGAbGroup
+from .abelian import FGAbGroup, _factorint, _is_prime
 
 QUADRATICALLY_CLOSED = "quadratically_closed"
 REAL_CLOSED = "real_closed"
@@ -49,13 +49,17 @@ class FieldDescriptor:
     exponential_characteristic: int = 1
 
     def __post_init__(self):
-        assert self.kind in KINDS
+        if self.kind not in KINDS:
+            raise ValueError("unknown field kind %r" % (self.kind,))
         e = self.exponential_characteristic
-        assert e != 2, "theory requires 1/2 in the base"
         if self.kind in (QUADRATICALLY_CLOSED, REAL_CLOSED):
-            assert e == 1
-        else:
-            assert e > 2 and _is_prime(e), "finite kinds need an odd prime"
+            if e != 1:
+                raise ValueError("%s fields have exponential characteristic "
+                                 "1, not %r" % (self.kind, e))
+        elif e == 2 or not _is_prime(e):
+            raise ValueError("%s fields need an odd prime characteristic "
+                             "(the theory requires 1/2 in the base), not %r"
+                             % (self.kind, e))
 
     @property
     def inverted_primes(self):
@@ -63,39 +67,29 @@ class FieldDescriptor:
         return frozenset() if e == 1 else frozenset([e])
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def field_descriptor(kind, q=None):
     """Build a descriptor from a kind alias; finite kinds take the field
-    size q (default 5 for q=1 mod 4, 3 for q=3 mod 4)."""
-    kind = KIND_ALIASES[kind]
-    if kind == FINITE_Q1:
-        q = 5 if q is None else q
-        assert q % 4 == 1
-        return FieldDescriptor(kind, _char_of(q))
-    if kind == FINITE_Q3:
-        q = 3 if q is None else q
-        assert q % 4 == 3
-        return FieldDescriptor(kind, _char_of(q))
-    return FieldDescriptor(kind, 1)
+    size q, a power of an odd prime with q = 1 resp. 3 mod 4 (default 5
+    resp. 3)."""
+    if kind not in KIND_ALIASES:
+        raise ValueError("unknown field kind %r: expected c, r, fq1 or fq3"
+                         % (kind,))
+    full = KIND_ALIASES[kind]
+    if full not in (FINITE_Q1, FINITE_Q3):
+        return FieldDescriptor(full, 1)
+    residue = 1 if full == FINITE_Q1 else 3
+    q = (5 if residue == 1 else 3) if q is None else q
+    p = _char_of(q) if q % 4 == residue else None
+    if p is None:
+        raise ValueError("%s needs a field size q = %d mod 4 that is a power "
+                         "of an odd prime, not %r" % (kind, residue, q))
+    return FieldDescriptor(full, p)
 
 
 def _char_of(q):
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
+    """The prime p with q = p^k, or None when q is not a prime power."""
+    primes = _factorint(q)
+    return next(iter(primes)) if len(primes) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ Supports prime q and q = 9 (the one prime-square case the catalog needs).
 
 from itertools import product
 
+from .abelian import _is_prime
+
 
 class GF:
     """GF(q) for prime q, or GF(9) = GF(3)[i] with i^2 = -1."""
@@ -61,17 +63,6 @@ class GF:
 
     def nonsquare_unit(self):
         return next(x for x in self.units() if not self.is_square(x))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class FormCalculus:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "slcob.cli", *args],
@@ -114,3 +116,31 @@ def test_cf_homology_and_dump(tmp_path):
     assert out.returncode == 0
     assert (outdir / "homology.csv").exists()
     assert (outdir / "delta_matrix_1.csv").read_text().strip() == "-2"
+
+
+BAD_INPUTS = [
+    ("witt", "table", "--field", "fq1", "--q", "7"),
+    ("witt", "table", "--field", "fq3", "--q", "15"),
+    ("witt", "table", "--field", "zz"),
+    ("msl", "group", "--field", "fq1", "--q", "4", "--n", "1"),
+    ("--truncation", "4", "op", "apply", "--name", "s0", "--class", "cp1"),
+    ("--truncation", "4", "op", "apply", "--name", "s-1", "--class", "cp1"),
+    ("--truncation", "4", "cf", "homology", "--max-degree", "-1"),
+    ("--truncation", "4", "cf", "dump", "--max-degree", "-1", "--out", "DIR"),
+    ("kq", "table", "--field", "c", "--max-degree", "-1"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
+    """Bad input is a usage error (exit 2) with a message, also under
+    python -O, where assert statements are skipped."""
+    argv = [str(tmp_path / "out") if a == "DIR" else a for a in argv]
+    flags = ["-O"] if optimize else []
+    out = subprocess.run([sys.executable, *flags, "-m", "slcob.cli", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ")
+    assert out.stderr[len("error: "):].strip()
+    assert out.stdout == ""

@@ -65,8 +65,8 @@ def test_boundaries_inside_cycles_with_index(cf):
         # the quotient is finite 2-torsion, so the boundary lattice has
         # full rank in the cycles and index 2^(number of summands)
         assert h.free_rank == 0
-        from slcob.intmat import rank
-        assert rank(b) == z.cols
+        from slcob.intmat import smith_normal_form
+        assert len(smith_normal_form(b)) == z.cols
         index = 1
         for f in h.invariant_factors:
             index *= f
@@ -98,11 +98,12 @@ def test_sign_insensitivity(ctx, cf, basis):
         assert cokernel(mat) == cf.homology(n)
 
 
-def test_msu_additive_examples(cf):
-    assert cf.msu_additive(5) == FGAbGroup.from_divisors([0, 0, 2])
-    assert cf.msu_additive(9) == FGAbGroup.from_divisors([0] * 8 + [2, 2])
-    assert cf.msu_additive(3) == FGAbGroup.free(1)
-    assert cf.msu_additive(0) == FGAbGroup.free(1)
+def test_msu_additive_examples():
+    from slcob.msl import msu_additive
+    assert msu_additive(5) == FGAbGroup.from_divisors([0, 0, 2])
+    assert msu_additive(9) == FGAbGroup.from_divisors([0] * 8 + [2, 2])
+    assert msu_additive(3) == FGAbGroup.free(1)
+    assert msu_additive(0) == FGAbGroup.free(1)
 
 
 def test_msl_image_examples(cf):

@@ -1,6 +1,6 @@
 import doctest
 
-from slcob import abelian, partitions, symfun
+from slcob import abelian, intmat, partitions, symfun
 
 
 def test_partition_doctests():
@@ -15,4 +15,9 @@ def test_abelian_doctests():
 
 def test_symfun_doctests():
     results = doctest.testmod(symfun)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_intmat_doctests():
+    results = doctest.testmod(intmat)
     assert results.failed == 0 and results.attempted > 0

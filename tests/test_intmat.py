@@ -1,10 +1,12 @@
 import random
+from math import prod
 
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
-from slcob.intmat import (HNFSolver, IntMatrix, diagonal_of,
-                          hermite_column_form, kernel_basis, rank,
-                          same_column_span, smith_normal_form, solve_int)
+from slcob.intmat import (HNFSolver, IntMatrix, hermite_column_form,
+                          kernel_basis, same_column_span, smith_normal_form)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -14,41 +16,51 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
-def is_unimodular(m):
-    return all(x == 1 for x in diagonal_of(smith_normal_form(m)[1]))
+def sympy_factors(m):
+    """Nonzero invariant factors by sympy, an independent oracle."""
+    if m.rows == 0 or m.cols == 0:
+        return []
+    sm = Matrix(m.rows, m.cols, [x for row in m.entries for x in row])
+    return [int(x) for x in invariant_factors(sm, domain=ZZ) if x]
+
+
+def in_span(m, target):
+    """target lies in the column span of m iff appending it keeps the rank
+    and the product of the nonzero invariant factors."""
+    aug = IntMatrix.from_rows([list(row) + [t]
+                               for row, t in zip(m.entries, target)])
+    d, e = sympy_factors(m), sympy_factors(aug)
+    return len(d) == len(e) and prod(d) == prod(e)
 
 
 def test_snf_zero_matrix():
-    m = IntMatrix.zero(3, 2)
-    _, d, _ = smith_normal_form(m)
-    assert all(x == 0 for row in d.entries for x in row)
+    assert smith_normal_form(IntMatrix.zero(3, 2)) == []
+    assert smith_normal_form(IntMatrix.zero(0, 2)) == []
+    assert smith_normal_form(IntMatrix.zero(2, 0)) == []
 
 
 def test_snf_hand_example():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    u, d, v = smith_normal_form(m)
-    assert diagonal_of(d) == [1, 6]
-    assert (u * m * v).entries == d.entries
+    assert smith_normal_form(m) == [1, 6]
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert smith_normal_form(m) == [2, 2, 156]
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(4)
-    _, d, _ = smith_normal_form(m)
-    assert diagonal_of(d) == [1, 1, 1, 1]
+    assert smith_normal_form(IntMatrix.identity(4)) == [1, 1, 1, 1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 6))
 def test_snf_properties(rows, cols, seed):
+    """The invariant factors equal sympy's, are positive and form a
+    divisibility chain whose length is the rank."""
     rng = random.Random(seed)
-    m = random_matrix(rng, rows, cols)
-    u, d, v = smith_normal_form(m)
-    assert (u * m * v).entries == d.entries
-    diag = diagonal_of(d)
-    nz = [x for x in diag if x]
-    assert all(x >= 0 for x in diag)
-    assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
-    assert is_unimodular(u) and is_unimodular(v)
+    m = random_matrix(rng, rows, cols, *rng.choice([(-1, 1), (-9, 9)]))
+    d = smith_normal_form(m)
+    assert d == sympy_factors(m)
+    assert all(x > 0 for x in d)
+    assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
 
 
 def test_kernel_examples():
@@ -69,18 +81,19 @@ def test_kernel_properties(rows, cols, seed):
     k = kernel_basis(m)
     for j in range(k.cols):
         assert all(x == 0 for x in m.apply(list(k.column(j))))
-    assert k.cols == cols - rank(m)
+    assert k.cols == cols - len(smith_normal_form(m))
 
 
-def test_solve_int():
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_int(m, [4, 9]) == [2, 3]
-    assert solve_int(m, [1, 0]) is None
+def test_hnf_solver_hand_example():
+    solver = HNFSolver(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    assert solver.solve([4, 9]) == [2, 3]
+    assert solver.solve([1, 0]) is None
+    assert not solver.contains([1, 0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
-def test_hnf_solver_agrees_with_snf_solver(rows, cols, seed):
+def test_hnf_solver_matches_span_oracle(rows, cols, seed):
     rng = random.Random(seed)
     m = random_matrix(rng, rows, cols)
     solver = HNFSolver(m)
@@ -90,9 +103,12 @@ def test_hnf_solver_agrees_with_snf_solver(rows, cols, seed):
         sol = solver.solve(target)
         assert sol is not None
         assert m.apply(sol) == target
-    # an unsolvable target should be rejected by both paths
-    target = [rng.randint(-20, 20) for _ in range(rows)]
-    assert (solver.solve(target) is None) == (solve_int(m, target) is None)
+    # an arbitrary target is solved exactly when it lies in the span
+    for _ in range(4):
+        target = [rng.randint(-20, 20) for _ in range(rows)]
+        sol = solver.solve(target)
+        assert (sol is not None) == in_span(m, target)
+        assert sol is None or m.apply(sol) == target
 
 
 def test_hermite_form_canonical():
@@ -103,3 +119,28 @@ def test_hermite_form_canonical():
     assert not same_column_span(a, c)
     h = hermite_column_form(IntMatrix.from_rows([[6, 4]]))
     assert h.entries == ((2,),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 10 ** 6))
+def test_hermite_form_properties(rows, cols, seed):
+    """H is a reduced column echelon form, has the rank of M as its width
+    and does not change under unimodular column operations on M."""
+    rng = random.Random(seed)
+    m = random_matrix(rng, rows, cols)
+    h = hermite_column_form(m)
+    assert h.rows == rows and h.cols == len(smith_normal_form(m))
+    pivots = [next(i for i, x in enumerate(h.column(j)) if x)
+              for j in range(h.cols)]
+    assert pivots == sorted(set(pivots))
+    for j, r in enumerate(pivots):
+        piv = h.entries[r][j]
+        assert piv > 0
+        assert all(0 <= h.entries[r][i] < piv for i in range(j))
+    columns = [list(m.column(j)) for j in range(cols)]
+    for _ in range(3 * cols if cols > 1 else 0):
+        i, j = rng.sample(range(cols), 2)
+        q = rng.randint(-3, 3)
+        columns[i] = [a + q * b for a, b in zip(columns[i], columns[j])]
+        columns[i], columns[j] = columns[j], [-x for x in columns[i]]
+    assert hermite_column_form(IntMatrix.from_columns(rows, columns)) == h

@@ -8,15 +8,45 @@ from slcob.wittforms import FormCalculus
 
 
 def test_descriptor_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="characteristic 1"):
         FieldDescriptor(QUADRATICALLY_CLOSED, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="odd prime"):
         FieldDescriptor(FINITE_Q1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="odd prime"):
         FieldDescriptor(FINITE_Q3, 9)  # exponential characteristic is 3
+    with pytest.raises(ValueError, match="unknown field kind"):
+        FieldDescriptor("p_adic")
     assert field_descriptor("fq1", 9).exponential_characteristic == 3
     assert field_descriptor("r").inverted_primes == frozenset()
     assert field_descriptor("fq3", 7).inverted_primes == frozenset([7])
+
+
+@pytest.mark.parametrize("kind,q,char", [
+    ("fq1", 5, 5), ("fq1", 13, 13), ("fq1", 25, 5), ("fq1", 9, 3),
+    ("fq1", None, 5), ("fq3", 3, 3), ("fq3", 7, 7), ("fq3", 27, 3),
+    ("fq3", None, 3), ("c", None, 1), ("r", None, 1)])
+def test_field_descriptor_accepts(kind, q, char):
+    assert field_descriptor(kind, q).exponential_characteristic == char
+
+
+@pytest.mark.parametrize("kind,q", [
+    ("fq1", 7), ("fq3", 5), ("fq1", 4), ("fq3", 15), ("fq1", 45),
+    ("fq1", 1), ("fq1", -3), ("fq3", -1), ("zz", None), ("fq", 5)])
+def test_field_descriptor_rejects(kind, q):
+    with pytest.raises(ValueError) as err:
+        field_descriptor(kind, q)
+    assert str(err.value)
+
+
+def test_trial_division_helpers():
+    from slcob.abelian import _factorint, _is_prime
+    from slcob.witt import _char_of
+    assert _char_of(25) == 5 and _char_of(27) == 3 and _char_of(7) == 7
+    assert _char_of(15) is None and _char_of(1) is None
+    assert [n for n in range(-2, 30) if _is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert _factorint(360) == {2: 3, 3: 2, 5: 1}
+    assert _factorint(1) == {} and _factorint(0) == {}
 
 
 def test_tables():
