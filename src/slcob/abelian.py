@@ -26,8 +26,39 @@ def _factorint(n):
     return out
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the first 12 bases are exact only below
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    return _factorint(n) == {n: 1}
+    """Whether n is prime, by deterministic Miller-Rabin; ValueError for
+    n >= PRIME_BOUND, where these bases no longer decide it."""
+    if n >= PRIME_BOUND:
+        raise ValueError("cannot decide primality of %d: the limit is %d"
+                         % (n, PRIME_BOUND))
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _strip_primes(n, primes):

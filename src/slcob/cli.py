@@ -47,13 +47,18 @@ def effective_settings(args):
     cfg = {}
     if getattr(args, "config", None):
         cfg = load_config(args.config)
-    trunc = int(getattr(args, "truncation", None) or cfg.get("truncation", 12))
+
+    def setting(name, default=None, conv=str):
+        value = getattr(args, name, None)
+        if value is None and name in cfg:
+            value = conv(cfg[name])
+        return default if value is None else value
+
+    trunc = setting("truncation", 12, int)
     if not (2 <= trunc <= MAX_TRUNCATION):
         raise ValueError("truncation must be between 2 and %d" % MAX_TRUNCATION)
-    field = getattr(args, "field", None) or cfg.get("field")
-    q = getattr(args, "q", None) or (int(cfg["q"]) if "q" in cfg else None)
-    fmt = getattr(args, "format", None) or cfg.get("format", "text")
-    return trunc, field, q, fmt
+    return trunc, setting("field"), setting("q", None, int), \
+        setting("format", "text")
 
 
 _FIXTURES = {}
@@ -98,24 +103,38 @@ def _emit_text(data, indent=0):
 # -- class labels -------------------------------------------------------------
 
 
-def parse_class_label(label, ctx, basis):
+def parse_class_label(label):
     """Grammar: cpN | hI_J | hypN_D | products joined with '*' |
-    xI monomials (basis generators)."""
-    cls = mu.MUClass.unit()
+    xI monomials (basis generators).  Returns the factors as
+    (kind, integer arguments) pairs."""
+    factors = []
     for token in label.split("*"):
         token = token.strip()
-        if token.startswith("cp"):
-            cls = cls * mu.cpn_class(ctx, int(token[2:]))
-        elif token.startswith("hyp"):
-            a, d = token[3:].split("_")
-            cls = cls * charnum.hypersurface_class(int(a), int(d)).mu_class
-        elif token.startswith("h"):
-            i, j = token[1:].split("_")
-            cls = cls * mu.milnor_hypersurface_class(ctx, int(i), int(j))
-        elif token.startswith("x"):
-            cls = cls * basis.generators[int(token[1:])]
+        for kind, nargs in (("cp", 1), ("hyp", 2), ("h", 2), ("x", 1)):
+            if token.startswith(kind):
+                parts = token[len(kind):].split("_")
+                if len(parts) != nargs:
+                    raise ValueError("class label %r needs %d integer(s) "
+                                     "after %r" % (token, nargs, kind))
+                factors.append((kind, tuple(int(a) for a in parts)))
+                break
         else:
             raise ValueError("unknown class label %r" % token)
+    return factors
+
+
+def build_class(factors, ctx, basis):
+    """The product of the classes named by parse_class_label's factors."""
+    cls = mu.MUClass.unit()
+    for kind, a in factors:
+        if kind == "cp":
+            cls = cls * mu.cpn_class(ctx, a[0])
+        elif kind == "hyp":
+            cls = cls * charnum.hypersurface_class(*a).mu_class
+        elif kind == "h":
+            cls = cls * mu.milnor_hypersurface_class(ctx, *a)
+        else:
+            cls = cls * basis.generators[a[0]]
     return cls
 
 
@@ -209,18 +228,17 @@ def dump_cf(outdir, cf, max_n):
 
 def cmd_op(args):
     trunc, _, _, fmt = effective_settings(args)
-    ctx, basis, _ = fixtures(trunc)
     name = args.name
-    if name == "partial":
-        op = boundary_partial(ctx)
-    elif name == "delta":
-        op = delta_op(ctx)
-    elif name.startswith("s"):
-        omega = tuple(int(x) for x in name[1:].split(",") if x)
-        op = landweber_novikov(omega)
-    else:
+    ctx_ops = {"partial": boundary_partial, "delta": delta_op}
+    if name.startswith("s"):
+        op = landweber_novikov(tuple(int(x) for x in name[1:].split(",") if x))
+    elif name not in ctx_ops:
         raise ValueError("unknown operation %r" % name)
-    cls = parse_class_label(args.cls, ctx, basis)
+    factors = parse_class_label(args.cls)  # reject bad input before fixtures
+    ctx, basis, _ = fixtures(trunc)
+    if name in ctx_ops:
+        op = ctx_ops[name](ctx)
+    cls = build_class(factors, ctx, basis)
     result = apply_operation(ctx, op, cls)
     data = {
         "operation": name,
@@ -282,7 +300,11 @@ def cmd_charnum(args):
 
 def cmd_verify(args):
     trunc, field, q, _ = effective_settings(args)
-    checks = run_suite(args.suite, kind=field, q=q, max_degree=args.max_degree or trunc)
+    max_degree = trunc if args.max_degree is None else args.max_degree
+    if not 2 <= max_degree <= MAX_TRUNCATION:
+        raise ValueError("--max-degree must be between 2 and %d (the suites "
+                         "run at that truncation)" % MAX_TRUNCATION)
+    checks = run_suite(args.suite, kind=field, q=q, max_degree=max_degree)
     failures = 0
     for name, ok, detail in checks:
         line = "%s %s" % ("PASS" if ok else "FAIL", name)

@@ -15,7 +15,7 @@ rank(cycles) = p(n) - p(n-1).  The module also carries the image lattices
 of the special linear theory inside the general one.
 """
 
-from functools import lru_cache
+from functools import wraps
 
 from .abelian import FGAbGroup, cokernel
 from .intmat import HNFSolver, IntMatrix, kernel_basis
@@ -27,15 +27,29 @@ class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
 
 
+def _memoized(method):
+    """Cache method(self, *args) in a dict on the instance, so that the
+    results are freed with the instance (a method-level lru_cache would
+    keep every instance alive for the life of the process)."""
+    @wraps(method)
+    def cached(self, *args):
+        memo = self._memo.setdefault(method.__name__, {})
+        if args not in memo:
+            memo[args] = method(self, *args)
+        return memo[args]
+    return cached
+
+
 class ConnerFloyd:
     def __init__(self, ctx, basis):
         self.ctx = ctx
         self.basis = basis
         self.max_n = basis.max_n
+        self._memo = {}
 
     # -- full-lattice matrices -------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def operation_matrix(self, name, n):
         """Matrix of an operation from degree n to degree n - shift in the
         monomial bases (columns indexed by the degree-n basis)."""
@@ -59,7 +73,7 @@ class ConnerFloyd:
 
     # -- the Wall lattice ---------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def w_lattice(self, n):
         """Columns: a basis of Ker(shift-2 op) in degree-n monomial
         coordinates.  Degrees 0 and 1 are the full lattice."""
@@ -79,11 +93,11 @@ class ConnerFloyd:
             out.append(self.basis.from_coordinates(n, list(w.column(j))))
         return out
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def _w_solver(self, n):
         return HNFSolver(self.w_lattice(n))
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def delta_matrix(self, n):
         """The differential (minus the boundary operation) from the Wall
         lattice in degree n to degree n-1, in the Wall bases."""
@@ -106,7 +120,7 @@ class ConnerFloyd:
 
     # -- cycles, boundaries, homology ---------------------------------------
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def cycles(self, n):
         """Columns: basis of Ker(differential) in Wall coordinates."""
         if n == 0:

@@ -7,8 +7,11 @@ exceeds a few hundred rows.  All integer elimination goes through
 which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 
   hermite_column_form  one pass on the columns, zero columns dropped;
-  kernel_basis         one pass on the columns stacked over an identity;
-  HNFSolver            the same pass, then forward substitution per target;
+  kernel_basis         row by row: a one-row pass cuts the kernel so far,
+                       kept in Hermite form so entries stay near the
+                       answer's size (Kannan-Bachem 1979);
+  HNFSolver            one pass on the columns stacked over an identity,
+                       then forward substitution per target;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs.
 """
@@ -119,13 +122,6 @@ def _hermite_columns(rows, columns):
     return columns[:len(_column_echelon(rows, len(columns), columns))]
 
 
-def _over_identity(mat):
-    """The columns of mat, each followed by the matching identity column."""
-    n = mat.cols
-    return [list(mat.column(j)) + [1 if i == j else 0 for i in range(n)]
-            for j in range(n)]
-
-
 def smith_normal_form(mat):
     """The nonzero invariant factors [d1 | d2 | ... | dr] of mat, r its
     rank.
@@ -158,15 +154,15 @@ def smith_normal_form(mat):
 
 
 def kernel_basis(mat):
-    """Columns forming a Z-basis of {v : mat*v = 0}, as an IntMatrix
-    (cols x k), in reduced column Hermite form.  The kernel of an integer
-    matrix is saturated.  Computed by column-reducing mat stacked over an
-    identity block, which keeps entries small."""
+    """A Z-basis of {v : mat*v = 0}: the columns of a cols x k IntMatrix in
+    reduced column Hermite form, built row by row so entries stay small."""
     n = mat.cols
-    columns = _over_identity(mat)
-    _column_echelon(mat.rows, n, columns)
-    kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
-    return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    for a in mat.entries:
+        columns = [[sum(x * y for x, y in zip(a, c))] + c for c in basis]
+        _column_echelon(1, len(columns), columns)
+        basis = _hermite_columns(n, [c[1:] for c in columns if not c[0]])
+    return IntMatrix.from_columns(n, basis)
 
 
 class HNFSolver:
@@ -175,7 +171,8 @@ class HNFSolver:
 
     def __init__(self, mat):
         self.mat = mat
-        columns = _over_identity(mat)
+        columns = [list(mat.column(j)) + [int(i == j) for i in range(mat.cols)]
+                   for j in range(mat.cols)]
         self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
         self.columns = columns
 

@@ -22,7 +22,7 @@ verification surface, not of this table module.
 
 from dataclasses import dataclass
 
-from .abelian import FGAbGroup, _factorint, _is_prime
+from .abelian import FGAbGroup, _is_prime
 
 QUADRATICALLY_CLOSED = "quadratically_closed"
 REAL_CLOSED = "real_closed"
@@ -87,9 +87,26 @@ def field_descriptor(kind, q=None):
 
 
 def _char_of(q):
-    """The prime p with q = p^k, or None when q is not a prime power."""
-    primes = _factorint(q)
-    return next(iter(primes)) if len(primes) == 1 else None
+    """The prime p with q = p^k, or None when q is not a prime power.
+    Tries the integer k-th root for every k <= log2 q, so the time is
+    polynomial in the digits of q; ValueError for q >= PRIME_BOUND."""
+    if q < 2:
+        return None
+    for k in range(1, q.bit_length()):
+        p = _iroot(q, k)
+        if p ** k == q and _is_prime(p):
+            return p
+    return None
+
+
+def _iroot(n, k):
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
-"""Independent rational oracles for the integer basis layer.
+"""Independent oracles for the integer basis layer and the Wall kernel.
 
 The library computes its transition matrices and lattice coordinates with
 integer counting and back-substitution.  These helpers recompute the same
 objects the slow, obviously-correct way, over the rationals: Newton's
 identity for e in terms of p, dense Gauss-Jordan inversion, and the
-reciprocal Chern class through GradedPoly.
+reciprocal Chern class through GradedPoly.  The integer kernel is checked
+against the one-shot echelon pass over an identity block, whose entries
+grow far beyond the answer's but whose result is the same canonical form.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from slcob.gradedpoly import GradedPoly, reciprocal
+from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import p_vec_to_m_vec
 
@@ -94,3 +97,16 @@ def graded_reciprocal_class_matrix(n):
             if c:
                 mat[(omega, omega2)] = int(c)
     return mat
+
+
+def kernel_basis_one_shot(mat):
+    """Z-basis of {v : mat*v = 0} in reduced column Hermite form, by one
+    column echelon pass over mat stacked on an identity block: the columns
+    whose top part vanishes span the kernel, and a Hermite pass on their
+    identity parts makes the basis canonical."""
+    n = mat.cols
+    columns = [list(mat.column(j)) + [int(i == j) for i in range(n)]
+               for j in range(n)]
+    _column_echelon(mat.rows, n, columns)
+    kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
+    return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))

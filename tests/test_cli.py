@@ -128,6 +128,12 @@ BAD_INPUTS = [
     ("--truncation", "4", "cf", "homology", "--max-degree", "-1"),
     ("--truncation", "4", "cf", "dump", "--max-degree", "-1", "--out", "DIR"),
     ("kq", "table", "--field", "c", "--max-degree", "-1"),
+    ("--truncation", "0", "cf", "homology"),
+    ("witt", "table", "--field", "fq1", "--q", "0"),
+    ("witt", "table", "--field", "fq1", "--q", "3317044064679887385961981"),
+    ("verify", "--max-degree", "0"),
+    ("verify", "--suite", "leibniz", "--max-degree", "-1"),
+    ("op", "apply", "--name", "s1", "--class", "h1"),
 ]
 
 
@@ -144,3 +150,17 @@ def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
     assert out.stderr.startswith("error: ")
     assert out.stderr[len("error: "):].strip()
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("name,label", [
+    ("s0", "cp1"), ("t1", "cp1"), ("s1", "cq1"), ("partial", "hyp3")])
+def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
+    """A bad operation name or class label is rejected before the
+    coefficient ring is built."""
+    from slcob import cli
+
+    def no_fixtures(truncation):
+        raise AssertionError("fixtures built for bad input")
+
+    monkeypatch.setattr(cli, "fixtures", no_fixtures)
+    assert cli.main(["op", "apply", "--name", name, "--class", label]) == 2

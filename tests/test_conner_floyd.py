@@ -136,3 +136,27 @@ def test_small_truncation_consistency():
     cf = ConnerFloyd(ctx, MUBasis(ctx))
     assert [str(cf.homology(n)) for n in range(6)] == \
         ["Z/2", "0", "Z/2", "0", "Z/2", "0"]
+
+
+def test_wall_lattice_matches_one_shot_kernel(cf):
+    """The row-by-row Wall kernel equals the one-shot echelon kernel over
+    an identity block, entry for entry (both are canonical)."""
+    from oracles import kernel_basis_one_shot
+    for n in range(2, 12):
+        assert cf.w_lattice(n) == kernel_basis_one_shot(
+            cf.operation_matrix("delta", n))
+
+
+def test_deleted_instance_is_collected():
+    """The caches live on the instance, so nothing keeps it alive."""
+    import gc
+    import weakref
+    from slcob.fgl import FGLContext
+    from slcob.mu import MUBasis
+    ctx = FGLContext(4)
+    cf = ConnerFloyd(ctx, MUBasis(ctx))
+    assert str(cf.homology(2)) == "Z/2"
+    ref = weakref.ref(cf)
+    del cf
+    gc.collect()
+    assert ref() is None

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
+from oracles import kernel_basis_one_shot
 from slcob.intmat import (HNFSolver, IntMatrix, hermite_column_form,
                           kernel_basis, same_column_span, smith_normal_form)
 
@@ -14,6 +15,18 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
         return IntMatrix.zero(0, cols)
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def assert_reduced_hermite(h):
+    """h is in reduced column echelon form: pivot rows strictly increase,
+    pivots are positive, and entries left of a pivot lie in [0, pivot)."""
+    pivots = [next(i for i, x in enumerate(h.column(j)) if x)
+              for j in range(h.cols)]
+    assert pivots == sorted(set(pivots))
+    for j, r in enumerate(pivots):
+        piv = h.entries[r][j]
+        assert piv > 0
+        assert all(0 <= h.entries[r][i] < piv for i in range(j))
 
 
 def sympy_factors(m):
@@ -73,15 +86,22 @@ def test_kernel_examples():
     assert sorted(col) == [-1, 1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 6))
 def test_kernel_properties(rows, cols, seed):
+    """The kernel basis is annihilated by M, has the right rank, is
+    saturated (its invariant factors are all 1), is in reduced column
+    Hermite form and equals the one-shot echelon oracle."""
     rng = random.Random(seed)
-    m = random_matrix(rng, rows, cols)
+    m = random_matrix(rng, rows, cols, *rng.choice([(-1, 1), (-9, 9)]))
     k = kernel_basis(m)
+    assert k.rows == cols
     for j in range(k.cols):
         assert all(x == 0 for x in m.apply(list(k.column(j))))
     assert k.cols == cols - len(smith_normal_form(m))
+    assert smith_normal_form(k) == [1] * k.cols
+    assert_reduced_hermite(k)
+    assert k == kernel_basis_one_shot(m)
 
 
 def test_hnf_solver_hand_example():
@@ -130,13 +150,7 @@ def test_hermite_form_properties(rows, cols, seed):
     m = random_matrix(rng, rows, cols)
     h = hermite_column_form(m)
     assert h.rows == rows and h.cols == len(smith_normal_form(m))
-    pivots = [next(i for i, x in enumerate(h.column(j)) if x)
-              for j in range(h.cols)]
-    assert pivots == sorted(set(pivots))
-    for j, r in enumerate(pivots):
-        piv = h.entries[r][j]
-        assert piv > 0
-        assert all(0 <= h.entries[r][i] < piv for i in range(j))
+    assert_reduced_hermite(h)
     columns = [list(m.column(j)) for j in range(cols)]
     for _ in range(3 * cols if cols > 1 else 0):
         i, j = rng.sample(range(cols), 2)

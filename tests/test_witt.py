@@ -49,6 +49,35 @@ def test_trial_division_helpers():
     assert _factorint(1) == {} and _factorint(0) == {}
 
 
+def test_prime_power_check_matches_trial_division():
+    from slcob.abelian import _factorint, _is_prime
+    from slcob.witt import _char_of
+    for q in range(-3, 10 ** 5):
+        f = _factorint(q)
+        assert _is_prime(q) == (f == {q: 1})
+        assert _char_of(q) == (next(iter(f)) if len(f) == 1 else None)
+
+
+def test_prime_power_check_large():
+    from slcob.abelian import PRIME_BOUND, _is_prime
+    from slcob.witt import _char_of
+    p = 10 ** 18 + 9  # prime
+    assert _is_prime(p) and _char_of(p) == p
+    r = 10 ** 9 + 7  # prime
+    assert _char_of(r ** 2) == r and _char_of(r * (r + 2)) is None
+    assert _char_of(3 ** 50) == 3 and _char_of(2 ** 80) == 2
+    # strong pseudoprimes to the first 4, 7, 9 and 12 prime bases
+    for n in (3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 67 - 1)
+    for bad in (PRIME_BOUND, 10 ** 30):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            _char_of(bad)
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            field_descriptor("fq1", bad - bad % 4 + 1)
+
+
 def test_tables():
     wc = witt_data(field_descriptor("c"))
     assert wc.w == FGAbGroup.cyclic(2)
