@@ -156,9 +156,6 @@ class FGAbGroup:
     def torsion_part(self):
         return FGAbGroup(0, self.invariant_factors, self.inverted_primes)
 
-    def free_part(self):
-        return FGAbGroup(self.free_rank, (), self.inverted_primes)
-
     def primary_part(self, p):
         """The p-primary torsion subgroup."""
         divisors = []

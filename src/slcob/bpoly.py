@@ -3,10 +3,10 @@
 The Hurewicz model stores everything as integer polynomials in the homology
 generators b_i (weight i).  A monomial b_{i1} b_{i2} ... is the partition
 (i1 >= i2 >= ...); a polynomial is a dict {partition: int} with no zero
-values.  This bare representation is the hot path of the whole package;
-GradedPoly wraps it only at module boundaries.  Chern monomials c^omega
-are partitions too, and the reciprocal Chern class is computed here with
-c_i in the role of b_i.
+values.  This bare representation is the hot path of the whole package
+and its only polynomial arithmetic.  Chern monomials c^omega are
+partitions too, and the reciprocal Chern class is computed here with c_i
+in the role of b_i.
 """
 
 from .partitions import merge

@@ -1,9 +1,9 @@
 """Chern characteristic numbers of explicit varieties.
 
-Hypersurfaces of degree d in projective n-space are computed in the
-truncated ring Z[h]/(h^n): total tangent class (1+h)^(n+1)/(1+dh),
-integration = d times the coefficient of h^(n-1).  Products of projective
-spaces use the multigraded analogue.  The Calabi-Yau certificate is
+The tangent Chern numbers of hypersurfaces of degree d in projective
+n-space (total tangent class (1+h)^(n+1)/(1+dh), integration = d times
+the coefficient of h^(n-1)) and of products of projective spaces come from
+the one routine `mu.tangent_numbers`.  The Calabi-Yau certificate is
 symbolic: the degree-1 part of the tangent class vanishes identically in
 the ambient model (a necessary condition for an actual trivialization of
 the determinant; the honest limit of what coefficients can certify).
@@ -47,94 +47,35 @@ class VarietyClass:
 def hypersurface_class(ambient_n, degree):
     """A smooth hypersurface of the given degree in projective
     ambient_n-space (dimension ambient_n - 1)."""
-    assert degree >= 1 and ambient_n >= 1
-    n = ambient_n - 1  # dimension of the hypersurface
-
-    # Z[h]/(h^(n+1)): coefficient lists of length n+1
-    def hmul(u, v):
-        out = [0] * (n + 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b and i + j <= n:
-                        out[i + j] += a * b
-        return out
-
-    one = [1] + [0] * n
-    tangent_total = one
-    for _ in range(ambient_n + 1):
-        tangent_total = hmul(tangent_total, [1, 1] + [0] * (n - 1) if n >= 1 else [1])
-    # divide by 1 + degree*h (geometric series)
-    inv = one[:]
-    term = one[:]
-    sign = 1
-    for _ in range(n):
-        term = hmul(term, [0, degree] + [0] * (n - 1) if n >= 1 else [0])
-        sign = -sign
-        inv = [a + sign * b for a, b in zip(inv, term)]
-    tangent_total = hmul(tangent_total, inv)
-
-    cy = n >= 1 and tangent_total[1] == 0  # c1 vanishes symbolically
-    numbers = {}
-    for omega in partitions_of(n):
-        prod = one
-        for part in omega:
-            piece = [0] * (n + 1)
-            piece[part] = tangent_total[part]
-            prod = hmul(prod, piece)
-        numbers[omega] = degree * prod[n]
-    cls = mu.chern_numbers_to_hurewicz(numbers, n)
+    if ambient_n < 1 or degree < 1:
+        raise ValueError("a hypersurface needs an ambient dimension and a "
+                         "degree of at least 1 (got P^%d, degree %d)"
+                         % (ambient_n, degree))
+    n = ambient_n - 1
+    numbers, total = mu.tangent_numbers((ambient_n,), (degree,))
     return VarietyClass(
         description="hypersurface of degree %d in P^%d" % (degree, ambient_n),
         dimension=n,
         tangent_numbers=tuple(sorted(numbers.items())),
-        mu_class=cls,
-        calabi_yau=cy,
+        mu_class=mu.chern_numbers_to_hurewicz(numbers, n),
+        calabi_yau=n >= 1 and not total[1],  # c1 vanishes symbolically
     )
 
 
 def product_projective_class(dims):
-    """A product of projective spaces, via the multigraded tangent class
-    prod (1+x_k)^(d_k+1)."""
-    dims = list(dims)
-    assert all(d >= 0 for d in dims)
+    """A product of projective spaces."""
+    dims = tuple(dims)
+    if any(d < 0 for d in dims):
+        raise ValueError("projective spaces need dimensions of at least 0 "
+                         "(got %s)" % (dims,))
+    numbers, _ = mu.tangent_numbers(dims)
     n = sum(dims)
-    axes = len(dims)
-
-    def mmul(u, v):
-        out = {}
-        for e1, a in u.items():
-            for e2, b in v.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if all(e[k] <= dims[k] for k in range(axes)):
-                    out[e] = out.get(e, 0) + a * b
-        return {k: c for k, c in out.items() if c}
-
-    one = {tuple([0] * axes): 1}
-    total = dict(one)
-    for k, d in enumerate(dims):
-        lin = dict(one)
-        unit = tuple(1 if t == k else 0 for t in range(axes))
-        lin[unit] = 1
-        for _ in range(d + 1):
-            total = mmul(total, lin)
-    by_degree = {}
-    for e, c in total.items():
-        by_degree.setdefault(sum(e), {})[e] = c
-    top = tuple(dims)
-    numbers = {}
-    for omega in partitions_of(n):
-        prod = dict(one)
-        for part in omega:
-            prod = mmul(prod, by_degree.get(part, {}))
-        numbers[omega] = prod.get(top, 0)
-    cls = mu.chern_numbers_to_hurewicz(numbers, n)
     # c1 of a product of projective spaces never vanishes
     return VarietyClass(
-        description="product of projective spaces %s" % (tuple(dims),),
+        description="product of projective spaces %s" % (dims,),
         dimension=n,
         tangent_numbers=tuple(sorted(numbers.items())),
-        mu_class=cls,
+        mu_class=mu.chern_numbers_to_hurewicz(numbers, n),
         calabi_yau=False,
     )
 

@@ -123,6 +123,29 @@ def parse_class_label(label):
     return factors
 
 
+def check_class_range(factors, truncation):
+    """Reject factors that name no class, and products of degree above the
+    truncation (the operations' classes are cut off there)."""
+    degree = 0
+    for kind, a in factors:
+        if kind == "cp":
+            ok, n, need = a[0] >= 0, a[0], "N >= 0"
+        elif kind == "hyp":
+            ok, n, need = a[0] >= 1 and a[1] >= 1, a[0] - 1, "N, D >= 1"
+        elif kind == "h":
+            ok, n, need = 1 <= a[0] <= a[1], a[0] + a[1] - 1, "1 <= I <= J"
+        else:
+            ok, n, need = 1 <= a[0] <= truncation, a[0], \
+                "1 <= I <= %d, the truncation" % truncation
+        if not ok:
+            raise ValueError("class label %s%s needs %s" % (
+                kind, "_".join(map(str, a)), need))
+        degree += n
+    if degree > truncation:
+        raise ValueError("the class has degree %d, above the truncation %d"
+                         % (degree, truncation))
+
+
 def build_class(factors, ctx, basis):
     """The product of the classes named by parse_class_label's factors."""
     cls = mu.MUClass.unit()
@@ -235,6 +258,7 @@ def cmd_op(args):
     elif name not in ctx_ops:
         raise ValueError("unknown operation %r" % name)
     factors = parse_class_label(args.cls)  # reject bad input before fixtures
+    check_class_range(factors, trunc)
     ctx, basis, _ = fixtures(trunc)
     if name in ctx_ops:
         op = ctx_ops[name](ctx)
@@ -282,9 +306,9 @@ def cmd_kq(args):
 
 def cmd_charnum(args):
     trunc, _, _, fmt = effective_settings(args)
-    v = charnum.hypersurface_class(args.ambient, args.degree)
-    if v.dimension > trunc:
+    if args.ambient - 1 > trunc:
         raise ValueError("dimension exceeds truncation")
+    v = charnum.hypersurface_class(args.ambient, args.degree)
     data = v.to_json()
     if v.dimension >= 2:
         _, _, cf = fixtures(trunc)

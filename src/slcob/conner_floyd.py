@@ -15,9 +15,8 @@ rank(cycles) = p(n) - p(n-1).  The module also carries the image lattices
 of the special linear theory inside the general one.
 """
 
-from functools import wraps
-
 from .abelian import FGAbGroup, cokernel
+from .fgl import _memoized
 from .intmat import HNFSolver, IntMatrix, kernel_basis
 from .operations import apply_operation, boundary_partial, delta_op
 from .partitions import partition_count
@@ -25,19 +24,6 @@ from .partitions import partition_count
 
 class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
-
-
-def _memoized(method):
-    """Cache method(self, *args) in a dict on the instance, so that the
-    results are freed with the instance (a method-level lru_cache would
-    keep every instance alive for the life of the process)."""
-    @wraps(method)
-    def cached(self, *args):
-        memo = self._memo.setdefault(method.__name__, {})
-        if args not in memo:
-            memo[args] = method(self, *args)
-        return memo[args]
-    return cached
 
 
 class ConnerFloyd:

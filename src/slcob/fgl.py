@@ -11,155 +11,63 @@ The class of CP^n is (n+1) times the n-th log coefficient; its b_n
 coefficient is -(n+1), i.e. coordinates in Z[b] are monomial-symmetric
 characteristic numbers of the stable normal bundle.
 
-The optional flip_sign knob replaces exp by x - b1 x^2 + b2 x^3 - ...
-(the opposite orientation of the ambient ring); all anchors were verified
-for the default and the knob is kept only as the documented escape hatch
-for the global normal/tangent sign ambiguity.
+The operations need only exp, its powers, log and the determinant classes
+below; F and chi are written out as polynomials only by the test suite.
 """
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from . import bpoly
-from .gradedpoly import GradedPoly, elementary_symmetric_rewrite
 from .symfun import p_vec_to_m_vec
+
+
+def _memoized(method):
+    """Cache method(owner, *args) in the dict `owner._memo`, so that the
+    results are freed with the owner (a method-level lru_cache would keep
+    every owner alive for the life of the process).  `owner` is the first
+    argument: self for a method, the context for a function of one."""
+    key = method.__qualname__
+
+    @wraps(method)
+    def cached(owner, *args):
+        memo = owner._memo.setdefault(key, {})
+        if args not in memo:
+            memo[args] = method(owner, *args)
+        return memo[args]
+    return cached
 
 
 class FGLContext:
     """Truncated universal formal group law with cached series.
 
     Series are lists indexed by the exponent of the series variable with
-    coefficients in Z[b]; everything is truncated at weight `bound`.
+    coefficients in Z[b]; everything is truncated at weight `bound`.  What
+    is derived from the context later (determinant classes, operations,
+    coaction tables) is cached in `_memo` and dies with the context.
     """
 
-    def __init__(self, bound=12, flip_sign=False):
+    def __init__(self, bound=12):
         assert bound >= 2
         self.bound = bound
-        self.flip_sign = flip_sign
         top = bound + 1
         self.top = top
         exp = bpoly.ser_zero(top)
         exp[1] = dict(bpoly.ONE)
         for i in range(1, top):
-            c = bpoly.gen(i)
-            if flip_sign and i % 2 == 1:
-                c = bpoly.scale(c, -1)
-            exp[i + 1] = c
+            exp[i + 1] = bpoly.gen(i)
         self.exp_series = exp
         self.log_series = bpoly.ser_inverse(exp, top)
-        # exp powers B^k for k = 1..top+1 (used by formal sums and coaction)
+        # exp powers B^k for k = 1..top+1 (used by the coaction)
         self.exp_powers = bpoly.ser_powers(exp, top, top + 1)
-        self._weights = None
-
-    # -- GradedPoly ambient ------------------------------------------------
-
-    def weights(self, extra=()):
-        w = {"b%d" % i: i for i in range(1, self.bound + 1)}
-        for name, wt in extra:
-            w[name] = wt
-        return w
-
-    def _poly_from_bp(self, bp, weights, extra_mon=()):
-        coeffs = {}
-        for part, c in bp.items():
-            mon = dict(extra_mon)
-            for i in part:
-                key = "b%d" % i
-                mon[key] = mon.get(key, 0) + 1
-            coeffs[tuple(sorted(mon.items()))] = Fraction(c)
-        return GradedPoly(weights, self.bound, coeffs)
-
-    def series_poly(self, series, var, weights):
-        """A univariate series (bpoly coefficients) as a GradedPoly."""
-        out = GradedPoly(weights, self.bound)
-        for d, coeff in enumerate(series):
-            if coeff and d <= self.bound:
-                out = out + self._poly_from_bp(coeff, weights, ((var, d),))
-        return out
+        self._memo = {}
 
     def log_coefficient(self, n):
         """m_n, the coefficient of x^{n+1} in the log series."""
         return self.log_series[n + 1] if n + 1 <= self.top else {}
 
-    # -- spec operations -----------------------------------------------------
-
-    def formal_group(self):
-        """F(x, y) as a GradedPoly in x, y over Z[b]."""
-        weights = self.weights((("x", 1), ("y", 1)))
-        logx = self.series_poly(self.log_series, "x", weights)
-        logy = self.series_poly(self.log_series, "y", weights)
-        expp = self.series_poly(self.exp_series, "x", weights)
-        out = expp.substitute("x", logx + logy)
-        assert out.is_integral()
-        return out
-
-    def formal_inverse(self):
-        """chi(x) = exp(-log x) as a GradedPoly in x over Z[b]."""
-        weights = self.weights((("x", 1),))
-        chi = self.chi_series()
-        out = self.series_poly(chi, "x", weights)
-        assert out.is_integral()
-        return out
-
-    @lru_cache(maxsize=None)
-    def chi_series(self):
-        neg_log = [bpoly.scale(c, -1) for c in self.log_series]
-        return bpoly.ser_compose(self.exp_series, neg_log, self.top)
-
-    def formal_sum(self, k):
-        """F(x1, F(x2, ...)) as a symmetric GradedPoly in x1..xk:
-        exp(log x1 + ... + log xk)."""
-        assert k >= 1
-        xs = ["x%d" % i for i in range(1, k + 1)]
-        weights = self.weights(tuple((x, 1) for x in xs))
-        total = GradedPoly(weights, self.bound)
-        for x in xs:
-            total = total + self.series_poly(self.log_series, x, weights)
-        out = GradedPoly(weights, self.bound)
-        power = GradedPoly.const(weights, self.bound, 1)
-        for d in range(0, self.top + 1):
-            if d > 0:
-                power = power * total
-                if power.is_zero():
-                    break
-            coeff = self.exp_series[d] if d < len(self.exp_series) else {}
-            if coeff:
-                out = out + self._poly_from_bp(coeff, weights) * power
-        assert out.is_integral()
-        return out
-
-    def c1_determinant_class(self, k, dual=False):
-        """c1 of the (dual) determinant of a rank-k bundle, written in the
-        Chern variables c1..ck over Z[b]: the formal sum of the Chern roots
-        (dual: its formal inverse), rewritten via elementary symmetric
-        functions."""
-        assert k >= 1
-        xs = ["x%d" % i for i in range(1, k + 1)]
-        fs = self.formal_sum(k)
-        if dual:
-            # chi(formal sum): substitute into the chi series
-            weights = fs.weights
-            out = GradedPoly(weights, self.bound)
-            power = GradedPoly.const(weights, self.bound, 1)
-            chi = self.chi_series()
-            for d in range(0, self.top + 1):
-                if d > 0:
-                    power = power * fs
-                    if power.is_zero():
-                        break
-                if d < len(chi) and chi[d]:
-                    out = out + self._poly_from_bp(chi[d], weights) * power
-            fs = out
-        # rewrite in Chern variables; b-generators ride along as coefficients
-        cs = ["c%d" % i for i in range(1, k + 1)]
-        weights2 = self.weights(tuple((c, i + 1) for i, c in enumerate(cs)))
-        rewritten = _rewrite_with_coefficients(fs, xs, weights2, self.bound)
-        assert rewritten.is_integral()
-        return rewritten
-
     # -- abstract characteristic classes (power-sum coordinates) ----------
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def det_class_p(self, sign):
         """exp(sign * L) with L = sum_j mu_j p_j, as {p-partition: bpoly};
         mu_j = j-th log coefficient, p_j the power sums of the Chern roots.
@@ -183,13 +91,13 @@ class FGLContext:
                         out[mon] = bpoly.add(out.get(mon, {}), term)
         return {k2: v for k2, v in out.items() if v}
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def boundary_class_m(self):
         """m-basis coefficients of the boundary operation's class, by
         weight: {w: {partition: bpoly}}."""
         return _p_class_to_m(self.det_class_p(-1))
 
-    @lru_cache(maxsize=None)
+    @_memoized
     def delta_class_m(self):
         """m-basis coefficients of c1(det) * c1(det dual)."""
         prod = _pp_mul(self.det_class_p(+1), self.det_class_p(-1), self.bound)
@@ -226,26 +134,4 @@ def _p_class_to_m(cls_p):
     out = {}
     for w, vec in by_weight.items():
         out[w] = p_vec_to_m_vec(vec, combine)
-    return out
-
-
-def _rewrite_with_coefficients(f, xvars, new_weights, bound):
-    """elementary_symmetric_rewrite for a polynomial whose coefficients
-    involve b-generators: split off the b-part monomial by monomial,
-    rewrite each pure-x slice, and reassemble."""
-    slices = {}
-    for mon, c in f.coeffs.items():
-        bpart = tuple((g, e) for g, e in mon if not g.startswith("x"))
-        xpart = tuple((g, e) for g, e in mon if g.startswith("x"))
-        slices.setdefault(bpart, {})[xpart] = c
-    cvars_all = ["c%d" % i for i in range(1, len(xvars) + 1)]
-    xweights = {x: 1 for x in xvars}
-    xweights.update({c: i + 1 for i, c in enumerate(cvars_all)})
-    out = GradedPoly(new_weights, bound)
-    for bpart, coeffs in sorted(slices.items()):
-        xpoly = GradedPoly(xweights, bound, coeffs)
-        rewritten = elementary_symmetric_rewrite(xpoly, xvars, cvars_all)
-        for cmon, c in rewritten.coeffs.items():
-            mon = tuple(sorted(cmon + bpart))
-            out = out + GradedPoly(new_weights, bound, {mon: c})
     return out

@@ -19,6 +19,8 @@ the reciprocal-class matrix is computed in bpoly.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 from . import bpoly
 from .abelian import _factorint
@@ -136,15 +138,15 @@ def _apply_matrix(mat, vec, n):
     return out
 
 
-def chern_numbers_to_hurewicz(tangent_numbers, n):
+def chern_numbers_to_hurewicz(numbers, n):
     """Tangent Chern numbers c_omega(T)[X] -> Hurewicz image (normal
     monomial-symmetric numbers)."""
     if n == 0:
-        return MUClass.from_dict(0, {(): tangent_numbers.get((), 0)})
+        return MUClass.from_dict(0, {(): numbers.get((), 0)})
     for omega in partitions_of(n):
-        if omega not in tangent_numbers:
+        if omega not in numbers:
             raise KeyError("missing Chern number for partition %s" % (omega,))
-    normal_c = _apply_matrix(reciprocal_class_matrix(n), tangent_numbers, n)
+    normal_c = _apply_matrix(reciprocal_class_matrix(n), numbers, n)
     out = {}
     for omega in partitions_of(n):
         s = 0
@@ -189,78 +191,82 @@ def cpn_class(ctx, n):
     return MUClass.from_dict(n, bpoly.scale(ctx.log_coefficient(n), n + 1))
 
 
-def cpn_tangent_numbers(n):
-    """Tangent Chern numbers of CP^n from (1+h)^{n+1} mod h^{n+1}."""
-    binom = [1] * (n + 1)
-    for k in range(1, n + 1):
-        binom[k] = binom[k - 1] * (n + 2 - k) // k
-    out = {}
-    for omega in partitions_of(n):
-        prod = 1
-        for part in omega:
-            prod *= binom[part]
-        out[omega] = prod
-    return out
-
-
 def milnor_hypersurface_class(ctx, i, j):
     """The Milnor hypersurface H_{i,j} in P^i x P^j (a smooth (1,1)
-    divisor), via its tangent numbers in Z[x,y]/(x^{i+1}, y^{j+1})."""
+    divisor), via its tangent numbers."""
     if not (1 <= i <= j):
         raise ValueError("need 1 <= i <= j")
     n = i + j - 1
     if n > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (n, ctx.bound))
-    return chern_numbers_to_hurewicz(milnor_tangent_numbers(i, j), n)
+    return chern_numbers_to_hurewicz(tangent_numbers((i, j), (1, 1))[0], n)
 
 
 @lru_cache(maxsize=None)
-def milnor_tangent_numbers(i, j):
-    """Tangent Chern numbers of H_{i,j}: total tangent class
-    (1+x)^{i+1} (1+y)^{j+1} / (1+x+y), integrated against (x+y)."""
-    def rmul(u, v):
-        out = {}
-        for (a1, b1), c1 in u.items():
-            for (a2, b2), c2 in v.items():
-                a, b = a1 + a2, b1 + b2
-                if a <= i and b <= j:
-                    key = (a, b)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return {k: c for k, c in out.items() if c}
+def tangent_numbers(dims, divisor=None):
+    """Tangent Chern numbers and total tangent class of the product X of
+    projective spaces P^dims[0] x P^dims[1] x ..., or, given `divisor`,
+    of a smooth divisor of that multidegree in X.
 
-    one = {(0, 0): 1}
-    px = dict(one)
-    for _ in range(i + 1):
-        px = rmul(px, {(0, 0): 1, (1, 0): 1})
-    py = dict(one)
-    for _ in range(j + 1):
-        py = rmul(py, {(0, 0): 1, (0, 1): 1})
-    # geometric series for 1/(1+x+y)
-    h = {(1, 0): 1, (0, 1): 1}
-    inv = dict(one)
-    term = dict(one)
-    sign = 1
-    for _ in range(i + j + 1):
-        term = rmul(term, h)
-        if not term:
-            break
-        sign = -sign
-        inv = {k: inv.get(k, 0) + sign * term.get(k, 0)
-               for k in set(inv) | set(term)}
-        inv = {k: c for k, c in inv.items() if c}
-    ct = rmul(rmul(px, py), inv)
-    n = i + j - 1
-    pieces = {}
-    for (a, b), c in ct.items():
-        pieces.setdefault(a + b, {})[(a, b)] = c
-    out = {}
-    for omega in partitions_of(n):
-        prod = dict(one)
-        for part in omega:
-            prod = rmul(prod, pieces.get(part, {}))
-        paired = rmul(prod, h)  # multiply by the fundamental-class dual x+y
-        out[omega] = paired.get((i, j), 0)
-    return out
+    The cohomology of X is Z[x_1, x_2, ...]/(x_k^(dims[k]+1)) and its total
+    tangent class is prod (1 + x_k)^(dims[k]+1); a divisor D divides it by
+    1 + [D] with [D] = sum divisor[k] x_k (adjunction).  A Chern number
+    c_omega is the coefficient of the top monomial in c_omega, times [D]
+    for a divisor (Stong, Notes on Cobordism Theory, 1968, for the Milnor
+    hypersurfaces).
+
+    A monomial x^e is the integer sum e_k R^k with R = sum(dims) + 1:
+    exponents of total degree below R multiply by adding their integers
+    without carries, and a product survives the relations exactly when its
+    integer is one of the in-range monomials.
+
+    Returns (numbers, total): numbers is {partition of d: int} for the
+    dimension d of the variety, and total[w] is the degree-w part of its
+    total tangent class, {monomial integer: int}, for w = 0..d."""
+    radix = sum(dims) + 1
+    place = [radix ** k for k in range(len(dims))]
+    d = sum(dims) - (1 if divisor else 0)
+    total = [{} for _ in range(d + 1)]
+    for e in product(*(range(m + 1) for m in dims)):
+        if sum(e) <= d:
+            c = 1
+            for m, a in zip(dims, e):
+                c *= comb(m + 1, a)
+            total[sum(e)][sum(a * p for a, p in zip(e, place))] = c
+    in_range = set().union(*total)
+
+    def mul(u, v):
+        out = {}
+        for k1, c1 in u.items():
+            for k2, c2 in v.items():
+                k = k1 + k2
+                if k in in_range:
+                    out[k] = out.get(k, 0) + c1 * c2
+        return out
+
+    top = sum(m * p for m, p in zip(dims, place))
+    if divisor:
+        cls = {p: a for p, a in zip(place, divisor) if a}
+        for w in range(1, d + 1):  # total_w -= [D] * total_{w-1}
+            for k, c in mul(cls, total[w - 1]).items():
+                total[w][k] -= c
+            total[w] = {k: c for k, c in total[w].items() if c}
+        # the coefficient of x^top in c_omega [D] is read off x^top / x_k
+        dual = {top - p: a for p, a, m in zip(place, divisor, dims) if a and m}
+    else:
+        dual = {top: 1}
+    chern = {(): {0: 1}}  # c_omega, built on the tails of the partitions
+
+    def chern_monomial(omega):
+        if omega not in chern:
+            chern[omega] = mul(total[omega[0]], chern_monomial(omega[1:]))
+        return chern[omega]
+
+    numbers = {}
+    for omega in partitions_of(d):
+        c_omega = chern_monomial(omega)
+        numbers[omega] = sum(a * c_omega.get(k, 0) for k, a in dual.items())
+    return numbers, total
 
 
 def degree_catalog(ctx, n):

@@ -18,13 +18,11 @@ operation (product of both determinant classes, shift 2).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bpoly
-from .gradedpoly import GradedPoly
+from .fgl import _memoized
 from .mu import MUClass
 from .partitions import merge
-from .symfun import m_vec_to_e_vec
 
 
 @dataclass(frozen=True)
@@ -48,32 +46,6 @@ class CohOperation:
         return {w: {omega: dict(coeff) for omega, coeff in vec}
                 for w, vec in self.m_coeffs}
 
-    def char_class(self, k, max_weight):
-        """The class as a GradedPoly in c1..ck over Z[b], keeping terms of
-        Chern weight <= max_weight (variables beyond ck restricted away)."""
-        weights = {"c%d" % i: i for i in range(1, k + 1)}
-        weights.update({"b%d" % i: i for i in range(1, max_weight + 1)})
-        bound = 2 * max_weight + 1
-        out = GradedPoly(weights, bound)
-        combine = (bpoly.add, bpoly.scale, {})
-        for w, vec in self.coefficients().items():
-            if w > max_weight:
-                continue
-            evec = m_vec_to_e_vec(vec, w, combine)
-            for mu, coeff in evec.items():
-                if any(part > k for part in mu):
-                    continue  # e_i = 0 beyond the variable count
-                cmon = {}
-                for part in mu:
-                    cmon["c%d" % part] = cmon.get("c%d" % part, 0) + 1
-                for bpart, c in coeff.items():
-                    mon = dict(cmon)
-                    for i in bpart:
-                        mon["b%d" % i] = mon.get("b%d" % i, 0) + 1
-                    key = tuple(sorted(mon.items()))
-                    out = out + GradedPoly(weights, bound, {key: c})
-        return out
-
 
 def identity_op():
     return CohOperation.from_dict("id", 0, {0: {(): dict(bpoly.ONE)}})
@@ -90,12 +62,12 @@ def landweber_novikov(omega):
     return CohOperation.from_dict("s%s" % (omega,), w, {w: {omega: dict(bpoly.ONE)}})
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def boundary_partial(ctx):
     return CohOperation.from_dict("partial", 1, ctx.boundary_class_m())
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def delta_op(ctx):
     return CohOperation.from_dict("delta", 2, ctx.delta_class_m())
 
@@ -103,44 +75,55 @@ def delta_op(ctx):
 # -- the coaction ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _psi_generator(ctx, n):
-    """psi(b_n) as {t-partition: bpoly}."""
-    out = {}
-    for j in range(0, n + 1):
-        coeff = ctx.exp_powers[j][n + 1]  # [x^{n+1}] exp^{j+1}
-        if coeff:
-            key = (j,) if j else ()
-            out[key] = bpoly.add(out.get(key, {}), coeff)
-    return {k: v for k, v in out.items() if v}
+def _psi_table(ctx):
+    """psi(b^part) by partition, filled on demand; kept in the context's
+    memo, so it dies with the context."""
+    return ctx._memo.setdefault("operations.psi", {})
 
 
-@lru_cache(maxsize=None)
 def _psi_monomial(ctx, part):
-    """psi(b^part) = product of psi(b_i), as {t-partition: bpoly}."""
+    """psi(b^part) = product of psi(b_i), as {t-partition: bpoly}, where
+    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}."""
+    table = _psi_table(ctx)
+    hit = table.get(part)
+    if hit is not None:
+        return hit
     if not part:
-        return {(): dict(bpoly.ONE)}
-    head = _psi_generator(ctx, part[0])
-    tail = _psi_monomial(ctx, part[1:])
-    out = {}
-    for t1, c1 in head.items():
-        for t2, c2 in tail.items():
-            key = merge(t1, t2)
-            val = bpoly.mul(c1, c2)
-            if val:
-                cur = bpoly.add(out.get(key, {}), val)
-                if cur:
-                    out[key] = cur
-                elif key in out:
-                    del out[key]
+        out = {(): dict(bpoly.ONE)}
+    elif len(part) == 1:
+        n = part[0]
+        out = {}
+        for j in range(0, n + 1):
+            coeff = ctx.exp_powers[j][n + 1]  # [x^{n+1}] exp^{j+1}
+            if coeff:
+                out[(j,) if j else ()] = coeff
+    else:
+        head = _psi_monomial(ctx, part[:1])
+        tail = _psi_monomial(ctx, part[1:])
+        out = {}
+        for t1, c1 in head.items():
+            for t2, c2 in tail.items():
+                key = merge(t1, t2)
+                val = bpoly.mul(c1, c2)
+                if val:
+                    cur = bpoly.add(out.get(key, {}), val)
+                    if cur:
+                        out[key] = cur
+                    elif key in out:
+                        del out[key]
+    table[part] = out
     return out
 
 
 def coaction(ctx, x):
     """psi(h(x)) as {t-partition: bpoly}."""
+    table = _psi_table(ctx)
     out = {}
     for part, c in x.hb:
-        for key, val in _psi_monomial(ctx, part).items():
+        psi = table.get(part)
+        if psi is None:
+            psi = _psi_monomial(ctx, part)
+        for key, val in psi.items():
             cur = bpoly.add(out.get(key, {}), bpoly.scale(val, c))
             if cur:
                 out[key] = cur

@@ -179,19 +179,6 @@ def m_to_e_matrix(w):
     return {(nu, mu): c for nu in parts for mu, c in in_e[nu].items()}
 
 
-def m_vec_to_e_vec(vec, w, combine):
-    """Convert m-basis coefficients to e-basis coefficients at weight w."""
-    addc, scalec, zero_like = combine
-    M = m_to_e_matrix(w)
-    out = {}
-    for nu, coeff in vec.items():
-        for mu in partitions_of(w):
-            c = M.get((nu, mu), 0)
-            if c:
-                out[mu] = addc(out.get(mu, zero_like), scalec(coeff, c))
-    return {k: v for k, v in out.items() if v}
-
-
 def m_monomial_in_e(omega):
     """m_omega as an integer combination of Chern monomials e_mu."""
     w = sum(omega)

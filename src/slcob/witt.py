@@ -129,9 +129,6 @@ class WittRing:
             return (a + b, 0)  # <u> = <1>
         return (a, b)
 
-    def gw_add(self, x, y):
-        return self.gw_normalize((x[0] + y[0], x[1] + y[1]))
-
     def gw_mul(self, x, y):
         # <1>, <u> multiply with <u>^2 = <1>
         a = x[0] * y[0] + x[1] * y[1]
@@ -185,17 +182,6 @@ class WittRing:
         """The 2-primary torsion subgroup of I^m (m >= 1)."""
         assert m >= 1
         return self.fundamental_ideal_power(m).primary_part(2)
-
-    def rank_mod2_on_w(self, w_elt):
-        """Rank mod 2 of a Witt class given in the per-kind W coordinates."""
-        kind = self.field.kind
-        if kind == QUADRATICALLY_CLOSED:
-            return w_elt % 2
-        if kind == REAL_CLOSED:
-            return w_elt % 2  # signature and rank agree mod 2
-        if kind == FINITE_Q3:
-            return w_elt % 2  # W = Z/4 generated by <1>
-        return (w_elt[0] + w_elt[1]) % 2  # W = Z/2 + Z/2 on <1>, <u>
 
 
 def witt_data(field):

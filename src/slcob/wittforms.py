@@ -61,9 +61,6 @@ class GF:
     def is_square(self, x):
         return any(self.mul(y, y) == x for y in self.elements)
 
-    def nonsquare_unit(self):
-        return next(x for x in self.units() if not self.is_square(x))
-
 
 class FormCalculus:
     def __init__(self, q):
@@ -278,9 +275,6 @@ class FormCalculus:
     def witt_mul(self, a, b):
         prod = tuple(self.F.mul(x, y) for x in a for y in b)
         return self.anisotropic_kernel(prod)
-
-    def witt_neg(self, a):
-        return self.anisotropic_kernel(tuple(self.F.neg(x) for x in a))
 
     def group_structure(self):
         """Invariant factors of the Witt group, computed from element

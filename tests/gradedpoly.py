@@ -1,11 +1,14 @@
 """Sparse multivariate polynomials with weighted degrees and truncation.
 
+The test suite's reference engine: named generators, rational
+coefficients, and the textbook algorithms (substitution, the geometric
+series for a reciprocal, the triangular rewrite of a symmetric polynomial
+in elementary symmetric functions), against which the integer `bpoly`
+pipeline of the package is checked.
+
 A GradedPoly lives in a fixed ambient: a weight for every generator name and
 a hard truncation bound N.  Monomials of weighted degree beyond N are dropped
 by every operation, so a GradedPoly is really a jet of a power series.
-Coefficients are exact rationals; integrality can be asserted where the
-modelled object is integral.
-
 Monomials are tuples of (generator, exponent) pairs sorted by generator name.
 """
 
@@ -43,10 +46,6 @@ class GradedPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, weights, bound):
-        return cls(weights, bound)
-
-    @classmethod
     def const(cls, weights, bound, value):
         return cls(weights, bound, {(): Fraction(value)})
 
@@ -73,9 +72,6 @@ class GradedPoly:
         return (self.weights == other.weights and self.bound == other.bound
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.bound, tuple(sorted(self.coeffs.items()))))
-
     def is_zero(self):
         return not self.coeffs
 
@@ -92,12 +88,6 @@ class GradedPoly:
         return GradedPoly(self.weights, self.bound,
                           {m: c for m, c in self.coeffs.items()
                            if self.mon_weight(m) == w})
-
-    def max_weight(self):
-        return max((self.mon_weight(m) for m in self.coeffs), default=0)
-
-    def generators_used(self):
-        return sorted({g for m in self.coeffs for g, _ in m})
 
     # -- arithmetic -----------------------------------------------------
 
@@ -124,9 +114,6 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.const(self.weights, self.bound, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, value):
         value = Fraction(value)
@@ -195,57 +182,6 @@ class GradedPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-# -- series operations in a designated variable -------------------------
-
-
-def _series_coeffs(f, var):
-    """Split f into coefficients of powers of var (each a GradedPoly
-    not involving var)."""
-    out = {}
-    for mon, c in f.coeffs.items():
-        e = dict(mon).get(var, 0)
-        rest = tuple((g, k) for g, k in mon if g != var)
-        cur = out.setdefault(e, {})
-        cur[rest] = cur.get(rest, Fraction(0)) + c
-    return {e: GradedPoly(f.weights, f.bound, d) for e, d in out.items()}
-
-
-def compose_series(f, g, var):
-    """f(g) in the variable var: substitute var -> g.  Both must have zero
-    constant term in var (f may not involve other variables in its
-    var-constant part)."""
-    fc = _series_coeffs(f, var)
-    if 0 in fc and not fc[0].is_zero():
-        raise GradedPolyError("compose_series requires zero constant term")
-    if g.constant_term() != 0:
-        raise GradedPolyError("compose_series requires zero constant term")
-    return f.substitute(var, g)
-
-
-def invert_series_compositional(f, var):
-    """Compositional inverse of f = var + O(var^2) in the variable var.
-    The inverse has coefficients in the subring generated by f's
-    coefficients (no denominators appear)."""
-    fc = _series_coeffs(f, var)
-    if (0 in fc and not fc[0].is_zero()) or fc.get(1) != GradedPoly.const(f.weights, f.bound, 1):
-        raise GradedPolyError("series must start with %s (unit leading coefficient)" % var)
-    bound = f.bound
-    x = GradedPoly.gen(f.weights, f.bound, var)
-    g = x
-    w = f.weights[var]
-    max_order = bound // w
-    for d in range(2, max_order + 1):
-        comp = f.substitute(var, g)
-        err = _series_coeffs(comp, var).get(d)
-        if err is None or err.is_zero():
-            continue
-        g = g - err * (x ** d)
-    comp = f.substitute(var, g)
-    assert _series_coeffs(comp - x, var) == {} or all(
-        v.is_zero() for v in _series_coeffs(comp - x, var).values())
-    return g
 
 
 def reciprocal(f):

@@ -1,21 +1,27 @@
-"""Independent oracles for the integer basis layer and the Wall kernel.
+"""Independent oracles for the integer pipeline of the package.
 
-The library computes its transition matrices and lattice coordinates with
-integer counting and back-substitution.  These helpers recompute the same
+The library computes its transition matrices, lattice coordinates,
+operation classes and tangent numbers with integer counting, bpoly
+arithmetic and back-substitution.  These helpers recompute the same
 objects the slow, obviously-correct way, over the rationals: Newton's
-identity for e in terms of p, dense Gauss-Jordan inversion, and the
-reciprocal Chern class through GradedPoly.  The integer kernel is checked
-against the one-shot echelon pass over an identity block, whose entries
-grow far beyond the answer's but whose result is the same canonical form.
+identity for e in terms of p, dense Gauss-Jordan inversion, the binomial
+closed form for projective spaces, and, with the GradedPoly engine of
+`gradedpoly.py`, the formal group law, its inverse, the determinant classes
+written in Chern variables and the reciprocal Chern class.  The integer
+kernel is checked against the one-shot echelon pass over an identity
+block, whose entries grow far beyond the answer's but whose result is the
+same canonical form.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from slcob.gradedpoly import GradedPoly, reciprocal
+from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
+from slcob import bpoly
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
 from slcob.partitions import merge, partitions_of
-from slcob.symfun import p_vec_to_m_vec
+from slcob.symfun import m_to_e_matrix, p_vec_to_m_vec
 
 
 @lru_cache(maxsize=None)
@@ -110,3 +116,147 @@ def kernel_basis_one_shot(mat):
     _column_echelon(mat.rows, n, columns)
     kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
     return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
+
+
+def cpn_tangent_numbers(n):
+    """Tangent Chern numbers of CP^n from (1+h)^{n+1} mod h^{n+1}: the
+    product of the binomial coefficients C(n+1, part)."""
+    out = {}
+    for omega in partitions_of(n):
+        prod = 1
+        for part in omega:
+            prod *= comb(n + 1, part)
+        out[omega] = prod
+    return out
+
+
+# -- the formal group law of a context, written out with GradedPoly ---------
+
+
+def b_weights(ctx, extra=()):
+    """Weights of b1..b_bound plus the (name, weight) pairs of `extra`."""
+    w = {"b%d" % i: i for i in range(1, ctx.bound + 1)}
+    w.update(extra)
+    return w
+
+
+def poly_from_bpoly(ctx, bp, weights, extra_mon=()):
+    """A bpoly (times the monomial extra_mon) as a GradedPoly."""
+    coeffs = {}
+    for part, c in bp.items():
+        mon = dict(extra_mon)
+        for i in part:
+            key = "b%d" % i
+            mon[key] = mon.get(key, 0) + 1
+        coeffs[tuple(sorted(mon.items()))] = Fraction(c)
+    return GradedPoly(weights, ctx.bound, coeffs)
+
+
+def series_poly(ctx, series, var, weights):
+    """A univariate series (bpoly coefficients) as a GradedPoly in var."""
+    out = GradedPoly(weights, ctx.bound)
+    for d, coeff in enumerate(series):
+        if coeff and d <= ctx.bound:
+            out = out + poly_from_bpoly(ctx, coeff, weights, ((var, d),))
+    return out
+
+
+def chi_series(ctx):
+    """chi(x) = exp(-log x) as a bpoly series."""
+    neg_log = [bpoly.scale(c, -1) for c in ctx.log_series]
+    return bpoly.ser_compose(ctx.exp_series, neg_log, ctx.top)
+
+
+def formal_group(ctx):
+    """F(x, y) = exp(log x + log y) as a GradedPoly in x, y over Z[b]."""
+    weights = b_weights(ctx, (("x", 1), ("y", 1)))
+    logx = series_poly(ctx, ctx.log_series, "x", weights)
+    logy = series_poly(ctx, ctx.log_series, "y", weights)
+    expp = series_poly(ctx, ctx.exp_series, "x", weights)
+    return expp.substitute("x", logx + logy)
+
+
+def formal_inverse(ctx):
+    """chi(x) as a GradedPoly in x over Z[b]."""
+    return series_poly(ctx, chi_series(ctx), "x", b_weights(ctx, (("x", 1),)))
+
+
+def _compose(ctx, series, f):
+    """sum_d series[d] f^d for a bpoly series and a GradedPoly f."""
+    out = GradedPoly(f.weights, ctx.bound)
+    power = GradedPoly.const(f.weights, ctx.bound, 1)
+    for d in range(0, ctx.top + 1):
+        if d > 0:
+            power = power * f
+            if power.is_zero():
+                break
+        if d < len(series) and series[d]:
+            out = out + poly_from_bpoly(ctx, series[d], f.weights) * power
+    return out
+
+
+def formal_sum(ctx, k):
+    """F(x1, F(x2, ...)) = exp(log x1 + ... + log xk) as a symmetric
+    GradedPoly in x1..xk."""
+    xs = ["x%d" % i for i in range(1, k + 1)]
+    weights = b_weights(ctx, tuple((x, 1) for x in xs))
+    total = GradedPoly(weights, ctx.bound)
+    for x in xs:
+        total = total + series_poly(ctx, ctx.log_series, x, weights)
+    return _compose(ctx, ctx.exp_series, total)
+
+
+def c1_determinant_class(ctx, k, dual=False):
+    """c1 of the (dual) determinant of a rank-k bundle, written in the
+    Chern variables c1..ck over Z[b]: the formal sum of the Chern roots
+    (dual: its formal inverse), rewritten via elementary symmetric
+    functions."""
+    xs = ["x%d" % i for i in range(1, k + 1)]
+    fs = formal_sum(ctx, k)
+    if dual:
+        fs = _compose(ctx, chi_series(ctx), fs)
+    cs = ["c%d" % i for i in range(1, k + 1)]
+    weights = b_weights(ctx, tuple((c, i + 1) for i, c in enumerate(cs)))
+    # rewrite each pure-x slice; the b-part of a monomial rides along
+    slices = {}
+    for mon, c in fs.coeffs.items():
+        bpart = tuple((g, e) for g, e in mon if not g.startswith("x"))
+        xpart = tuple((g, e) for g, e in mon if g.startswith("x"))
+        slices.setdefault(bpart, {})[xpart] = c
+    xweights = {x: 1 for x in xs}
+    xweights.update({c: i + 1 for i, c in enumerate(cs)})
+    out = {}
+    for bpart, coeffs in slices.items():
+        rewritten = elementary_symmetric_rewrite(
+            GradedPoly(xweights, ctx.bound, coeffs), xs, cs)
+        for cmon, c in rewritten.coeffs.items():
+            key = tuple(sorted(cmon + bpart))
+            out[key] = out.get(key, 0) + c
+    return GradedPoly(weights, ctx.bound, out)
+
+
+def char_class(op, k, max_weight):
+    """The class of an operation as a GradedPoly in c1..ck over Z[b],
+    keeping terms of Chern weight <= max_weight (e_i = 0 for i > k)."""
+    weights = {"c%d" % i: i for i in range(1, k + 1)}
+    weights.update({"b%d" % i: i for i in range(1, max_weight + 1)})
+    out = {}
+    for w, vec in op.coefficients().items():
+        if w > max_weight:
+            continue
+        M = m_to_e_matrix(w)
+        for nu, coeff in vec.items():
+            for mu in partitions_of(w):
+                c_e = M.get((nu, mu), 0)
+                if not c_e or any(part > k for part in mu):
+                    continue
+                cmon = {}
+                for part in mu:
+                    cmon["c%d" % part] = cmon.get("c%d" % part, 0) + 1
+                for bpart, c in coeff.items():
+                    mon = dict(cmon)
+                    for i in bpart:
+                        mon["b%d" % i] = mon.get("b%d" % i, 0) + 1
+                    key = tuple(sorted(mon.items()))
+                    out[key] = out.get(key, 0) + c * c_e
+    return GradedPoly(weights, 2 * max_weight + 1, out)

@@ -134,6 +134,13 @@ BAD_INPUTS = [
     ("verify", "--max-degree", "0"),
     ("verify", "--suite", "leibniz", "--max-degree", "-1"),
     ("op", "apply", "--name", "s1", "--class", "h1"),
+    ("op", "apply", "--name", "s1", "--class", "x13"),
+    ("op", "apply", "--name", "s1", "--class", "x0"),
+    ("op", "apply", "--name", "s1", "--class", "hyp20_2"),
+    ("op", "apply", "--name", "s1", "--class", "hyp3_0"),
+    ("op", "apply", "--name", "partial", "--class", "cp8*cp8"),
+    ("charnum", "hypersurface", "--ambient", "3", "--degree", "0"),
+    ("charnum", "hypersurface", "--ambient", "0", "--degree", "2"),
 ]
 
 
@@ -141,19 +148,21 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
 def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
     """Bad input is a usage error (exit 2) with a message, also under
-    python -O, where assert statements are skipped."""
+    python -O, where assert statements are skipped.  The message is a
+    sentence, not the bare key of a failed lookup (`error: 13`)."""
     argv = [str(tmp_path / "out") if a == "DIR" else a for a in argv]
     flags = ["-O"] if optimize else []
     out = subprocess.run([sys.executable, *flags, "-m", "slcob.cli", *argv],
                          capture_output=True, text=True)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ")
-    assert out.stderr[len("error: "):].strip()
+    assert len(out.stderr[len("error: "):].split()) >= 3, out.stderr
     assert out.stdout == ""
 
 
 @pytest.mark.parametrize("name,label", [
-    ("s0", "cp1"), ("t1", "cp1"), ("s1", "cq1"), ("partial", "hyp3")])
+    ("s0", "cp1"), ("t1", "cp1"), ("s1", "cq1"), ("partial", "hyp3"),
+    ("s1", "x13"), ("partial", "cp8*cp8")])
 def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
     """A bad operation name or class label is rejected before the
     coefficient ring is built."""
@@ -164,3 +173,14 @@ def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
 
     monkeypatch.setattr(cli, "fixtures", no_fixtures)
     assert cli.main(["op", "apply", "--name", name, "--class", label]) == 2
+
+
+def test_cli_imports_no_rational_engine():
+    """The package computes with integers only: importing the command line
+    loads neither `fractions` nor a GradedPoly module."""
+    code = ("import sys, slcob.cli; print(sorted(m for m in sys.modules "
+            "if m == 'fractions' or m.startswith('slcob.gradedpoly')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -148,7 +148,8 @@ def test_wall_lattice_matches_one_shot_kernel(cf):
 
 
 def test_deleted_instance_is_collected():
-    """The caches live on the instance, so nothing keeps it alive."""
+    """The caches live on the instances (the complex and the context), so
+    nothing keeps either alive."""
     import gc
     import weakref
     from slcob.fgl import FGLContext
@@ -156,7 +157,8 @@ def test_deleted_instance_is_collected():
     ctx = FGLContext(4)
     cf = ConnerFloyd(ctx, MUBasis(ctx))
     assert str(cf.homology(2)) == "Z/2"
-    ref = weakref.ref(cf)
-    del cf
+    assert ctx._memo  # operations and coaction tables were cached
+    refs = [weakref.ref(cf), weakref.ref(ctx)]
+    del cf, ctx
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
