@@ -32,7 +32,12 @@ def scale(a, c):
 
 
 def mul(a, b, bound=None):
-    out = {}
+    return mul_into({}, a, b, bound)
+
+
+def mul_into(out, a, b, bound=None):
+    """out += a * b in place, dropping terms of weight above `bound`;
+    returns out."""
     for k1, v1 in a.items():
         w1 = sum(k1)
         for k2, v2 in b.items():
@@ -67,7 +72,7 @@ def ser_mul(f, g, top):
         for j, gj in enumerate(g):
             if i + j > top or not gj:
                 continue
-            out[i + j] = add(out[i + j], mul(fi, gj))
+            mul_into(out[i + j], fi, gj)
     return out
 
 
@@ -85,7 +90,7 @@ def ser_compose(f, g, top):
         if f[k]:
             for d in range(top + 1):
                 if gp[d]:
-                    out[d] = add(out[d], mul(f[k], gp[d]))
+                    mul_into(out[d], f[k], gp[d])
     return out
 
 

@@ -254,7 +254,11 @@ def cmd_op(args):
     name = args.name
     ctx_ops = {"partial": boundary_partial, "delta": delta_op}
     if name.startswith("s"):
-        op = landweber_novikov(tuple(int(x) for x in name[1:].split(",") if x))
+        parts = name[1:].split(",")
+        if not all(x.isdecimal() for x in parts):
+            raise ValueError("operation %r must be s followed by comma-"
+                             "separated positive integers, as in s2,1" % name)
+        op = landweber_novikov(tuple(int(x) for x in parts))
     elif name not in ctx_ops:
         raise ValueError("unknown operation %r" % name)
     factors = parse_class_label(args.cls)  # reject bad input before fixtures
@@ -291,8 +295,9 @@ def cmd_witt(args):
 
 def cmd_kq(args):
     _, field, q, fmt = effective_settings(args)
-    if args.max_degree < 0:
-        raise ValueError("--max-degree must be nonnegative")
+    if not 0 <= args.max_degree <= MAX_TRUNCATION:
+        raise ValueError("--max-degree must be between 0 and %d"
+                         % MAX_TRUNCATION)
     fd = field_descriptor(field or "c", q)
     pres = KQPresentation(fd)
     rows = [{"n": n, "group": str(pres.kq_diagonal(n)),
@@ -436,7 +441,7 @@ def build_parser():
     p_kt = kq_sub.add_parser("table")
     p_kt.add_argument("--field", required=True)
     p_kt.add_argument("--q", type=int)
-    p_kt.add_argument("--max-degree", type=int, default=16)
+    p_kt.add_argument("--max-degree", type=int, default=MAX_TRUNCATION)
     p_kt.add_argument("--json", dest="format", action="store_const", const="json",
                          default=argparse.SUPPRESS)
     p_kt.set_defaults(func=cmd_kq)

@@ -40,16 +40,9 @@ class ConnerFloyd:
         """Matrix of an operation from degree n to degree n - shift in the
         monomial bases (columns indexed by the degree-n basis)."""
         op = {"partial": boundary_partial, "delta": delta_op}[name](self.ctx)
-        target_dim = max(partition_count(n - op.shift), 0) if n >= op.shift else 0
-        cols = []
-        for _, cls in self.basis.basis(n):
-            img = apply_operation(self.ctx, op, cls)
-            if n < op.shift:
-                cols.append([])
-                continue
-            cols.append(self.basis.to_coordinates(img) if not img.is_zero()
-                        else [0] * target_dim)
-        return IntMatrix.from_columns(target_dim, cols)
+        cols = [self.basis.to_coordinates(apply_operation(self.ctx, op, cls))
+                if n >= op.shift else [] for _, cls in self.basis.basis(n)]
+        return IntMatrix.from_columns(partition_count(n - op.shift), cols)
 
     def delta_cokernel(self, n):
         """Cokernel of the shift-2 operation from degree n to n-2 on the
@@ -95,9 +88,7 @@ class ConnerFloyd:
         for j in range(src.cols):
             cls = self.basis.from_coordinates(n, list(src.column(j)))
             img = apply_operation(self.ctx, op, cls).scale(-1)
-            coords = (self.basis.to_coordinates(img) if not img.is_zero()
-                      else [0] * partition_count(n - 1))
-            sol = solver.solve(coords)
+            sol = solver.solve(self.basis.to_coordinates(img))
             if sol is None:
                 raise ConventionError(
                     "boundary image escapes the Wall lattice in degree %d" % n)

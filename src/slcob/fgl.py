@@ -86,9 +86,7 @@ class FGLContext:
             coeff = self.exp_series[k] if k < len(self.exp_series) else {}
             if coeff:
                 for mon, val in power.items():
-                    term = bpoly.mul(val, coeff)
-                    if term:
-                        out[mon] = bpoly.add(out.get(mon, {}), term)
+                    bpoly.mul_into(out.setdefault(mon, {}), val, coeff)
         return {k2: v for k2, v in out.items() if v}
 
     @_memoized
@@ -114,15 +112,8 @@ def _pp_mul(a, b, bound):
             if w1 + sum(k2) > bound:
                 continue
             k = tuple(sorted(k1 + k2, reverse=True))
-            term = bpoly.mul(v1, v2)
-            if not term:
-                continue
-            cur = bpoly.add(out.get(k, {}), term)
-            if cur:
-                out[k] = cur
-            elif k in out:
-                del out[k]
-    return out
+            bpoly.mul_into(out.setdefault(k, {}), v1, v2)
+    return {k: v for k, v in out.items() if v}
 
 
 def _p_class_to_m(cls_p):

@@ -2,15 +2,22 @@
 
 An operation is determined by its characteristic class, stored as
 monomial-symmetric coefficients {weight: {partition: Z[b]-coefficient}}.
-The action on a class x is the Kronecker pairing against the coaction
+It acts through the coaction, defined on a b-monomial (Hurewicz basis
+element) as the product over its parts of
 
     psi(b_n) = sum_{j >= 0} t_j * [x^{n+1}] exp(x)^{j+1},
 
-extended multiplicatively, paired so that apply(op, x) collects the m_omega
-coefficient of the class against the t^omega coefficient of psi applied to
-the Hurewicz image of x.  The substitution direction is pinned by the
-anchors boundary[CP1] = 2, the twisted Leibniz law on the Wall lattice, and
-delta([CP1]^2) = -8; the reversed composition fails all three.
+paired so that op(b^omega) collects the m_lambda coefficient of the class
+against the t^lambda coefficient of psi(b^omega).  The substitution
+direction is pinned by the anchors boundary[CP1] = 2, the twisted Leibniz
+law on the Wall lattice, and delta([CP1]^2) = -8; the reversed composition
+fails all three.
+
+An operation is linear, so it is applied as an integer matrix on the
+b-monomial basis: column omega is op(b^omega), built once per context and
+operation on first use and kept in the context's memo.  A class is the
+sparse sum of its coefficients times these columns.  The test suite keeps
+the pairing against the coaction of a whole class as its oracle.
 
 The two distinguished operations: the boundary operation (class: first
 Chern class of the dual determinant, degree shift 1) and the Wall-kernel
@@ -18,6 +25,7 @@ operation (product of both determinant classes, shift 2).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bpoly
 from .fgl import _memoized
@@ -42,9 +50,13 @@ class CohOperation:
                 for omega, coeff in vec.items() if coeff))))
         return cls(name, shift, tuple(packed))
 
-    def coefficients(self):
-        return {w: {omega: dict(coeff) for omega, coeff in vec}
-                for w, vec in self.m_coeffs}
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # Operations key the column tables; tuples do not cache hashes.
+        return hash((self.name, self.shift, self.m_coeffs))
 
 
 def identity_op():
@@ -72,19 +84,14 @@ def delta_op(ctx):
     return CohOperation.from_dict("delta", 2, ctx.delta_class_m())
 
 
-# -- the coaction ---------------------------------------------------------
-
-
-def _psi_table(ctx):
-    """psi(b^part) by partition, filled on demand; kept in the context's
-    memo, so it dies with the context."""
-    return ctx._memo.setdefault("operations.psi", {})
+# -- the coaction and the column tables ------------------------------------
 
 
 def _psi_monomial(ctx, part):
     """psi(b^part) = product of psi(b_i), as {t-partition: bpoly}, where
-    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}."""
-    table = _psi_table(ctx)
+    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}.  Filled on demand and kept
+    in the context's memo, so it dies with the context."""
+    table = ctx._memo.setdefault("operations.psi", {})
     hit = table.get(part)
     if hit is not None:
         return hit
@@ -103,48 +110,48 @@ def _psi_monomial(ctx, part):
         out = {}
         for t1, c1 in head.items():
             for t2, c2 in tail.items():
-                key = merge(t1, t2)
-                val = bpoly.mul(c1, c2)
-                if val:
-                    cur = bpoly.add(out.get(key, {}), val)
-                    if cur:
-                        out[key] = cur
-                    elif key in out:
-                        del out[key]
+                bpoly.mul_into(out.setdefault(merge(t1, t2), {}), c1, c2)
+        out = {key: val for key, val in out.items() if val}
     table[part] = out
     return out
 
 
-def coaction(ctx, x):
-    """psi(h(x)) as {t-partition: bpoly}."""
-    table = _psi_table(ctx)
+def _column(ctx, coeffs, part):
+    """op(b^part) as a bpoly, given the operation's m-coefficients as
+    {partition: bpoly}: the pairing against psi(b^part) is taken inside
+    the product psi(b^part[:1]) * psi(b^part[1:]), which is never built."""
+    if not part:
+        return dict(coeffs.get((), {}))
     out = {}
-    for part, c in x.hb:
-        psi = table.get(part)
-        if psi is None:
-            psi = _psi_monomial(ctx, part)
-        for key, val in psi.items():
-            cur = bpoly.add(out.get(key, {}), bpoly.scale(val, c))
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
+    rest = _psi_monomial(ctx, part[1:])
+    for t1, c1 in _psi_monomial(ctx, part[:1]).items():
+        inner = {}
+        for t2, c2 in rest.items():
+            coeff = coeffs.get(merge(t1, t2))
+            if coeff:
+                bpoly.mul_into(inner, coeff, c2)
+        bpoly.mul_into(out, c1, inner)
     return out
 
 
 def apply_operation(ctx, op, x):
-    """The action of an operation on a coefficient-ring class.
+    """The action of an operation on a coefficient-ring class: the sum of
+    its b-monomial coefficients times the operation's columns.
 
     Lands in degree x.degree - op.shift; negative degree gives zero."""
     target = x.degree - op.shift
     if target < 0 or x.is_zero():
         return MUClass.zero(max(target, 0))
-    co = coaction(ctx, x)
+    tables = ctx._memo.setdefault("operations.columns", {})
+    if op not in tables:
+        tables[op] = ({omega: dict(coeff) for _, vec in op.m_coeffs
+                       for omega, coeff in vec}, {})
+    coeffs, columns = tables[op]
     out = {}
-    for w, vec in op.coefficients().items():
-        for omega, coeff in vec.items():
-            part = co.get(omega)
-            if part:
-                out = bpoly.add(out, bpoly.mul(coeff, part))
-    result = MUClass.from_dict(target, out)
-    return result
+    for part, c in x.hb:
+        column = columns.get(part)
+        if column is None:
+            column = columns[part] = _column(ctx, coeffs, part)
+        for mon, v in column.items():
+            out[mon] = out.get(mon, 0) + c * v
+    return MUClass.from_dict(target, out)

@@ -7,7 +7,9 @@ objects the slow, obviously-correct way, over the rationals: Newton's
 identity for e in terms of p, dense Gauss-Jordan inversion, the binomial
 closed form for projective spaces, and, with the GradedPoly engine of
 `gradedpoly.py`, the formal group law, its inverse, the determinant classes
-written in Chern variables and the reciprocal Chern class.  The integer
+written in Chern variables and the reciprocal Chern class.  An operation
+is applied by its definition, pairing against the coaction of the whole
+class, where the package multiplies cached columns.  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
 same canonical form.
@@ -20,6 +22,7 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
+from slcob.mu import MUClass
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import m_to_e_matrix, p_vec_to_m_vec
 
@@ -235,13 +238,20 @@ def c1_determinant_class(ctx, k, dual=False):
     return GradedPoly(weights, ctx.bound, out)
 
 
+def coefficients(op):
+    """The m-coefficients of an operation's class as {weight: {partition:
+    bpoly}}."""
+    return {w: {omega: dict(coeff) for omega, coeff in vec}
+            for w, vec in op.m_coeffs}
+
+
 def char_class(op, k, max_weight):
     """The class of an operation as a GradedPoly in c1..ck over Z[b],
     keeping terms of Chern weight <= max_weight (e_i = 0 for i > k)."""
     weights = {"c%d" % i: i for i in range(1, k + 1)}
     weights.update({"b%d" % i: i for i in range(1, max_weight + 1)})
     out = {}
-    for w, vec in op.coefficients().items():
+    for w, vec in coefficients(op).items():
         if w > max_weight:
             continue
         M = m_to_e_matrix(w)
@@ -260,3 +270,48 @@ def char_class(op, k, max_weight):
                     key = tuple(sorted(mon.items()))
                     out[key] = out.get(key, 0) + c * c_e
     return GradedPoly(weights, 2 * max_weight + 1, out)
+
+
+# -- operations, one whole class at a time ----------------------------------
+
+
+def psi_monomial(ctx, part):
+    """psi(b^part) as {t-partition: bpoly}: the product over the parts n of
+    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}, multiplied out afresh."""
+    out = {(): dict(bpoly.ONE)}
+    for n in part:
+        psi_n = {((j,) if j else ()): ctx.exp_powers[j][n + 1]
+                 for j in range(n + 1) if ctx.exp_powers[j][n + 1]}
+        nxt = {}
+        for t1, c1 in out.items():
+            for t2, c2 in psi_n.items():
+                key = merge(t1, t2)
+                nxt[key] = bpoly.add(nxt.get(key, {}), bpoly.mul(c1, c2))
+        out = {key: val for key, val in nxt.items() if val}
+    return out
+
+
+def coaction(ctx, x):
+    """psi(h(x)) as {t-partition: bpoly}, summed over the b-monomials of
+    the class."""
+    out = {}
+    for part, c in x.hb:
+        for key, val in psi_monomial(ctx, part).items():
+            out[key] = bpoly.add(out.get(key, {}), bpoly.scale(val, c))
+    return {key: val for key, val in out.items() if val}
+
+
+def apply_operation(ctx, op, x):
+    """The operation on x by definition: the coaction of the whole class,
+    its t^omega coefficient paired with the m_omega coefficient of the
+    operation's class."""
+    target = x.degree - op.shift
+    if target < 0 or x.is_zero():
+        return MUClass.zero(max(target, 0))
+    co = coaction(ctx, x)
+    out = {}
+    for vec in coefficients(op).values():
+        for omega, coeff in vec.items():
+            if omega in co:
+                out = bpoly.add(out, bpoly.mul(coeff, co[omega]))
+    return MUClass.from_dict(target, out)

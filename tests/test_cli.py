@@ -128,12 +128,17 @@ BAD_INPUTS = [
     ("--truncation", "4", "cf", "homology", "--max-degree", "-1"),
     ("--truncation", "4", "cf", "dump", "--max-degree", "-1", "--out", "DIR"),
     ("kq", "table", "--field", "c", "--max-degree", "-1"),
+    ("kq", "table", "--field", "c", "--max-degree", "17"),
     ("--truncation", "0", "cf", "homology"),
     ("witt", "table", "--field", "fq1", "--q", "0"),
     ("witt", "table", "--field", "fq1", "--q", "3317044064679887385961981"),
     ("verify", "--max-degree", "0"),
     ("verify", "--suite", "leibniz", "--max-degree", "-1"),
     ("op", "apply", "--name", "s1", "--class", "h1"),
+    ("op", "apply", "--name", "s1,,2", "--class", "cp3"),
+    ("op", "apply", "--name", "s1,", "--class", "cp1"),
+    ("op", "apply", "--name", "s,1", "--class", "cp1"),
+    ("op", "apply", "--name", "s", "--class", "cp1"),
     ("op", "apply", "--name", "s1", "--class", "x13"),
     ("op", "apply", "--name", "s1", "--class", "x0"),
     ("op", "apply", "--name", "s1", "--class", "hyp20_2"),
@@ -162,7 +167,7 @@ def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
 
 @pytest.mark.parametrize("name,label", [
     ("s0", "cp1"), ("t1", "cp1"), ("s1", "cq1"), ("partial", "hyp3"),
-    ("s1", "x13"), ("partial", "cp8*cp8")])
+    ("s1", "x13"), ("partial", "cp8*cp8"), ("s1,,2", "cp3"), ("s", "cp1")])
 def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
     """A bad operation name or class label is rejected before the
     coefficient ring is built."""

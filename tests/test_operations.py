@@ -1,8 +1,13 @@
 import random
+from functools import lru_cache
 
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from oracles import c1_determinant_class, char_class
 from slcob import mu
-from slcob.operations import (apply_operation, boundary_partial, coaction,
+from slcob.fgl import FGLContext
+from slcob.operations import (CohOperation, apply_operation, boundary_partial,
                               delta_op, identity_op, landweber_novikov)
 
 
@@ -111,5 +116,68 @@ def test_boundary_class_matches_determinant_class(ctx):
 
 def test_coaction_counit(ctx):
     cp2 = mu.cpn_class(ctx, 2)
-    co = coaction(ctx, cp2)
+    co = oracles.coaction(ctx, cp2)
     assert co[()] == cp2.coeffs()  # counit: the t-free part is the class
+
+
+@lru_cache(maxsize=None)
+def small_fixtures():
+    """A truncation-8 context and basis shared by the examples below, so
+    the column tables fill up across examples."""
+    ctx = FGLContext(8)
+    return ctx, mu.MUBasis(ctx)
+
+
+def small_operation(ctx, name):
+    if name == "partial":
+        return boundary_partial(ctx)
+    if name == "delta":
+        return delta_op(ctx)
+    return landweber_novikov(name)
+
+
+SMALL_OPERATIONS = ("partial", "delta", (1,), (2,), (1, 1), (2, 1), (3,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_columns_match_per_class_oracle(data):
+    """Column by column on b-monomials equals the pairing against the
+    coaction of the whole class, on random integer combinations of basis
+    classes."""
+    ctx, basis = small_fixtures()
+    op = small_operation(ctx, data.draw(st.sampled_from(SMALL_OPERATIONS)))
+    n = data.draw(st.integers(0, 8))
+    classes = [cls for _, cls in basis.basis(n)]
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(classes),
+                                max_size=len(classes)))
+    x = mu.MUClass.zero(n)
+    for c, cls in zip(coeffs, classes):
+        x = x + cls.scale(c)
+    assert apply_operation(ctx, op, x) == oracles.apply_operation(ctx, op, x)
+
+
+def test_columns_match_oracle_on_zero_and_negative_target():
+    ctx, _ = small_fixtures()
+    for name in SMALL_OPERATIONS:
+        op = small_operation(ctx, name)
+        for n in (0, 3, 8):
+            zero = mu.MUClass.zero(n)
+            assert apply_operation(ctx, op, zero) == \
+                oracles.apply_operation(ctx, op, zero)
+    dl, cp1 = delta_op(ctx), mu.cpn_class(ctx, 1)
+    assert apply_operation(ctx, dl, cp1) == oracles.apply_operation(ctx, dl, cp1)
+    assert apply_operation(ctx, dl, cp1) == mu.MUClass.zero(0)
+
+
+def test_column_tables_are_keyed_by_value(ctx):
+    """Two operations with one name and different classes keep separate
+    columns in one context; equal operations hash alike."""
+    cp1 = mu.cpn_class(ctx, 1)
+    once = CohOperation.from_dict("s", 1, {1: {(1,): {(): 1}}})
+    twice = CohOperation.from_dict("s", 1, {1: {(1,): {(): 2}}})
+    assert apply_operation(ctx, once, cp1).coeffs() == {(): -2}
+    assert apply_operation(ctx, twice, cp1).coeffs() == {(): -4}
+    again = CohOperation.from_dict("s", 1, {1: {(1,): {(): 1}}})
+    assert again == once and hash(again) == hash(once)
+    assert apply_operation(ctx, again, cp1).coeffs() == {(): -2}
