@@ -27,6 +27,7 @@ from .verify import run_suite
 from .witt import field_descriptor, witt_data
 
 MAX_TRUNCATION = 16
+FORMATS = ("text", "json", "csv")
 
 
 def load_config(path):
@@ -43,7 +44,8 @@ def load_config(path):
     return out
 
 
-def effective_settings(args):
+def effective_settings(args, csv_form=True):
+    """(truncation, field, q, format); csv_form=False rejects csv."""
     cfg = {}
     if getattr(args, "config", None):
         cfg = load_config(args.config)
@@ -57,8 +59,13 @@ def effective_settings(args):
     trunc = setting("truncation", 12, int)
     if not (2 <= trunc <= MAX_TRUNCATION):
         raise ValueError("truncation must be between 2 and %d" % MAX_TRUNCATION)
-    return trunc, setting("field"), setting("q", None, int), \
-        setting("format", "text")
+    fmt = setting("format", "text")
+    if fmt not in FORMATS:
+        raise ValueError("format must be one of %s, not %r"
+                         % (", ".join(FORMATS), fmt))
+    if fmt == "csv" and not csv_form:
+        raise ValueError("this command has no CSV form; use text or json")
+    return trunc, setting("field"), setting("q", None, int), fmt
 
 
 _FIXTURES = {}
@@ -180,7 +187,8 @@ def class_report(cls, basis):
 
 
 def cmd_msl(args):
-    trunc, field, q, fmt = effective_settings(args)
+    trunc, field, q, fmt = effective_settings(
+        args, csv_form=args.msl_cmd == "table")
     if not field:
         raise ValueError("msl requires --field")
     fd = field_descriptor(field, q)
@@ -250,7 +258,7 @@ def dump_cf(outdir, cf, max_n):
 
 
 def cmd_op(args):
-    trunc, _, _, fmt = effective_settings(args)
+    trunc, _, _, fmt = effective_settings(args, csv_form=False)
     name = args.name
     ctx_ops = {"partial": boundary_partial, "delta": delta_op}
     if name.startswith("s"):
@@ -278,7 +286,7 @@ def cmd_op(args):
 
 
 def cmd_witt(args):
-    _, field, q, fmt = effective_settings(args)
+    _, field, q, fmt = effective_settings(args, csv_form=False)
     fd = field_descriptor(field or "c", q)
     wr = witt_data(fd)
     data = {
@@ -310,7 +318,7 @@ def cmd_kq(args):
 
 
 def cmd_charnum(args):
-    trunc, _, _, fmt = effective_settings(args)
+    trunc, _, _, fmt = effective_settings(args, csv_form=False)
     if args.ambient - 1 > trunc:
         raise ValueError("dimension exceeds truncation")
     v = charnum.hypersurface_class(args.ambient, args.degree)
@@ -385,7 +393,7 @@ def build_parser():
                     "linear cobordism.")
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--truncation", type=int, help="weight bound (2..16)")
-    parser.add_argument("--format", choices=["text", "json", "csv"])
+    parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_msl = sub.add_parser("msl", help="diagonal and off-diagonal groups")

@@ -7,7 +7,14 @@ The geometric catalog (projective spaces and Milnor hypersurfaces) feeds
 a generator search using the classical s-number criterion: degree n admits
 a polynomial generator with s_n = p exactly when n+1 is a power of the
 prime p, and s_n = 1 otherwise.  Monomials in the chosen generators give
-an integral basis of every degree.
+an integral basis of every degree; a generator is selected the first
+time its degree is asked for.
+
+The catalog comes from the formal group law: [CP^n] is (n+1) times the
+n-th log coefficient, and the Milnor hypersurfaces follow from Buchstaber's
+formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j, C(u) = sum [CP^i] u^i
+(Buchstaber-Panov, Toric Topology, 2015, 9.1).  The tangent-number
+dictionary below serves `charnum` and the reports.
 
 Everything is integer arithmetic.  A generator x_k is a nonzero multiple
 of b_k plus products, so x^omega is supported on b^omega and on
@@ -24,6 +31,7 @@ from math import comb
 
 from . import bpoly
 from .abelian import _factorint
+from .fgl import _memoized
 from .intmat import IntMatrix
 from .partitions import partitions_of
 from .symfun import BasisConstructionError, m_monomial_in_e
@@ -193,13 +201,49 @@ def cpn_class(ctx, n):
 
 def milnor_hypersurface_class(ctx, i, j):
     """The Milnor hypersurface H_{i,j} in P^i x P^j (a smooth (1,1)
-    divisor), via its tangent numbers."""
+    divisor)."""
     if not (1 <= i <= j):
         raise ValueError("need 1 <= i <= j")
     n = i + j - 1
     if n > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (n, ctx.bound))
-    return chern_numbers_to_hurewicz(tangent_numbers((i, j), (1, 1))[0], n)
+    return _milnor_table(ctx)[(i, j)]
+
+
+@_memoized
+def _milnor_table(ctx):
+    """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, from
+    F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j.
+
+    With l = log and exp(x) = sum e_k x^k, the binomial theorem splits
+    F = exp(l(u) + l(v)) into sum_a l(u)^a E_a(v), where
+    E_a(v) = sum_m e_{a+m} C(a+m, a) l(v)^m; the coefficient of u^i v^j
+    has weight i + j - 1, so nothing is truncated inside the table."""
+    top = ctx.top
+    rows = top // 2 + 1  # i <= j and i + j <= top leave i <= top // 2
+    one = bpoly.ser_zero(top)
+    one[0] = dict(bpoly.ONE)
+    lpow = [one] + bpoly.ser_powers(ctx.log_series, top, top)
+    F = {}
+    for a in range(rows):
+        E = [{} for _ in range(top + 1 - a)]  # E_a, up to v^(top - a)
+        for m in range(top + 1 - a):
+            e = bpoly.scale(ctx.exp_series[a + m], comb(a + m, a))
+            for j in range(m, top + 1 - a):
+                bpoly.mul_into(E[j], lpow[m][j], e)
+        for i in range(a, rows):
+            for j in range(top + 1 - i):
+                bpoly.mul_into(F.setdefault((i, j), {}), lpow[a][i], E[j])
+    C = [cpn_class(ctx, k).coeffs() for k in range(top)]
+    G = {}  # F(u,v) C(u)
+    for (i, j), f in F.items():
+        for k in range(min(rows - i, top + 1 - i - j)):
+            bpoly.mul_into(G.setdefault((i + k, j), {}), f, C[k])
+    H = {}  # G(u,v) C(v), for i >= 1
+    for (i, j), g in G.items():
+        for k in range(max(i - j, 0), top + 1 - i - j if i else 0):
+            bpoly.mul_into(H.setdefault((i, j + k), {}), g, C[k])
+    return {(i, j): MUClass.from_dict(i + j - 1, h) for (i, j), h in H.items()}
 
 
 @lru_cache(maxsize=None)
@@ -330,17 +374,30 @@ def select_generator(ctx, n):
     return combo
 
 
+class _Generators(dict):
+    """{n: x_n} for 1 <= n <= max_n; x_n is selected on first lookup."""
+
+    def __init__(self, ctx, max_n):
+        super().__init__()
+        self.ctx, self.max_n = ctx, max_n
+
+    def __missing__(self, n):
+        if not 1 <= n <= self.max_n:
+            raise KeyError(n)
+        self[n] = select_generator(self.ctx, n)
+        return self[n]
+
+
 class MUBasis:
     """Monomial basis x^omega of every degree <= max_n, with coordinate
-    matrices in the b-monomial coordinates and exact solving."""
+    matrices in the b-monomial coordinates and exact solving.  Generators,
+    monomials and matrices are built per degree, when first asked for."""
 
     def __init__(self, ctx, max_n=None):
         self.ctx = ctx
         self.max_n = ctx.bound if max_n is None else max_n
         assert self.max_n <= ctx.bound
-        self.generators = {}
-        for n in range(1, self.max_n + 1):
-            self.generators[n] = select_generator(ctx, n)
+        self.generators = _Generators(ctx, self.max_n)
         self._monomials = {0: [((), MUClass.unit())]}
         self._matrices = {}
         self._solvers = {}
@@ -433,11 +490,12 @@ class MUBasis:
             return False
 
     def from_coordinates(self, n, coords):
-        out = MUClass.zero(n)
-        for (omega, cls), c in zip(self.basis(n), coords):
+        out = {}
+        for (_, cls), c in zip(self.basis(n), coords):
             if c:
-                out = out + cls.scale(c)
-        return out
+                for part, v in cls.hb:
+                    out[part] = out.get(part, 0) + c * v
+        return MUClass.from_dict(n, out)
 
     def catalog_span_matches(self, n):
         """Whether the Z-span of all products of catalog classes of total

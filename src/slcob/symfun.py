@@ -5,7 +5,8 @@ Bases indexed by partitions of w in the global reverse-lexicographic order:
 Everything a characteristic class needs reduces to integer counting:
 
   * p_lambda expanded in the m basis has the coefficients "number of ways
-    to distribute the parts of lambda onto the parts of mu";
+    to distribute the parts of lambda onto the parts of mu", built one
+    part at a time by the Pieri rule for p_k m_mu;
   * e_mu expanded in the m basis has the coefficients "number of 0/1
     matrices with row sums mu and column sums nu";
   * e_mu = m_mu' + (m_nu with nu below the conjugate mu' in dominance
@@ -28,33 +29,24 @@ class BasisConstructionError(RuntimeError):
     pass
 
 
-def _distribute(lam, i, slots, memo):
-    """Maps of the parts lam[i:] onto `slots` (remaining capacities, sorted
-    and without zeros) that fill every slot exactly.  Slots of equal
-    capacity are interchangeable, so each capacity is tried once and the
-    count is weighted by its multiplicity."""
-    if i == len(lam):
-        return 0 if slots else 1
-    key = (i, slots)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    part = lam[i]
-    total = 0
-    for s, cap in enumerate(slots):
-        if cap < part:
-            break
-        if s and slots[s - 1] == cap:
-            continue
-        nxt = list(slots)
-        if cap == part:
-            del nxt[s]
-        else:
-            nxt[s] = cap - part
-            nxt.sort(reverse=True)
-        total += slots.count(cap) * _distribute(lam, i + 1, tuple(nxt), memo)
-    memo[key] = total
-    return total
+@lru_cache(maxsize=None)
+def _p_in_m(lam):
+    """p_lam in the m basis, {mu: distribute_count(lam, mu)} without its
+    zeros, as p_lam = p_k p_rest with k = lam[0] and the Pieri rule
+    p_k m_mu = sum_nu mult_nu(v + k) m_nu, where nu is mu with one part
+    v raised by k (v = 0 appends a part k)."""
+    if not lam:
+        return {(): 1}
+    k = lam[0]
+    out = {}
+    for mu, c in _p_in_m(lam[1:]).items():
+        for v in set(mu) | {0}:
+            nu = list(mu)
+            if v:
+                nu.remove(v)
+            nu = tuple(sorted(nu + [v + k], reverse=True))
+            out[nu] = out.get(nu, 0) + c * nu.count(v + k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +55,7 @@ def distribute_count(lam, mu):
     the number of maps from the parts of lam onto the slots of mu filling
     each slot exactly."""
     slots = tuple(sorted((s for s in mu if s), reverse=True))
-    return _distribute(tuple(lam), 0, slots, {})
+    return _p_in_m(tuple(lam)).get(slots, 0)
 
 
 def p_vec_to_m_vec(vec, combine=None):
@@ -78,11 +70,9 @@ def p_vec_to_m_vec(vec, combine=None):
         addc, scalec, zero_like = combine
     out = {}
     for lam, coeff in vec.items():
-        for mu in partitions_of(sum(lam)):
-            c = distribute_count(lam, mu)
-            if c:
-                cur = out.get(mu, zero_like)
-                out[mu] = addc(cur, scalec(coeff, c))
+        for mu, c in _p_in_m(tuple(lam)).items():
+            cur = out.get(mu, zero_like)
+            out[mu] = addc(cur, scalec(coeff, c))
     return {k: v for k, v in out.items() if v}
 
 

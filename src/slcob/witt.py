@@ -68,14 +68,17 @@ class FieldDescriptor:
 
 
 def field_descriptor(kind, q=None):
-    """Build a descriptor from a kind alias; finite kinds take the field
-    size q, a power of an odd prime with q = 1 resp. 3 mod 4 (default 5
-    resp. 3)."""
+    """Build a descriptor from a kind alias; only the finite kinds take
+    the field size q, a power of an odd prime with q = 1 resp. 3 mod 4
+    (default 5 resp. 3)."""
     if kind not in KIND_ALIASES:
         raise ValueError("unknown field kind %r: expected c, r, fq1 or fq3"
                          % (kind,))
     full = KIND_ALIASES[kind]
     if full not in (FINITE_Q1, FINITE_Q3):
+        if q is not None:
+            raise ValueError("field %s takes no field size q (only fq1 and "
+                             "fq3 do)" % kind)
         return FieldDescriptor(full, 1)
     residue = 1 if full == FINITE_Q1 else 3
     q = (5 if residue == 1 else 3) if q is None else q

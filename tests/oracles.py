@@ -4,12 +4,15 @@ The library computes its transition matrices, lattice coordinates,
 operation classes and tangent numbers with integer counting, bpoly
 arithmetic and back-substitution.  These helpers recompute the same
 objects the slow, obviously-correct way, over the rationals: Newton's
-identity for e in terms of p, dense Gauss-Jordan inversion, the binomial
+identity for e in terms of p, distribution counts part by part for p in
+terms of m, dense Gauss-Jordan inversion, the binomial
 closed form for projective spaces, and, with the GradedPoly engine of
 `gradedpoly.py`, the formal group law, its inverse, the determinant classes
 written in Chern variables and the reciprocal Chern class.  An operation
 is applied by its definition, pairing against the coaction of the whole
-class, where the package multiplies cached columns.  The integer
+class, where the package multiplies cached columns.  A Milnor
+hypersurface comes from its tangent Chern numbers, where the package
+reads it off the formal group law by Buchstaber's formula.  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
 same canonical form.
@@ -22,9 +25,28 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
-from slcob.mu import MUClass
+from slcob.mu import MUClass, chern_numbers_to_hurewicz, tangent_numbers
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import m_to_e_matrix, p_vec_to_m_vec
+
+
+@lru_cache(maxsize=None)
+def distribute_count(lam, mu):
+    """Maps of the parts of lam onto the slots of mu that fill every slot
+    exactly, by trying each part in every slot it fits (slots of equal
+    capacity once, weighted by their number)."""
+    def count(i, slots):
+        if i == len(lam):
+            return 0 if slots else 1
+        total = 0
+        for s, cap in enumerate(slots):
+            if cap >= lam[i] and (s == 0 or slots[s - 1] != cap):
+                nxt = sorted(slots[:s] + (cap - lam[i],) + slots[s + 1:],
+                             reverse=True)
+                total += slots.count(cap) * count(
+                    i + 1, tuple(x for x in nxt if x))
+        return total
+    return count(0, tuple(sorted((s for s in mu if s), reverse=True)))
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +153,14 @@ def cpn_tangent_numbers(n):
             prod *= comb(n + 1, part)
         out[omega] = prod
     return out
+
+
+def milnor_hypersurface_class(ctx, i, j):
+    """[H_{i,j}], the (1,1)-divisor in P^i x P^j, from its tangent Chern
+    numbers (Stong, Notes on Cobordism Theory, 1968)."""
+    assert 1 <= i <= j and i + j - 1 <= ctx.bound
+    return chern_numbers_to_hurewicz(tangent_numbers((i, j), (1, 1))[0],
+                                     i + j - 1)
 
 
 # -- the formal group law of a context, written out with GradedPoly ---------

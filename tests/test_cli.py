@@ -146,6 +146,15 @@ BAD_INPUTS = [
     ("op", "apply", "--name", "partial", "--class", "cp8*cp8"),
     ("charnum", "hypersurface", "--ambient", "3", "--degree", "0"),
     ("charnum", "hypersurface", "--ambient", "0", "--degree", "2"),
+    ("witt", "table", "--field", "r", "--q", "5"),
+    ("msl", "group", "--field", "c", "--q", "7", "--n", "2"),
+    ("--config", "CFG:q = 5", "witt", "table", "--field", "c"),
+    ("--format", "csv", "op", "apply", "--name", "s1", "--class", "cp1"),
+    ("--format", "csv", "witt", "table", "--field", "c"),
+    ("--format", "csv", "msl", "group", "--field", "r", "--n", "4"),
+    ("--format", "csv", "charnum", "hypersurface", "--ambient", "4",
+     "--degree", "2"),
+    ("--config", "CFG:format = xml", "msl", "table", "--field", "c"),
 ]
 
 
@@ -154,8 +163,19 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
     """Bad input is a usage error (exit 2) with a message, also under
     python -O, where assert statements are skipped.  The message is a
-    sentence, not the bare key of a failed lookup (`error: 13`)."""
-    argv = [str(tmp_path / "out") if a == "DIR" else a for a in argv]
+    sentence, not the bare key of a failed lookup (`error: 13`).  DIR
+    stands for a fresh directory, CFG:line for a config file holding it."""
+
+    def path(arg):
+        if arg == "DIR":
+            return str(tmp_path / "out")
+        if arg.startswith("CFG:"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(arg[len("CFG:"):] + "\n")
+            return str(cfg)
+        return arg
+
+    argv = [path(a) for a in argv]
     flags = ["-O"] if optimize else []
     out = subprocess.run([sys.executable, *flags, "-m", "slcob.cli", *argv],
                          capture_output=True, text=True)

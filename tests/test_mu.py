@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (cpn_tangent_numbers, gauss_jordan_inverse,
                      graded_reciprocal_class_matrix)
-from slcob import mu
+from slcob import mu, symfun
 from slcob.fgl import FGLContext
 from slcob.partitions import partition_count, partitions_of
 
@@ -102,6 +103,52 @@ def test_milnor_h12_numbers_against_sympy_oracle(ctx):
     assert mu.tangent_numbers((1, 2), (1, 1))[0] == oracle
 
 
+def test_milnor_table_against_tangent_oracle(ctx):
+    """Buchstaber's formula gives every H_{i,j} of degree <= 12 exactly as
+    its tangent Chern numbers do."""
+    count = 0
+    for n in range(1, 13):
+        for i in range(1, (n + 1) // 2 + 1):
+            j = n + 1 - i
+            assert mu.milnor_hypersurface_class(ctx, i, j) == \
+                oracles.milnor_hypersurface_class(ctx, i, j), (i, j)
+            count += 1
+    assert count == 42
+
+
+def test_generators_avoid_symmetric_function_tables(monkeypatch):
+    """The generator path uses the formal group law alone: neither the
+    m-to-e matrix nor the reciprocal Chern class is consulted."""
+    def refuse(*args):
+        raise AssertionError("symmetric-function table on the generator path")
+
+    monkeypatch.setattr(symfun, "m_to_e_matrix", refuse)
+    monkeypatch.setattr(mu, "reciprocal_class_matrix", refuse)
+    fresh = mu.MUBasis(FGLContext(12))
+    for n in range(1, 13):
+        assert abs(mu.s_number(fresh.generators[n])) == mu.generator_target(n)
+
+
+def test_generators_are_selected_on_demand(monkeypatch):
+    selected = []
+    real = mu.select_generator
+
+    def counting(ctx, n):
+        selected.append(n)
+        return real(ctx, n)
+
+    monkeypatch.setattr(mu, "select_generator", counting)
+    fresh = mu.MUBasis(FGLContext(6))
+    assert selected == [] and not fresh.generators
+    fresh.to_coordinates(mu.cpn_class(fresh.ctx, 3))
+    assert sorted(selected) == [1, 2, 3]
+    fresh.generators[2]
+    assert sorted(selected) == [1, 2, 3]
+    for n in (0, 7):
+        with pytest.raises(KeyError):
+            fresh.generators[n]
+
+
 def test_milnor_range_errors(ctx):
     with pytest.raises(ValueError):
         mu.milnor_hypersurface_class(ctx, 2, 1)
@@ -114,9 +161,9 @@ def test_generator_targets():
         [1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17]
 
 
-def test_build_basis_criterion(basis):
-    for n, gen in basis.generators.items():
-        s = mu.s_number(gen)
+def test_build_basis_criterion(ctx, basis):
+    for n in range(1, ctx.bound + 1):
+        s = mu.s_number(basis.generators[n])
         assert abs(s) == mu.generator_target(n)
     assert abs(mu.s_number(basis.generators[1])) == 2
     assert abs(mu.s_number(basis.generators[2])) == 3

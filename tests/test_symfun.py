@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import e_monomial_in_p, gauss_jordan_inverse, newton_e_to_m_matrix
 from slcob import symfun
 from slcob.partitions import partitions_of
@@ -99,3 +100,21 @@ def test_p_vec_to_m_vec():
     # p_(1,1) = m_(2) + 2 m_(1,1)
     out = p_vec_to_m_vec({(1, 1): 1})
     assert out == {(2,): 1, (1, 1): 2}
+
+
+def test_p_vec_to_m_vec_against_distribute_count():
+    """The Pieri expansion keeps exactly the nonzero distribution counts,
+    counted slot by slot, one partition at a time and for a combination
+    of all of a weight."""
+    for w in range(0, 11):
+        parts = partitions_of(w)
+        for lam in parts:
+            exp = {mu: oracles.distribute_count(lam, mu) for mu in parts}
+            assert {mu: distribute_count(lam, mu) for mu in parts} == exp
+            assert p_vec_to_m_vec({lam: 1}) == \
+                {mu: c for mu, c in exp.items() if c}
+        vec = {lam: k - 3 for k, lam in enumerate(parts)}
+        exp = {mu: sum(c * oracles.distribute_count(lam, mu)
+                       for lam, c in vec.items())
+               for mu in parts}
+        assert p_vec_to_m_vec(vec) == {mu: c for mu, c in exp.items() if c}

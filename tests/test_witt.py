@@ -31,7 +31,8 @@ def test_field_descriptor_accepts(kind, q, char):
 
 @pytest.mark.parametrize("kind,q", [
     ("fq1", 7), ("fq3", 5), ("fq1", 4), ("fq3", 15), ("fq1", 45),
-    ("fq1", 1), ("fq1", -3), ("fq3", -1), ("zz", None), ("fq", 5)])
+    ("fq1", 1), ("fq1", -3), ("fq3", -1), ("zz", None), ("fq", 5),
+    ("c", 5), ("r", 7)])
 def test_field_descriptor_rejects(kind, q):
     with pytest.raises(ValueError) as err:
         field_descriptor(kind, q)
