@@ -115,10 +115,7 @@ def generator_check_msu(x, cf):
     s = mu.s_number(x)
     if s == 0:
         return False
-    from .intmat import HNFSolver
-    coords = cf.basis.to_coordinates(x)
-    solver = HNFSolver(cf.cycles_in_lattice(n))
-    if solver.solve(coords) is None:
+    if cf.cycle_solver(n).solve(x.vector()) is None:
         raise NotACycle("class is not a cycle (not in the image of the "
                         "special linear theory)")
     odd = abs(s)

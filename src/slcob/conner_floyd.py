@@ -13,6 +13,14 @@ with exact integer linear algebra; homology is always an elementary abelian
 and the free ranks satisfy rank Ker(shift-2 op) = p(n) - p(n-2) and
 rank(cycles) = p(n) - p(n-1).  The module also carries the image lattices
 of the special linear theory inside the general one.
+
+The chain runs on b-monomial (Hurewicz) coordinates.  With B_n the basis
+matrix and H the b-monomial matrix of an operation, the operation on the
+lattice is H B_n.  The Wall basis W_n is the kernel of H_delta B_n: the
+same lattice as in basis coordinates, since B_(n-2) is injective, and the
+same basis, since the reduced column Hermite form of a lattice is unique.
+The differential solves B_(n-1) W_(n-1) X = -H_partial B_n W_n, one
+integral solver per degree.
 """
 
 from .abelian import FGAbGroup, cokernel
@@ -26,6 +34,19 @@ class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
 
 
+def _solve_columns(solver, targets, message):
+    """The matrix whose columns x solve solver.mat * x = target, one per
+    target; ConventionError(message) if a target has no integral
+    solution."""
+    cols = []
+    for target in targets:
+        sol = solver.solve(target)
+        if sol is None:
+            raise ConventionError(message)
+        cols.append(sol)
+    return IntMatrix.from_columns(solver.mat.cols, cols)
+
+
 class ConnerFloyd:
     def __init__(self, ctx, basis):
         self.ctx = ctx
@@ -37,10 +58,11 @@ class ConnerFloyd:
 
     @_memoized
     def operation_matrix(self, name, n):
-        """Matrix of an operation from degree n to degree n - shift in the
-        monomial bases (columns indexed by the degree-n basis)."""
+        """H B_n: the operation from degree n to degree n - shift, columns
+        indexed by the degree-n basis, rows by the b-monomials of degree
+        n - shift."""
         op = {"partial": boundary_partial, "delta": delta_op}[name](self.ctx)
-        cols = [self.basis.to_coordinates(apply_operation(self.ctx, op, cls))
+        cols = [apply_operation(self.ctx, op, cls).vector()
                 if n >= op.shift else [] for _, cls in self.basis.basis(n)]
         return IntMatrix.from_columns(partition_count(n - op.shift), cols)
 
@@ -48,7 +70,11 @@ class ConnerFloyd:
         """Cokernel of the shift-2 operation from degree n to n-2 on the
         full lattice (trivial for every n: the operation is split onto)."""
         assert n >= 2
-        return cokernel(self.operation_matrix("delta", n))
+        image = self.operation_matrix("delta", n)
+        return cokernel(_solve_columns(
+            self.basis.solver(n - 2),
+            [list(image.column(j)) for j in range(image.cols)],
+            "shift-2 image escapes the lattice in degree %d" % (n - 2)))
 
     # -- the Wall lattice ---------------------------------------------------
 
@@ -73,27 +99,16 @@ class ConnerFloyd:
         return out
 
     @_memoized
-    def _w_solver(self, n):
-        return HNFSolver(self.w_lattice(n))
-
-    @_memoized
     def delta_matrix(self, n):
         """The differential (minus the boundary operation) from the Wall
         lattice in degree n to degree n-1, in the Wall bases."""
         assert n >= 1
-        src = self.w_lattice(n)
-        solver = self._w_solver(n - 1)
-        op = boundary_partial(self.ctx)
-        cols = []
-        for j in range(src.cols):
-            cls = self.basis.from_coordinates(n, list(src.column(j)))
-            img = apply_operation(self.ctx, op, cls).scale(-1)
-            sol = solver.solve(self.basis.to_coordinates(img))
-            if sol is None:
-                raise ConventionError(
-                    "boundary image escapes the Wall lattice in degree %d" % n)
-            cols.append(sol)
-        return IntMatrix.from_columns(self.w_rank(n - 1), cols)
+        image = self.operation_matrix("partial", n) * self.w_lattice(n)
+        wall = self.basis.matrix(n - 1) * self.w_lattice(n - 1)
+        return _solve_columns(
+            HNFSolver(wall),
+            [[-a for a in image.column(j)] for j in range(image.cols)],
+            "boundary image escapes the Wall lattice in degree %d" % n)
 
     # -- cycles, boundaries, homology ---------------------------------------
 
@@ -118,38 +133,31 @@ class ConnerFloyd:
         w = self.w_lattice(n)
         return w * self.cycles(n)
 
+    @_memoized
+    def cycle_solver(self, n):
+        """Solver for b-monomial vectors against the degree-n cycles, so
+        B_n times the cycle basis."""
+        return HNFSolver(self.basis.matrix(n) * self.cycles_in_lattice(n))
+
     def boundaries_in_lattice(self, n):
         """Boundary basis in full monomial coordinates (columns)."""
         assert n + 1 <= self.max_n
         w = self.w_lattice(n)
         return w * self.delta_matrix(n + 1)
 
-    def homology(self, n, inverted_primes=()):
+    def homology(self, n):
         """Cycles mod boundaries in degree n as a normal-form group.
         Boundaries are expressed in a basis of the (saturated) cycle
         lattice first, so no spurious torsion appears."""
         assert n + 1 <= self.max_n
-        z = self.cycles(n)
         b = self.delta_matrix(n + 1)
-        solver = HNFSolver(z)
-        cols = []
-        for j in range(b.cols):
-            target = list(b.column(j))
-            sol = solver.solve(target)
-            if sol is None:
-                raise ConventionError(
-                    "boundary is not a cycle in degree %d (differential "
-                    "squared nonzero)" % n)
-            cols.append(sol)
-        return cokernel(IntMatrix.from_columns(z.cols, cols), inverted_primes)
+        return cokernel(_solve_columns(
+            HNFSolver(self.cycles(n)),
+            [list(b.column(j)) for j in range(b.cols)],
+            "boundary is not a cycle in degree %d (differential squared "
+            "nonzero)" % n))
 
-    def cf_homology(self, n, inverted_primes=()):
-        """(cycles, boundaries, homology) in degree n: the two lattices in
-        monomial coordinates and the quotient normal form."""
-        return (self.cycles_in_lattice(n), self.boundaries_in_lattice(n),
-                self.homology(n, inverted_primes))
-
-    def expected_homology(self, n, inverted_primes=()):
+    def expected_homology(self, n):
         """The partition-counted pattern for the homology groups."""
         if n % 4 == 0:
             rank = partition_count(n // 4)
@@ -157,8 +165,7 @@ class ConnerFloyd:
             rank = partition_count((n - 2) // 4)
         else:
             rank = 0
-        return FGAbGroup.cyclic(2, inverted_primes).power(rank) if rank else \
-            FGAbGroup.trivial(inverted_primes)
+        return FGAbGroup.cyclic(2).power(rank)
 
     # -- downstream groups ---------------------------------------------------
 

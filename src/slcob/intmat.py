@@ -6,12 +6,12 @@ exceeds a few hundred rows.  All integer elimination goes through
 `_column_echelon`, the reduced column Hermite form with a minimal pivot,
 which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 
-  hermite_column_form  one pass on the columns, zero columns dropped;
   kernel_basis         row by row: a one-row pass cuts the kernel so far,
                        kept in Hermite form so entries stay near the
                        answer's size (Kannan-Bachem 1979);
-  HNFSolver            one pass on the columns stacked over an identity,
-                       then forward substitution per target;
+  HNFSolver            the one integral solver: one pass on the columns
+                       stacked over an identity, then forward
+                       substitution per target;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs.
 """
@@ -53,9 +53,6 @@ class IntMatrix:
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def tolists(self):
-        return [list(r) for r in self.entries]
 
     def __mul__(self, other):
         assert self.cols == other.rows
@@ -197,23 +194,3 @@ class HNFSolver:
             return None
         return x
 
-    def contains(self, target):
-        return self.solve(target) is not None
-
-
-def hermite_column_form(mat):
-    """Column-style Hermite normal form: returns H with the same column
-    span over Z as mat, columns in echelon form with positive pivots and
-    entries to the right of a pivot reduced modulo it.  Zero columns are
-    dropped."""
-    columns = [list(mat.column(j)) for j in range(mat.cols)]
-    return IntMatrix.from_columns(mat.rows, _hermite_columns(mat.rows, columns))
-
-
-def same_column_span(a, b):
-    """Whether two integer matrices with the same row count span the same
-    Z-lattice with their columns."""
-    assert a.rows == b.rows
-    ha = hermite_column_form(a)
-    hb = hermite_column_form(b)
-    return ha.entries == hb.entries

@@ -15,9 +15,7 @@ modulo  2t = 0,  t^2 = 0,  I(k)t = 0,  tH = 0,  I(k)H = 0,  H^2 = 2hB
              = 3 (4): 0
 
 so elements are (degree, coefficient) pairs with the coefficient reduced
-modulo the annihilator of the degree's generator.  The optional effective
-flag restricts to nonnegative powers of the Bott class (the connective
-variant); its diagonal agrees in degrees >= 0.
+modulo the annihilator of the degree's generator.
 """
 
 from dataclasses import dataclass
@@ -39,20 +37,14 @@ class KQElement:
 
 
 class KQPresentation:
-    def __init__(self, field, effective=False):
+    def __init__(self, field):
         self.field = field
         self.witt = witt_data(field)
-        self.effective = effective
-
-    def _check_degree(self, n):
-        if self.effective and n < 0:
-            raise ValueError("connective variant has no negative degrees")
 
     # -- the degree table ---------------------------------------------------
 
     def kq_diagonal(self, n):
         """The degree-n diagonal group."""
-        self._check_degree(n)
         inv = self.field.inverted_primes
         r = n % 4
         if r == 0:
@@ -75,7 +67,6 @@ class KQPresentation:
     def element(self, n, coeff):
         """Normalized element: coefficient reduced mod the annihilator of
         the degree-n generator."""
-        self._check_degree(n)
         r = n % 4
         w = self.witt
         if r == 0:
@@ -113,7 +104,6 @@ class KQPresentation:
     def multiply(self, x, y):
         """Product in the presented ring."""
         n = x.degree + y.degree
-        self._check_degree(n)
         rx, ry = x.degree % 4, y.degree % 4
         if rx > ry:
             x, y = y, x
@@ -171,8 +161,7 @@ class KQPresentation:
         check("H^2 = 2h*Bott", hh == expect,
               "got %s expected %s" % (hh.coeff, expect.coeff))
         # Bott invertibility: multiplication by Bott is degree-shift identity
-        lo = 0 if self.effective else -4
-        for n in range(lo, max_degree - 3):
+        for n in range(-4, max_degree - 3):
             g = self.generator(n)
             if g is None:
                 continue
@@ -185,8 +174,7 @@ class KQPresentation:
             check("degree %d table" % n, got == expected,
                   "got %s expected %s" % (got, expected))
         # periodicity
-        lo = 0 if self.effective else -8
-        for n in range(lo, max_degree - 3):
+        for n in range(-8, max_degree - 3):
             check("periodicity %d" % n,
                   self.kq_diagonal(n) == self.kq_diagonal(n + 4))
         # order-2 pattern: t*Bott^m is nonzero of order exactly 2

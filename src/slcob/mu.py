@@ -16,11 +16,12 @@ formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j, C(u) = sum [CP^i] u^i
 (Buchstaber-Panov, Toric Topology, 2015, 9.1).  The tangent-number
 dictionary below serves `charnum` and the reports.
 
-Everything is integer arithmetic.  A generator x_k is a nonzero multiple
-of b_k plus products, so x^omega is supported on b^omega and on
-partitions with more parts: ordered by number of parts, the basis matrix
-is triangular, and lattice coordinates follow by back-substitution with
-exact division by its diagonal.  Chern monomials are partitions too, so
+Everything is integer arithmetic.  A class is kept as its b-monomial
+vector, and the lattice computations stay in those coordinates: an
+operation on the lattice is its b-monomial matrix times the basis matrix
+B_n, whose columns are the vectors of the x^omega.  Where coordinates in
+the basis are wanted, one `intmat.HNFSolver` per degree solves against
+B_n, which must have full rank.  Chern monomials are partitions too, so
 the reciprocal-class matrix is computed in bpoly.
 """
 
@@ -32,7 +33,7 @@ from math import comb
 from . import bpoly
 from .abelian import _factorint
 from .fgl import _memoized
-from .intmat import IntMatrix
+from .intmat import HNFSolver, IntMatrix
 from .partitions import partitions_of
 from .symfun import BasisConstructionError, m_monomial_in_e
 
@@ -70,6 +71,11 @@ class MUClass:
 
     def coefficient(self, part):
         return dict(self.hb).get(tuple(part), 0)
+
+    def vector(self):
+        """The b-monomial coordinates in the global partition order."""
+        coeffs = dict(self.hb)
+        return [coeffs.get(p, 0) for p in partitions_of(self.degree)]
 
     def __add__(self, other):
         assert self.degree == other.degree or self.is_zero() or other.is_zero()
@@ -391,103 +397,52 @@ class _Generators(dict):
 class MUBasis:
     """Monomial basis x^omega of every degree <= max_n, with coordinate
     matrices in the b-monomial coordinates and exact solving.  Generators,
-    monomials and matrices are built per degree, when first asked for."""
+    monomials, matrices and solvers are built per degree, when first
+    asked for."""
 
     def __init__(self, ctx, max_n=None):
         self.ctx = ctx
         self.max_n = ctx.bound if max_n is None else max_n
         assert self.max_n <= ctx.bound
         self.generators = _Generators(ctx, self.max_n)
-        self._monomials = {0: [((), MUClass.unit())]}
-        self._matrices = {}
-        self._solvers = {}
+        self._memo = {}
 
+    @_memoized
     def basis(self, n):
         """List of (partition label, MUClass) for degree n, in the global
         partition order."""
-        if n not in self._monomials:
-            entries = []
-            for omega in partitions_of(n):
-                cls = MUClass.unit()
-                for part in omega:
-                    cls = cls * self.generators[part]
-                entries.append((omega, cls))
-            self._monomials[n] = entries
-        return self._monomials[n]
+        entries = []
+        for omega in partitions_of(n):
+            cls = MUClass.unit()
+            for part in omega:
+                cls = cls * self.generators[part]
+            entries.append((omega, cls))
+        return entries
 
+    @_memoized
     def matrix(self, n):
         """Columns = b-monomial coordinates of the basis classes."""
-        if n not in self._matrices:
-            parts = partitions_of(n)
-            cols = []
-            for _, cls in self.basis(n):
-                coeffs = cls.coeffs()
-                cols.append([coeffs.get(p, 0) for p in parts])
-            rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(parts))]
-            self._matrices[n] = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, 0)
-        return self._matrices[n]
+        return IntMatrix.from_columns(
+            len(partitions_of(n)), [cls.vector() for _, cls in self.basis(n)])
 
-    def rank(self, n):
-        return len(partitions_of(n))
-
-    def _triangular(self, n):
-        """The basis matrix as (j, diagonal entry, off-diagonal entries of
-        column j), ordered by the number of parts of the label of j.
-
-        Each generator is a nonzero multiple of b_k plus products, so
-        x^omega is supported on b^omega and on partitions with more parts:
-        in this order the matrix is lower triangular.  Raises
-        BasisConstructionError if it is not."""
-        if n not in self._solvers:
-            m = self.matrix(n)
-            parts = partitions_of(n)
-            steps = []
-            for j in sorted(range(len(parts)), key=lambda j: len(parts[j])):
-                col = [(i, m.entries[i][j]) for i in range(m.rows)
-                       if i != j and m.entries[i][j]]
-                if not m.entries[j][j] or any(
-                        len(parts[i]) <= len(parts[j]) for i, _ in col):
-                    raise BasisConstructionError(
-                        "degree %d: basis element x^%s is not supported on "
-                        "b^%s and longer partitions" % (n, parts[j], parts[j]))
-                steps.append((j, m.entries[j][j], col))
-            self._solvers[n] = steps
-        return self._solvers[n]
+    @_memoized
+    def solver(self, n):
+        """The integral solver of the degree-n basis matrix; raises
+        BasisConstructionError if the matrix is not of full rank."""
+        solver = HNFSolver(self.matrix(n))
+        if len(solver.pivot_rows) < solver.mat.cols:
+            raise BasisConstructionError(
+                "degree %d: the monomial basis matrix is not of full rank" % n)
+        return solver
 
     def to_coordinates(self, x):
-        """Coordinates of a class in the degree-n monomial basis, by
-        substitution in the triangular order (exact division by each
-        diagonal entry); raises NotInLattice if the class is not an
-        integer combination."""
-        n = x.degree
-        if n == 0:
-            return [x.coefficient(())]
-        coeffs = x.coeffs()
-        parts = partitions_of(n)
-        resid = [coeffs.get(p, 0) for p in parts]
-        coords = [0] * len(resid)
-        for j, diag, col in self._triangular(n):
-            if not resid[j]:
-                continue
-            q, r = divmod(resid[j], diag)
-            if r:
-                raise NotInLattice("coordinate %d/%d of x^%s is not an integer"
-                                   % (resid[j], diag, parts[j]))
-            coords[j] = q
-            resid[j] -= q * diag
-            for i, v in col:
-                resid[i] -= q * v
-        if any(resid):
-            raise BasisConstructionError(
-                "degree %d: nonzero residual after back-substitution" % n)
+        """Coordinates of a class in the degree-n monomial basis; raises
+        NotInLattice if the class is not an integer combination."""
+        coords = self.solver(x.degree).solve(x.vector())
+        if coords is None:
+            raise NotInLattice("%s is not an integer combination of the "
+                               "degree-%d basis" % (x, x.degree))
         return coords
-
-    def contains(self, x):
-        try:
-            self.to_coordinates(x)
-            return True
-        except NotInLattice:
-            return False
 
     def from_coordinates(self, n, coords):
         out = {}
@@ -496,40 +451,3 @@ class MUBasis:
                 for part, v in cls.hb:
                     out[part] = out.get(part, 0) + c * v
         return MUClass.from_dict(n, out)
-
-    def catalog_span_matches(self, n):
-        """Whether the Z-span of all products of catalog classes of total
-        degree n equals the monomial-basis span (Hermite forms agree)."""
-        from .intmat import same_column_span
-        parts = partitions_of(n)
-        cols = []
-        for omega in parts:
-            choices = [[cls for _, cls in degree_catalog(self.ctx, part)]
-                       for part in omega]
-            idx = [0] * len(omega)
-            while True:
-                cls = MUClass.unit()
-                for t, k in enumerate(idx):
-                    cls = cls * choices[t][k]
-                cols.append([cls.coefficient(p) for p in parts])
-                for t in range(len(idx) - 1, -1, -1):
-                    idx[t] += 1
-                    if idx[t] < len(choices[t]):
-                        break
-                    idx[t] = 0
-                else:
-                    break
-                if not omega:
-                    break
-        if not cols:
-            cols = [[1]]
-        return same_column_span(IntMatrix.from_columns(len(parts), cols),
-                                self.matrix(n))
-
-
-def multiply(basis, x, y):
-    """Product of two lattice elements, asserting closure."""
-    out = x * y
-    if out.degree <= basis.max_n:
-        basis.to_coordinates(out)
-    return out

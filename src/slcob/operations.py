@@ -59,10 +59,6 @@ class CohOperation:
         return hash((self.name, self.shift, self.m_coeffs))
 
 
-def identity_op():
-    return CohOperation.from_dict("id", 0, {0: {(): dict(bpoly.ONE)}})
-
-
 def landweber_novikov(omega):
     """The operation dual to the b-monomial of omega: its class is the
     monomial symmetric function of the Chern roots."""

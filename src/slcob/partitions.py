@@ -60,13 +60,6 @@ def partition_count(n):
     return _count_bounded(n, n)
 
 
-def is_partition(parts):
-    """Whether a tuple is weakly decreasing with positive entries."""
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def merge(p, q):
     """The partition whose parts are the multiset union of p and q.
 

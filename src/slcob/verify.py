@@ -86,17 +86,13 @@ def suite_subring(ctx, cf, max_degree=12):
     from .intmat import HNFSolver
     checks = []
     ok = True
-    solvers = {}
     cycles = {n: cf.cycle_classes(n) for n in range(0, max_degree)}
     for na in range(1, max_degree):
         for nb in range(1, max_degree - na + 1):
-            n = na + nb
-            if n not in solvers:
-                solvers[n] = HNFSolver(cf.cycles_in_lattice(n))
+            solver = cf.cycle_solver(na + nb)
             for a in cycles.get(na, []):
                 for b in cycles.get(nb, []):
-                    coords = cf.basis.to_coordinates(a * b)
-                    if solvers[n].solve(coords) is None:
+                    if solver.solve((a * b).vector()) is None:
                         ok = False
     checks.append(("products of cycles are cycles (degrees <= %d)" % max_degree,
                    ok, ""))

@@ -154,9 +154,6 @@ class WittRing:
             return (1, 1)  # -1 is a non-square
         return self.gw_normalize((2, 0))  # q = 1 mod 4: -1 is a square
 
-    def in_fundamental_ideal(self, elt):
-        return self.gw_rank(elt) == 0
-
     # -- groups -----------------------------------------------------------
 
     def fundamental_ideal_power(self, m):
@@ -171,15 +168,6 @@ class WittRing:
         if kind == REAL_CLOSED:
             return FGAbGroup.free(1, inv)  # 2^m Z inside W = Z
         return FGAbGroup.cyclic(2, inv) if m == 1 else FGAbGroup.trivial(inv)
-
-    def ideal_power_index_in_w(self, m):
-        """The index [W : I^m] when finite, for the embedding bookkeeping."""
-        kind = self.field.kind
-        if kind == REAL_CLOSED:
-            return 2 ** m
-        if kind == QUADRATICALLY_CLOSED:
-            return 2 if m >= 1 else 1
-        return {0: 1, 1: 2}.get(m, 4)
 
     def two_primary_torsion_of_ideal(self, m):
         """The 2-primary torsion subgroup of I^m (m >= 1)."""

@@ -2,8 +2,9 @@
 
 The library computes its transition matrices, lattice coordinates,
 operation classes and tangent numbers with integer counting, bpoly
-arithmetic and back-substitution.  These helpers recompute the same
-objects the slow, obviously-correct way, over the rationals: Newton's
+arithmetic, back-substitution and column Hermite forms.  These helpers
+recompute the same objects the slow, obviously-correct way, over the
+rationals: Newton's
 identity for e in terms of p, distribution counts part by part for p in
 terms of m, dense Gauss-Jordan inversion, the binomial
 closed form for projective spaces, and, with the GradedPoly engine of
@@ -15,17 +16,21 @@ hypersurface comes from its tangent Chern numbers, where the package
 reads it off the formal group law by Buchstaber's formula.  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
-same canonical form.
+same canonical form.  Two lattices are compared by their reduced column
+Hermite forms, which are unique; so the monomial basis is checked against
+all products of catalog classes.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
-from slcob.mu import MUClass, chern_numbers_to_hurewicz, tangent_numbers
+from slcob.mu import (MUClass, chern_numbers_to_hurewicz, degree_catalog,
+                      tangent_numbers)
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import m_to_e_matrix, p_vec_to_m_vec
 
@@ -141,6 +146,35 @@ def kernel_basis_one_shot(mat):
     _column_echelon(mat.rows, n, columns)
     kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
     return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
+
+
+def hermite_column_form(mat):
+    """The reduced column Hermite form of mat, zero columns dropped."""
+    columns = [list(mat.column(j)) for j in range(mat.cols)]
+    return IntMatrix.from_columns(mat.rows, _hermite_columns(mat.rows, columns))
+
+
+def same_column_span(a, b):
+    """Whether two integer matrices with the same row count span the same
+    Z-lattice with their columns (the Hermite form is unique)."""
+    assert a.rows == b.rows
+    return hermite_column_form(a).entries == hermite_column_form(b).entries
+
+
+def catalog_span_matches(basis, n):
+    """Whether the Z-span of all products of catalog classes, one per part
+    of a partition of n, equals the span of the degree-n monomial basis."""
+    cols = []
+    for omega in partitions_of(n):
+        for factors in product(*(
+                [cls for _, cls in degree_catalog(basis.ctx, part)]
+                for part in omega)):
+            cls = MUClass.unit()
+            for factor in factors:
+                cls = cls * factor
+            cols.append(cls.vector())
+    return same_column_span(IntMatrix.from_columns(len(partitions_of(n)), cols),
+                            basis.matrix(n))
 
 
 def cpn_tangent_numbers(n):

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import slcob
+from slcob import cli
 
 
 def run_cli(*args):
@@ -209,3 +218,99 @@ def test_cli_imports_no_rational_engine():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# -- fuzzing the command line in-process -----------------------------------
+
+FUZZ_VALUES = ["0", "1", "2", "3", "4", "5", "6", "-1", "x"]
+FUZZ_COMMANDS = [
+    ["msl", "group", "--field", "FIELD", "--n", "V", "--m", "V"],
+    ["msl", "table", "--field", "FIELD", "--q", "Q"],
+    ["cf", "homology", "--max-degree", "V"],
+    ["cf", "dump", "--max-degree", "V", "--out", "DIR"],
+    ["op", "apply", "--name", "OP", "--class", "CLASS"],
+    ["witt", "table", "--field", "FIELD", "--q", "Q"],
+    ["kq", "table", "--field", "FIELD", "--max-degree", "V"],
+    ["charnum", "hypersurface", "--ambient", "V", "--degree", "V"],
+    ["verify", "--suite", "SUITE", "--max-degree", "V"],
+    ["dump", "--out", "DIR"],
+]
+FUZZ_SLOTS = {
+    "FIELD": ["c", "r", "fq1", "fq3", "zz"],
+    "Q": ["3", "5", "7", "9", "13", "25", "27", "4", "-3"],
+    "V": FUZZ_VALUES,
+    "OP": ["partial", "delta", "s1", "s2", "s1,1", "s2,1", "s0", "s1,"],
+    "CLASS": ["cp1", "cp2*cp1", "h1_2", "hyp3_2", "x2", "x3*x1", "cp0",
+              "x9", "cp3*cp3*cp3", "h2_1"],
+    "SUITE": ["cf-pattern", "subring", "table", "kq", "leibniz", "bogus"],
+    "DIR": ["out"],
+}
+FUZZ_EXTRA = ["--json", "--format", "csv", "json", "xml", "--q", "--n",
+              "--help", "msl", "-1", "cp1"] + FUZZ_VALUES
+
+
+def fuzz_argv(choose):
+    """A command line built from a template with drawn values, then
+    possibly mangled: a token dropped or a stray token inserted.  The
+    truncation is at most 6 and no value exceeds 6, so every command is
+    light."""
+    argv = ["--truncation", choose(["2", "3", "4", "5", "6", "0", "x"])]
+    if choose([True, False, False]):
+        argv += ["--format", choose(["text", "json", "csv", "xml"])]
+    for token in choose(FUZZ_COMMANDS):
+        argv.append(choose(FUZZ_SLOTS[token]) if token in FUZZ_SLOTS
+                    else token)
+    edit = choose(["keep", "keep", "drop", "insert"])
+    if edit != "keep":
+        at = choose(range(len(argv)))
+        if edit == "drop":
+            del argv[at]
+        else:
+            argv.insert(at, choose(FUZZ_EXTRA))
+    return argv
+
+
+def exit_code(argv):
+    """What `slcob ARGV` exits with, run in this process with its output
+    discarded; SystemExit (from argparse) counts as an exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc or 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_exits_0_2_or_3(data):
+    """No command line, however mangled, ends in an internal failure
+    (exit 1) or an uncaught exception."""
+    argv = fuzz_argv(lambda seq: data.draw(st.sampled_from(list(seq))))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            rc = exit_code(argv)
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 2, 3), argv
+
+
+def test_fuzzed_argv_under_optimize(tmp_path):
+    """A fixed sample of fuzzed command lines under python -O, where
+    assert statements are skipped."""
+    rng = random.Random(8)
+    sample = [fuzz_argv(rng.choice) for _ in range(60)]
+    paths = [os.path.dirname(os.path.abspath(__file__)),
+             os.path.dirname(os.path.dirname(os.path.abspath(slcob.__file__)))]
+    code = ("import json, sys; sys.path[:0] = %r; "
+            "from test_cli import exit_code; "
+            "print(json.dumps([exit_code(a) for a in json.loads(sys.argv[1])]))"
+            % paths)
+    out = subprocess.run([sys.executable, "-O", "-c", code, json.dumps(sample)],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    codes = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [(a, c) for a, c in zip(sample, codes) if c not in (0, 2, 3)] == []

@@ -27,6 +27,18 @@ def test_delta_matrix_degree_one(ctx, cf):
     assert cf.delta_matrix(1).entries == ((-2,),)
 
 
+def test_differential_against_boundary_of_each_wall_class(ctx, cf, basis):
+    """Column j of the differential, written back in b-monomials, is minus
+    the boundary operation applied to the j-th Wall basis class."""
+    from slcob.operations import boundary_partial
+    op = boundary_partial(ctx)
+    for n in range(1, 13):
+        image = basis.matrix(n - 1) * cf.w_lattice(n - 1) * cf.delta_matrix(n)
+        expected = [apply_operation(ctx, op, cls).scale(-1).vector()
+                    for cls in cf.wall_classes(n)]
+        assert [list(image.column(j)) for j in range(image.cols)] == expected
+
+
 def test_differential_squares_to_zero(cf):
     for n in range(2, 13):
         m = cf.delta_matrix(n - 1) * cf.delta_matrix(n)

@@ -71,14 +71,6 @@ def test_eta_top_factorization(kind, expect_iso):
     assert iso == expect_iso
 
 
-def test_effective_variant():
-    pres = KQPresentation(field_descriptor("c"), effective=True)
-    failures = [(n, d) for n, ok, d in pres.relation_check(12) if not ok]
-    assert failures == []
-    with pytest.raises(ValueError):
-        pres.kq_diagonal(-4)
-
-
 def test_generators_per_degree():
     pres = KQPresentation(field_descriptor("r"))
     assert pres.generator(3) is None

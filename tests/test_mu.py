@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (cpn_tangent_numbers, gauss_jordan_inverse,
-                     graded_reciprocal_class_matrix)
+from oracles import (catalog_span_matches, cpn_tangent_numbers,
+                     gauss_jordan_inverse, graded_reciprocal_class_matrix,
+                     hermite_column_form)
 from slcob import mu, symfun
 from slcob.fgl import FGLContext
 from slcob.partitions import partition_count, partitions_of
@@ -195,7 +196,7 @@ def test_full_rank_all_degrees(basis):
 
 def test_multiply_and_commutativity(ctx, basis):
     cp1 = mu.cpn_class(ctx, 1)
-    assert mu.multiply(basis, cp1, mu.MUClass.unit()) == cp1
+    assert cp1 * mu.MUClass.unit() == cp1
     assert (cp1 * cp1).coeffs() == {(1, 1): 4}
     rng = random.Random(11)
     for _ in range(10):
@@ -209,18 +210,19 @@ def test_lattice_membership(ctx, basis):
     coords = basis.to_coordinates(cp2 * cp2)
     assert basis.from_coordinates(4, coords) == cp2 * cp2
     half = mu.MUClass.from_dict(1, {(1,): -1})  # (1/2)[CP1]
-    assert not basis.contains(half)
+    with pytest.raises(mu.NotInLattice):
+        basis.to_coordinates(half)
 
 
 def test_catalog_span_equals_monomial_span(basis):
     for n in range(1, 7):
-        assert basis.catalog_span_matches(n)
+        assert catalog_span_matches(basis, n)
 
 
 def test_basis_change_unimodular(basis):
     """The monomial basis and the Hermite reduction of the catalog span
     generate the same lattice, so the change of basis is unimodular."""
-    from slcob.intmat import hermite_column_form, smith_normal_form
+    from slcob.intmat import smith_normal_form
     for n in range(1, 6):
         m = basis.matrix(n)
         h = hermite_column_form(m)
@@ -253,7 +255,7 @@ def test_coordinates_against_gauss_jordan(basis):
     rng = random.Random(17)
     for n in range(1, 8):
         m = basis.matrix(n)
-        inv = gauss_jordan_inverse(m.tolists())
+        inv = gauss_jordan_inverse([list(row) for row in m.entries])
         parts = partitions_of(n)
         for k in range(6):
             target = [rng.randint(-50, 50) for _ in parts]
@@ -282,12 +284,11 @@ def test_b1_squared_not_in_lattice(basis):
     x = mu.MUClass.from_dict(2, {(1, 1): 1})
     with pytest.raises(mu.NotInLattice):
         basis.to_coordinates(x)
-    assert not basis.contains(x)
 
 
 def test_broken_basis_raises():
-    """A degree-2 generator without a b_2 term breaks the triangular
-    support the coordinate solver relies on."""
+    """A degree-2 generator without a b_2 term leaves the degree-2 basis
+    matrix short of full rank, which the coordinate solver refuses."""
     broken = mu.MUBasis(FGLContext(3))
     broken.generators[2] = broken.generators[1] * broken.generators[1]
     x = broken.basis(2)[1][1]

@@ -8,7 +8,7 @@ from oracles import c1_determinant_class, char_class
 from slcob import mu
 from slcob.fgl import FGLContext
 from slcob.operations import (CohOperation, apply_operation, boundary_partial,
-                              delta_op, identity_op, landweber_novikov)
+                              delta_op, landweber_novikov)
 
 
 def mon(*pairs):
@@ -27,7 +27,7 @@ def test_landweber_novikov_classes(ctx):
 
 
 def test_identity_operation(ctx, basis):
-    op = identity_op()
+    op = CohOperation.from_dict("id", 0, {0: {(): {(): 1}}})
     for n in range(0, 5):
         for _, cls in basis.basis(n):
             assert apply_operation(ctx, op, cls) == cls

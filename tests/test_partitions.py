@@ -1,7 +1,6 @@
 from hypothesis import given, strategies as st
 
-from slcob.partitions import (is_partition, merge, partition_count,
-                              partitions_of)
+from slcob.partitions import merge, partition_count, partitions_of
 
 
 def brute_force_partitions(n):
@@ -56,7 +55,8 @@ def test_reverse_lexicographic_order():
 @given(st.integers(0, 15))
 def test_all_entries_are_partitions(n):
     for p in partitions_of(n):
-        assert is_partition(p)
+        assert all(part >= 1 for part in p)
+        assert list(p) == sorted(p, reverse=True)
         assert sum(p) == n
 
 
