@@ -11,14 +11,13 @@ The class of CP^n is (n+1) times the n-th log coefficient; its b_n
 coefficient is -(n+1), i.e. coordinates in Z[b] are monomial-symmetric
 characteristic numbers of the stable normal bundle.
 
-The operations need only exp, its powers, log and the determinant classes
-below; F and chi are written out as polynomials only by the test suite.
+The operations need only exp, log and their powers; F and chi are
+written out as polynomials only by the test suite.
 """
 
-from functools import wraps
+from functools import cached_property, wraps
 
 from . import bpoly
-from .symfun import p_vec_to_m_vec
 
 
 def _memoized(method):
@@ -42,8 +41,8 @@ class FGLContext:
 
     Series are lists indexed by the exponent of the series variable with
     coefficients in Z[b]; everything is truncated at weight `bound`.  What
-    is derived from the context later (determinant classes, operations,
-    coaction tables) is cached in `_memo` and dies with the context.
+    is derived from the context later (operations, coaction and log-power
+    tables) is cached in `_memo` and dies with the context.
     """
 
     def __init__(self, bound=12):
@@ -65,64 +64,10 @@ class FGLContext:
         """m_n, the coefficient of x^{n+1} in the log series."""
         return self.log_series[n + 1] if n + 1 <= self.top else {}
 
-    # -- abstract characteristic classes (power-sum coordinates) ----------
-
-    @_memoized
-    def det_class_p(self, sign):
-        """exp(sign * L) with L = sum_j mu_j p_j, as {p-partition: bpoly};
-        mu_j = j-th log coefficient, p_j the power sums of the Chern roots.
-        sign=-1 is the class of c1(det gamma-dual)."""
-        L = {}
-        for j in range(1, self.bound + 1):
-            c = self.log_series[j]
-            if c:
-                L[(j,)] = bpoly.scale(c, sign)
-        out = {}
-        power = {(): dict(bpoly.ONE)}
-        for k in range(1, self.top + 1):
-            power = _pp_mul(power, L, self.bound)
-            if not power:
-                break
-            coeff = self.exp_series[k] if k < len(self.exp_series) else {}
-            if coeff:
-                for mon, val in power.items():
-                    bpoly.mul_into(out.setdefault(mon, {}), val, coeff)
-        return {k2: v for k2, v in out.items() if v}
-
-    @_memoized
-    def boundary_class_m(self):
-        """m-basis coefficients of the boundary operation's class, by
-        weight: {w: {partition: bpoly}}."""
-        return _p_class_to_m(self.det_class_p(-1))
-
-    @_memoized
-    def delta_class_m(self):
-        """m-basis coefficients of c1(det) * c1(det dual)."""
-        prod = _pp_mul(self.det_class_p(+1), self.det_class_p(-1), self.bound)
-        return _p_class_to_m(prod)
-
-
-def _pp_mul(a, b, bound):
-    """Multiply polynomials in power-sum variables with bpoly coefficients:
-    {p-partition: bpoly}."""
-    out = {}
-    for k1, v1 in a.items():
-        w1 = sum(k1)
-        for k2, v2 in b.items():
-            if w1 + sum(k2) > bound:
-                continue
-            k = tuple(sorted(k1 + k2, reverse=True))
-            bpoly.mul_into(out.setdefault(k, {}), v1, v2)
-    return {k: v for k, v in out.items() if v}
-
-
-def _p_class_to_m(cls_p):
-    """Group a p-coordinate class by weight and convert to m-coordinates."""
-    by_weight = {}
-    for lam, coeff in cls_p.items():
-        by_weight.setdefault(sum(lam), {})[lam] = coeff
-    combine = (bpoly.add, bpoly.scale, {})
-    out = {}
-    for w, vec in by_weight.items():
-        out[w] = p_vec_to_m_vec(vec, combine)
-    return out
+    @cached_property
+    def log_powers(self):
+        """[log^0, log^1, ..., log^top] truncated at degree top; built on
+        first use, as only the Milnor classes and the operations read it."""
+        one = bpoly.ser_zero(self.top)
+        one[0] = dict(bpoly.ONE)
+        return [one] + bpoly.ser_powers(self.log_series, self.top, self.top)

@@ -227,9 +227,7 @@ def _milnor_table(ctx):
     has weight i + j - 1, so nothing is truncated inside the table."""
     top = ctx.top
     rows = top // 2 + 1  # i <= j and i + j <= top leave i <= top // 2
-    one = bpoly.ser_zero(top)
-    one[0] = dict(bpoly.ONE)
-    lpow = [one] + bpoly.ser_powers(ctx.log_series, top, top)
+    lpow = ctx.log_powers
     F = {}
     for a in range(rows):
         E = [{} for _ in range(top + 1 - a)]  # E_a, up to v^(top - a)

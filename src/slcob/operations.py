@@ -1,9 +1,8 @@
 """Cohomological operations acting on the cobordism coefficient ring.
 
-An operation is determined by its characteristic class, stored as
-monomial-symmetric coefficients {weight: {partition: Z[b]-coefficient}}.
-It acts through the coaction, defined on a b-monomial (Hurewicz basis
-element) as the product over its parts of
+An operation is determined by its characteristic class and acts through
+the coaction, defined on a b-monomial (Hurewicz basis element) as the
+product over its parts of
 
     psi(b_n) = sum_{j >= 0} t_j * [x^{n+1}] exp(x)^{j+1},
 
@@ -14,18 +13,33 @@ law on the Wall lattice, and delta([CP1]^2) = -8; the reversed composition
 fails all three.
 
 An operation is linear, so it is applied as an integer matrix on the
-b-monomial basis: column omega is op(b^omega), built once per context and
-operation on first use and kept in the context's memo.  A class is the
-sparse sum of its coefficients times these columns.  The test suite keeps
-the pairing against the coaction of a whole class as its oracle.
+b-monomial basis: column omega is op(b^omega), built on first use and kept
+per context and operation in the context's memo; a class is the sparse
+sum of its coefficients times these columns.  There are two routes to a
+column, chosen by the form of the class:
 
-The two distinguished operations: the boundary operation (class: first
-Chern class of the dual determinant, degree shift 1) and the Wall-kernel
-operation (product of both determinant classes, shift 2).
+  * m-pairing.  A Landweber-Novikov operation s_omega has the single
+    monomial symmetric function m_omega as its class, so pairing its
+    m-coefficients against psi(b^omega) is cheap.
+  * L-powers.  The boundary operation (class c1 of the dual determinant,
+    shift 1) and the Wall-kernel operation (c1(det) c1(det dual), shift 2)
+    have classes sum_k g_k L^k in L = sum_j mu_j p_j, the sum of the logs
+    of the Chern roots (mu_j the log coefficients).  The power sums p_j
+    are primitive for the coproduct of symmetric functions (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5 ex. 25), hence so is L,
+    and the coaction is multiplicative (Landweber, Cobordism operations and
+    Hopf algebras, 1967).  So the operations O_k with class L^k obey
+        O_k(x y) = sum_i C(k, i) O_i(x) O_{k-i}(y),
+    with O_k(b_p) = sum_j [x^j] log^k * [x^{p+1}] exp^{j+1}, and a column
+    is sum_k g_k O_k(b^omega), read off one shared table of the O_k.
+
+The test suite keeps, as its oracle, the m-coefficients of every class and
+the pairing against the coaction of a whole class.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from . import bpoly
 from .fgl import _memoized
@@ -35,10 +49,12 @@ from .partitions import merge
 
 @dataclass(frozen=True)
 class CohOperation:
-    """Degree shift and the m-basis coefficients of the class, by weight."""
+    """Degree shift and the class: its m-basis coefficients by weight, or,
+    for a class sum_k g_k L^k, the coefficients g_0, g_1, ..."""
     name: str
     shift: int
-    m_coeffs: tuple  # tuple of (weight, tuple of (partition, bpoly-items))
+    m_coeffs: tuple = ()  # tuple of (weight, tuple of (partition, bpoly-items))
+    log_coeffs: tuple = ()  # tuple of bpoly-items, g_k at index k
 
     @classmethod
     def from_dict(cls, name, shift, by_weight):
@@ -50,13 +66,18 @@ class CohOperation:
                 for omega, coeff in vec.items() if coeff))))
         return cls(name, shift, tuple(packed))
 
+    @classmethod
+    def from_log_series(cls, name, shift, g):
+        return cls(name, shift,
+                   log_coeffs=tuple(tuple(sorted(c.items())) for c in g))
+
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self):
         # Operations key the column tables; tuples do not cache hashes.
-        return hash((self.name, self.shift, self.m_coeffs))
+        return hash((self.name, self.shift, self.m_coeffs, self.log_coeffs))
 
 
 def landweber_novikov(omega):
@@ -72,12 +93,23 @@ def landweber_novikov(omega):
 
 @_memoized
 def boundary_partial(ctx):
-    return CohOperation.from_dict("partial", 1, ctx.boundary_class_m())
+    """Class c1(det gamma-dual) = exp(-L) = sum_{k >= 1} (-1)^k b_{k-1} L^k,
+    reading b_{k-1} (b_0 = 1) off the exp series."""
+    b = ctx.exp_series
+    g = [{}] + [bpoly.scale(b[k], (-1) ** k) for k in range(1, ctx.top)]
+    return CohOperation.from_log_series("partial", 1, g)
 
 
 @_memoized
 def delta_op(ctx):
-    return CohOperation.from_dict("delta", 2, ctx.delta_class_m())
+    """Class c1(det) c1(det dual) = exp(L) exp(-L), so
+    g_k = sum_{a+c=k} (-1)^c b_{a-1} b_{c-1}."""
+    b = ctx.exp_series
+    g = [{} for _ in range(ctx.top)]
+    for a in range(1, ctx.top):
+        for c in range(1, ctx.top - a):
+            bpoly.mul_into(g[a + c], b[a], bpoly.scale(b[c], (-1) ** c))
+    return CohOperation.from_log_series("delta", 2, g)
 
 
 # -- the coaction and the column tables ------------------------------------
@@ -130,6 +162,44 @@ def _column(ctx, coeffs, part):
     return out
 
 
+def _log_ops(ctx, part):
+    """[O_0(b^part), ..., O_n(b^part)] with n = |part|, where O_k is the
+    operation with class L^k (it vanishes in degrees below k).  Filled on
+    demand by the binomial product law and kept in the context's memo."""
+    table = ctx._memo.setdefault("operations.log_ops", {})
+    hit = table.get(part)
+    if hit is not None:
+        return hit
+    if len(part) <= 1:
+        p = sum(part)  # b^() = b_0 = [x^1] exp
+        out = []
+        for k in range(p + 1):
+            ok = {}
+            for j in range(k, p + 1):
+                coeff = ctx.log_powers[k][j]  # [x^j] log^k
+                if coeff:
+                    bpoly.mul_into(ok, coeff, ctx.exp_powers[j][p + 1])
+            out.append(ok)
+    else:
+        head = _log_ops(ctx, part[:1])
+        rest = _log_ops(ctx, part[1:])
+        out = [{} for _ in range(len(head) + len(rest) - 1)]
+        for i, h in enumerate(head):
+            for j, r in enumerate(rest):
+                if h and r:
+                    bpoly.mul_into(out[i + j], bpoly.scale(h, comb(i + j, i)), r)
+    table[part] = out
+    return out
+
+
+def _log_column(ctx, g, part):
+    """op(b^part) = sum_k g_k O_k(b^part) for the class sum_k g_k L^k."""
+    out = {}
+    for gk, ok in zip(g, _log_ops(ctx, part)):
+        bpoly.mul_into(out, gk, ok)
+    return out
+
+
 def apply_operation(ctx, op, x):
     """The action of an operation on a coefficient-ring class: the sum of
     its b-monomial coefficients times the operation's columns.
@@ -139,15 +209,20 @@ def apply_operation(ctx, op, x):
     if target < 0 or x.is_zero():
         return MUClass.zero(max(target, 0))
     tables = ctx._memo.setdefault("operations.columns", {})
-    if op not in tables:
-        tables[op] = ({omega: dict(coeff) for _, vec in op.m_coeffs
-                       for omega, coeff in vec}, {})
-    coeffs, columns = tables[op]
+    entry = tables.get(op)
+    if entry is None:
+        if op.log_coeffs:
+            entry = (_log_column, [dict(c) for c in op.log_coeffs], {})
+        else:
+            entry = (_column, {omega: dict(coeff) for _, vec in op.m_coeffs
+                               for omega, coeff in vec}, {})
+        tables[op] = entry
+    build, data, columns = entry
     out = {}
     for part, c in x.hb:
         column = columns.get(part)
         if column is None:
-            column = columns[part] = _column(ctx, coeffs, part)
+            column = columns[part] = build(ctx, data, part)
         for mon, v in column.items():
             out[mon] = out.get(mon, 0) + c * v
     return MUClass.from_dict(target, out)

@@ -58,24 +58,6 @@ def distribute_count(lam, mu):
     return _p_in_m(tuple(lam)).get(slots, 0)
 
 
-def p_vec_to_m_vec(vec, combine=None):
-    """Convert a vector of p-basis coefficients to m-basis coefficients.
-    Coefficient addition/scaling is generic: `combine` provides
-    (add, scale) for coefficient values; defaults to numbers."""
-    if combine is None:
-        addc = lambda a, b: a + b
-        scalec = lambda a, c: a * c
-        zero_like = 0
-    else:
-        addc, scalec, zero_like = combine
-    out = {}
-    for lam, coeff in vec.items():
-        for mu, c in _p_in_m(tuple(lam)).items():
-            cur = out.get(mu, zero_like)
-            out[mu] = addc(cur, scalec(coeff, c))
-    return {k: v for k, v in out.items() if v}
-
-
 def _zero_one_count(rows, cols, memo):
     """Number of 0/1 matrices with row sums `rows` and column sums `cols`
     (both partitions).  The first row takes one unit from each of rows[0]

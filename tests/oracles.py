@@ -10,8 +10,12 @@ terms of m, dense Gauss-Jordan inversion, the binomial
 closed form for projective spaces, and, with the GradedPoly engine of
 `gradedpoly.py`, the formal group law, its inverse, the determinant classes
 written in Chern variables and the reciprocal Chern class.  An operation
-is applied by its definition, pairing against the coaction of the whole
-class, where the package multiplies cached columns.  A Milnor
+is applied by its definition, pairing the m-coefficients of its class
+against the coaction of the whole class, where the package multiplies
+cached columns; a class the package keeps as a power series in the sum L
+of the logs of the Chern roots is expanded into m-coefficients through
+power sums, and the determinant classes are built the same way from the
+exponential series, to pin those power series.  A Milnor
 hypersurface comes from its tangent Chern numbers, where the package
 reads it off the formal group law by Buchstaber's formula.  The integer
 kernel is checked against the one-shot echelon pass over an identity
@@ -32,7 +36,7 @@ from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
 from slcob.mu import (MUClass, chern_numbers_to_hurewicz, degree_catalog,
                       tangent_numbers)
 from slcob.partitions import merge, partitions_of
-from slcob.symfun import m_to_e_matrix, p_vec_to_m_vec
+from slcob.symfun import _p_in_m, m_to_e_matrix
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +85,24 @@ def e_monomial_in_p(mu):
                 nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
         out = {k: v for k, v in nxt.items() if v}
     return out
+
+
+def p_vec_to_m_vec(vec, combine=None):
+    """Convert a vector of p-basis coefficients to m-basis coefficients.
+    Coefficient addition/scaling is generic: `combine` provides
+    (add, scale, zero) for coefficient values; defaults to numbers."""
+    if combine is None:
+        addc = lambda a, b: a + b
+        scalec = lambda a, c: a * c
+        zero_like = 0
+    else:
+        addc, scalec, zero_like = combine
+    out = {}
+    for lam, coeff in vec.items():
+        for mu, c in _p_in_m(tuple(lam)).items():
+            cur = out.get(mu, zero_like)
+            out[mu] = addc(cur, scalec(coeff, c))
+    return {k: v for k, v in out.items() if v}
 
 
 def newton_e_to_m_matrix(w):
@@ -302,20 +324,94 @@ def c1_determinant_class(ctx, k, dual=False):
     return GradedPoly(weights, ctx.bound, out)
 
 
-def coefficients(op):
+# -- operation classes in power-sum and monomial coordinates ---------------
+
+
+def _pp_mul(a, b, bound):
+    """Multiply polynomials in power-sum variables with bpoly coefficients:
+    {p-partition: bpoly}, dropping terms of weight above `bound`."""
+    out = {}
+    for k1, v1 in a.items():
+        w1 = sum(k1)
+        for k2, v2 in b.items():
+            if w1 + sum(k2) > bound:
+                continue
+            k = tuple(sorted(k1 + k2, reverse=True))
+            bpoly.mul_into(out.setdefault(k, {}), v1, v2)
+    return {k: v for k, v in out.items() if v}
+
+
+def _p_class_to_m(cls_p):
+    """Group a p-coordinate class by weight and convert to m-coordinates."""
+    by_weight = {}
+    for lam, coeff in cls_p.items():
+        by_weight.setdefault(sum(lam), {})[lam] = coeff
+    combine = (bpoly.add, bpoly.scale, {})
+    return {w: p_vec_to_m_vec(vec, combine) for w, vec in by_weight.items()}
+
+
+def log_class(ctx, sign=1):
+    """sign * L with L = sum_j mu_j p_j, as {p-partition: bpoly}: mu_j is
+    the j-th log coefficient, p_j the power sums of the Chern roots."""
+    return {(j,): bpoly.scale(ctx.log_series[j], sign)
+            for j in range(1, ctx.bound + 1) if ctx.log_series[j]}
+
+
+def det_class_p(ctx, sign):
+    """exp(sign * L) in power-sum coordinates, exp the exponential series
+    of the formal group law, summed power by power of L; sign=-1 is the
+    class of c1(det gamma-dual)."""
+    L = log_class(ctx, sign)
+    out = {}
+    power = {(): dict(bpoly.ONE)}
+    for k in range(1, ctx.top + 1):
+        power = _pp_mul(power, L, ctx.bound)
+        if not power:
+            break
+        coeff = ctx.exp_series[k] if k < len(ctx.exp_series) else {}
+        if coeff:
+            for mon, val in power.items():
+                bpoly.mul_into(out.setdefault(mon, {}), val, coeff)
+    return {k2: v for k2, v in out.items() if v}
+
+
+def boundary_class_m(ctx):
+    """m-basis coefficients of the boundary operation's class, by weight:
+    {w: {partition: bpoly}}."""
+    return _p_class_to_m(det_class_p(ctx, -1))
+
+
+def delta_class_m(ctx):
+    """m-basis coefficients of c1(det) * c1(det dual)."""
+    return _p_class_to_m(_pp_mul(det_class_p(ctx, +1), det_class_p(ctx, -1),
+                                 ctx.bound))
+
+
+def coefficients(ctx, op):
     """The m-coefficients of an operation's class as {weight: {partition:
-    bpoly}}."""
-    return {w: {omega: dict(coeff) for omega, coeff in vec}
-            for w, vec in op.m_coeffs}
+    bpoly}}; a class sum_k g_k L^k is expanded through power sums, up to
+    the context's truncation."""
+    if not op.log_coeffs:
+        return {w: {omega: dict(coeff) for omega, coeff in vec}
+                for w, vec in op.m_coeffs}
+    L = log_class(ctx)
+    out = {}
+    power = {(): dict(bpoly.ONE)}
+    for k, g in enumerate(op.log_coeffs):
+        if k:
+            power = _pp_mul(power, L, ctx.bound)
+        for mon, val in power.items():
+            bpoly.mul_into(out.setdefault(mon, {}), val, dict(g))
+    return _p_class_to_m({k: v for k, v in out.items() if v})
 
 
-def char_class(op, k, max_weight):
+def char_class(ctx, op, k, max_weight):
     """The class of an operation as a GradedPoly in c1..ck over Z[b],
     keeping terms of Chern weight <= max_weight (e_i = 0 for i > k)."""
     weights = {"c%d" % i: i for i in range(1, k + 1)}
     weights.update({"b%d" % i: i for i in range(1, max_weight + 1)})
     out = {}
-    for w, vec in coefficients(op).items():
+    for w, vec in coefficients(ctx, op).items():
         if w > max_weight:
             continue
         M = m_to_e_matrix(w)
@@ -374,7 +470,7 @@ def apply_operation(ctx, op, x):
         return MUClass.zero(max(target, 0))
     co = coaction(ctx, x)
     out = {}
-    for vec in coefficients(op).values():
+    for vec in coefficients(ctx, op).values():
         for omega, coeff in vec.items():
             if omega in co:
                 out = bpoly.add(out, bpoly.mul(coeff, co[omega]))

@@ -3,7 +3,7 @@ from itertools import permutations
 from gradedpoly import GradedPoly
 from oracles import (c1_determinant_class, chi_series, formal_group,
                      formal_inverse, formal_sum)
-from slcob import bpoly
+from slcob import bpoly, mu
 from slcob.fgl import FGLContext
 
 
@@ -21,6 +21,20 @@ def test_log_coefficients():
     ctx = FGLContext(6)
     assert ctx.log_coefficient(1) == {(1,): -1}
     assert ctx.log_coefficient(2) == {(1, 1): 2, (2,): -1}
+
+
+def test_log_powers_are_lazy_and_shared():
+    """The powers of log are built on first use, once per context, and the
+    Milnor classes read that one copy."""
+    ctx = FGLContext(6)
+    assert "log_powers" not in vars(ctx)
+    powers = ctx.log_powers
+    assert powers[0] == [bpoly.ONE] + [{}] * ctx.top
+    assert powers[1] == ctx.log_series
+    for k in range(2, ctx.top + 1):
+        assert powers[k] == bpoly.ser_mul(powers[k - 1], ctx.log_series, ctx.top)
+    mu.milnor_hypersurface_class(ctx, 2, 3)
+    assert ctx.log_powers is powers
 
 
 def test_formal_group_unit_and_commutativity():

@@ -9,6 +9,7 @@ from slcob import mu
 from slcob.fgl import FGLContext
 from slcob.operations import (CohOperation, apply_operation, boundary_partial,
                               delta_op, landweber_novikov)
+from slcob.partitions import partitions_of
 
 
 def mon(*pairs):
@@ -17,13 +18,13 @@ def mon(*pairs):
 
 def test_landweber_novikov_classes(ctx):
     s1 = landweber_novikov((1,))
-    cls = char_class(s1, 3, 6)
+    cls = char_class(ctx, s1, 3, 6)
     assert cls.coeffs == {mon(("c1", 1)): 1}
     s11 = landweber_novikov((1, 1))
-    assert char_class(s11, 3, 6).coeffs == {mon(("c2", 1)): 1}
+    assert char_class(ctx, s11, 3, 6).coeffs == {mon(("c2", 1)): 1}
     s2 = landweber_novikov((2,))
     # Newton: m_(2) = c1^2 - 2 c2
-    assert char_class(s2, 3, 6).coeffs == {mon(("c1", 2)): 1, mon(("c2", 1)): -2}
+    assert char_class(ctx, s2, 3, 6).coeffs == {mon(("c1", 2)): 1, mon(("c2", 1)): -2}
 
 
 def test_identity_operation(ctx, basis):
@@ -86,8 +87,9 @@ def test_operations_preserve_lattice(ctx, basis):
 
 def test_char_class_stability(ctx):
     for op in (boundary_partial(ctx), delta_op(ctx), landweber_novikov((2, 1))):
-        big = char_class(op, 4, 5)
-        small = char_class(op, 3, 5)
+        big = char_class(ctx, op, 4, 5)
+        small = char_class(ctx, op, 3, 5)
+        assert small.coeffs
         restricted = {m: c for m, c in big.coeffs.items()
                       if not any(g == "c4" for g, _ in m)}
         assert restricted == small.coeffs
@@ -96,7 +98,8 @@ def test_char_class_stability(ctx):
 def test_boundary_class_weights(ctx):
     """The class of the boundary operation is homogeneous of shift 1:
     Chern weight minus coefficient weight is 1 in every term."""
-    cls = char_class(boundary_partial(ctx), 3, 5)
+    cls = char_class(ctx, boundary_partial(ctx), 3, 5)
+    assert cls.coeffs
     for m, _ in cls.coeffs.items():
         cw = sum(int(g[1:]) * e for g, e in m if g.startswith("c"))
         bw = sum(int(g[1:]) * e for g, e in m if g.startswith("b"))
@@ -104,14 +107,27 @@ def test_boundary_class_weights(ctx):
 
 
 def test_boundary_class_matches_determinant_class(ctx):
-    """The abstract power-sum pipeline agrees with the explicit
-    determinant class computed through symmetric rewriting."""
+    """The power series in L of the boundary operation, expanded into
+    m-coefficients, agrees with the explicit determinant class computed
+    through symmetric rewriting."""
     explicit = c1_determinant_class(ctx, 3, dual=True)
-    pipeline = char_class(boundary_partial(ctx), 3, ctx.bound)
+    pipeline = char_class(ctx, boundary_partial(ctx), 3, ctx.bound)
+    assert pipeline.coeffs
     explicit_low = {m: c for m, c in explicit.coeffs.items()}
     pipeline_low = {m: c for m, c in pipeline.coeffs.items()
                     if explicit.mon_weight(m) <= explicit.bound}
     assert pipeline_low == explicit_low
+
+
+def test_log_series_classes_match_determinant_pipeline(ctx):
+    """The coefficients g_k of the boundary and Wall-kernel classes, expanded
+    through power sums, give the m-classes of the determinant classes
+    exp(-L) and exp(L) exp(-L) built power by power."""
+    for op, expected in ((boundary_partial(ctx), oracles.boundary_class_m(ctx)),
+                         (delta_op(ctx), oracles.delta_class_m(ctx))):
+        got = oracles.coefficients(ctx, op)
+        assert got and expected
+        assert got == expected
 
 
 def test_coaction_counit(ctx):
@@ -154,7 +170,24 @@ def test_columns_match_per_class_oracle(data):
     x = mu.MUClass.zero(n)
     for c, cls in zip(coeffs, classes):
         x = x + cls.scale(c)
+    assert oracles.coefficients(ctx, op)
     assert apply_operation(ctx, op, x) == oracles.apply_operation(ctx, op, x)
+
+
+def test_log_series_columns_match_oracle_on_every_monomial():
+    """Every b-monomial of degree <= 8: the boundary and Wall-kernel columns
+    from the table of L-powers equal the pairing of the m-class against
+    the whole coaction."""
+    ctx, _ = small_fixtures()
+    for op in (boundary_partial(ctx), delta_op(ctx)):
+        nonzero = 0
+        for n in range(ctx.bound + 1):
+            for part in partitions_of(n):
+                x = mu.MUClass.from_dict(n, {part: 1})
+                got = apply_operation(ctx, op, x)
+                assert got == oracles.apply_operation(ctx, op, x)
+                nonzero += not got.is_zero()
+        assert nonzero > 0
 
 
 def test_columns_match_oracle_on_zero_and_negative_target():

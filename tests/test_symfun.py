@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import e_monomial_in_p, gauss_jordan_inverse, newton_e_to_m_matrix
+from oracles import (e_monomial_in_p, gauss_jordan_inverse, newton_e_to_m_matrix,
+                     p_vec_to_m_vec)
 from slcob import symfun
 from slcob.partitions import partitions_of
 from slcob.symfun import (BasisConstructionError, distribute_count,
-                          e_to_m_matrix, m_monomial_in_e, m_to_e_matrix,
-                          p_vec_to_m_vec)
+                          e_to_m_matrix, m_monomial_in_e, m_to_e_matrix)
 
 
 def expand_in_variables(term, k):
