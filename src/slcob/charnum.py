@@ -1,12 +1,12 @@
 """Chern characteristic numbers of explicit varieties.
 
-The tangent Chern numbers of hypersurfaces of degree d in projective
-n-space (total tangent class (1+h)^(n+1)/(1+dh), integration = d times
-the coefficient of h^(n-1)) and of products of projective spaces come from
-the one routine `mu.tangent_numbers`.  The Calabi-Yau certificate is
-symbolic: the degree-1 part of the tangent class vanishes identically in
-the ambient model (a necessary condition for an actual trivialization of
-the determinant; the honest limit of what coefficients can certify).
+A smooth hypersurface of degree d in projective N-space takes its class
+from the formal group law (`mu.hypersurface_class`) and its tangent Chern
+numbers from that class (`mu.hurewicz_to_chern_numbers`).  The
+Calabi-Yau certificate is symbolic: the tangent class is
+(1+h)^(N+1)/(1+dh), so c1 = (N+1-d)h vanishes in the ambient model exactly
+when d = N+1 (a necessary condition for an actual trivialization of the
+determinant; the honest limit of what coefficients can certify).
 
 The generator verdict for the plus part: a class of degree n >= 2 in the
 cycle lattice generates a polynomial slot away from 2 exactly when its
@@ -17,7 +17,6 @@ otherwise.
 from dataclasses import dataclass
 
 from . import mu
-from .partitions import partitions_of
 
 
 @dataclass(frozen=True)
@@ -44,60 +43,18 @@ class VarietyClass:
         }
 
 
-def hypersurface_class(ambient_n, degree):
+def hypersurface_class(ctx, ambient_n, degree):
     """A smooth hypersurface of the given degree in projective
     ambient_n-space (dimension ambient_n - 1)."""
-    if ambient_n < 1 or degree < 1:
-        raise ValueError("a hypersurface needs an ambient dimension and a "
-                         "degree of at least 1 (got P^%d, degree %d)"
-                         % (ambient_n, degree))
+    cls = mu.hypersurface_class(ctx, ambient_n, degree)
     n = ambient_n - 1
-    numbers, total = mu.tangent_numbers((ambient_n,), (degree,))
     return VarietyClass(
         description="hypersurface of degree %d in P^%d" % (degree, ambient_n),
         dimension=n,
-        tangent_numbers=tuple(sorted(numbers.items())),
-        mu_class=mu.chern_numbers_to_hurewicz(numbers, n),
-        calabi_yau=n >= 1 and not total[1],  # c1 vanishes symbolically
+        tangent_numbers=tuple(sorted(mu.hurewicz_to_chern_numbers(cls).items())),
+        mu_class=cls,
+        calabi_yau=n >= 1 and degree == ambient_n + 1,  # c1 = (n + 2 - d) h
     )
-
-
-def product_projective_class(dims):
-    """A product of projective spaces."""
-    dims = tuple(dims)
-    if any(d < 0 for d in dims):
-        raise ValueError("projective spaces need dimensions of at least 0 "
-                         "(got %s)" % (dims,))
-    numbers, _ = mu.tangent_numbers(dims)
-    n = sum(dims)
-    # c1 of a product of projective spaces never vanishes
-    return VarietyClass(
-        description="product of projective spaces %s" % (dims,),
-        dimension=n,
-        tangent_numbers=tuple(sorted(numbers.items())),
-        mu_class=mu.chern_numbers_to_hurewicz(numbers, n),
-        calabi_yau=False,
-    )
-
-
-def chern_number(x, omega):
-    """The Chern number of the stable normal bundle (the negative of the
-    tangent bundle) of a coefficient-ring class."""
-    omega = tuple(sorted(omega, reverse=True))
-    if sum(omega) != x.degree:
-        raise ValueError("partition weight %d does not match degree %d"
-                         % (sum(omega), x.degree))
-    n = x.degree
-    if n == 0:
-        return x.coefficient(())
-    from .symfun import e_to_m_matrix
-    E = e_to_m_matrix(n)
-    total = 0
-    for nu in partitions_of(n):
-        c = E.get((omega, nu), 0)
-        if c:
-            total += c * x.coefficient(nu)
-    return total
 
 
 class NotACycle(ValueError):

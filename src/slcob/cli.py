@@ -160,7 +160,7 @@ def build_class(factors, ctx, basis):
         if kind == "cp":
             cls = cls * mu.cpn_class(ctx, a[0])
         elif kind == "hyp":
-            cls = cls * charnum.hypersurface_class(*a).mu_class
+            cls = cls * mu.hypersurface_class(ctx, *a)
         elif kind == "h":
             cls = cls * mu.milnor_hypersurface_class(ctx, *a)
         else:
@@ -321,10 +321,10 @@ def cmd_charnum(args):
     trunc, _, _, fmt = effective_settings(args, csv_form=False)
     if args.ambient - 1 > trunc:
         raise ValueError("dimension exceeds truncation")
-    v = charnum.hypersurface_class(args.ambient, args.degree)
+    ctx, _, cf = fixtures(trunc)
+    v = charnum.hypersurface_class(ctx, args.ambient, args.degree)
     data = v.to_json()
     if v.dimension >= 2:
-        _, _, cf = fixtures(trunc)
         try:
             data["generator_verdict"] = charnum.generator_check_msu(v.mu_class, cf)
         except charnum.NotACycle:

@@ -10,11 +10,13 @@ prime p, and s_n = 1 otherwise.  Monomials in the chosen generators give
 an integral basis of every degree; a generator is selected the first
 time its degree is asked for.
 
-The catalog comes from the formal group law: [CP^n] is (n+1) times the
-n-th log coefficient, and the Milnor hypersurfaces follow from Buchstaber's
-formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j, C(u) = sum [CP^i] u^i
-(Buchstaber-Panov, Toric Topology, 2015, 9.1).  The tangent-number
-dictionary below serves `charnum` and the reports.
+Every geometric class comes from the formal group law: [CP^n] is (n+1)
+times the n-th log coefficient, the Milnor hypersurfaces follow from
+Buchstaber's formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j,
+C(u) = sum [CP^i] u^i (Buchstaber-Panov, Toric Topology, 2015, 9.1), and
+a hypersurface of degree d in P^n from Quillen's Gysin formula.  The one
+map from classes to numbers is `hurewicz_to_chern_numbers`, which serves
+`charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
 vector, and the lattice computations stay in those coordinates: an
@@ -27,7 +29,6 @@ the reciprocal-class matrix is computed in bpoly.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb
 
 from . import bpoly
@@ -35,10 +36,13 @@ from .abelian import _factorint
 from .fgl import _memoized
 from .intmat import HNFSolver, IntMatrix
 from .partitions import partitions_of
-from .symfun import BasisConstructionError, m_monomial_in_e
 
 
 class NotInLattice(ValueError):
+    pass
+
+
+class BasisConstructionError(RuntimeError):
     pass
 
 
@@ -152,28 +156,10 @@ def _apply_matrix(mat, vec, n):
     return out
 
 
-def chern_numbers_to_hurewicz(numbers, n):
-    """Tangent Chern numbers c_omega(T)[X] -> Hurewicz image (normal
-    monomial-symmetric numbers)."""
-    if n == 0:
-        return MUClass.from_dict(0, {(): numbers.get((), 0)})
-    for omega in partitions_of(n):
-        if omega not in numbers:
-            raise KeyError("missing Chern number for partition %s" % (omega,))
-    normal_c = _apply_matrix(reciprocal_class_matrix(n), numbers, n)
-    out = {}
-    for omega in partitions_of(n):
-        s = 0
-        for mu, c in m_monomial_in_e(omega).items():
-            s += c * normal_c.get(mu, 0)
-        if s:
-            out[omega] = s
-    return MUClass.from_dict(n, out)
-
-
 def hurewicz_to_chern_numbers(x):
-    """Inverse of chern_numbers_to_hurewicz: tangent Chern numbers of a
-    class from its Hurewicz coordinates."""
+    """Tangent Chern numbers c_omega(T)[X] of a class from its Hurewicz
+    coordinates: the normal Chern numbers are E times the monomial numbers,
+    and the reciprocal-class matrix turns them into tangent ones."""
     n = x.degree
     if n == 0:
         return {(): x.coefficient(())}
@@ -216,6 +202,27 @@ def milnor_hypersurface_class(ctx, i, j):
     return _milnor_table(ctx)[(i, j)]
 
 
+def hypersurface_class(ctx, n, d):
+    """A smooth hypersurface of degree d in P^n, of dimension n - 1.
+
+    The divisor of a section of O(d) has Gysin class
+    [d]_F(u) = exp(d log u), and u^k pushes forward to [CP^(n-k)], so the
+    class is sum_{k=1..n} [u^k] exp(d log u) [CP^(n-k)] (Quillen,
+    Elementary proofs of some results of cobordism theory using Steenrod
+    operations, 1971)."""
+    if n < 1 or d < 1:
+        raise ValueError("a hypersurface needs an ambient dimension and a "
+                         "degree of at least 1 (got P^%d, degree %d)" % (n, d))
+    if n - 1 > ctx.bound:
+        raise ValueError("degree %d exceeds truncation %d" % (n - 1, ctx.bound))
+    dlog = [bpoly.scale(c, d) for c in ctx.log_series[: n + 1]]
+    series = bpoly.ser_compose(ctx.exp_series[: n + 1], dlog, n)
+    out = {}
+    for k in range(1, n + 1):
+        bpoly.mul_into(out, series[k], cpn_class(ctx, n - k).coeffs())
+    return MUClass.from_dict(n - 1, out)
+
+
 @_memoized
 def _milnor_table(ctx):
     """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, from
@@ -248,73 +255,6 @@ def _milnor_table(ctx):
         for k in range(max(i - j, 0), top + 1 - i - j if i else 0):
             bpoly.mul_into(H.setdefault((i, j + k), {}), g, C[k])
     return {(i, j): MUClass.from_dict(i + j - 1, h) for (i, j), h in H.items()}
-
-
-@lru_cache(maxsize=None)
-def tangent_numbers(dims, divisor=None):
-    """Tangent Chern numbers and total tangent class of the product X of
-    projective spaces P^dims[0] x P^dims[1] x ..., or, given `divisor`,
-    of a smooth divisor of that multidegree in X.
-
-    The cohomology of X is Z[x_1, x_2, ...]/(x_k^(dims[k]+1)) and its total
-    tangent class is prod (1 + x_k)^(dims[k]+1); a divisor D divides it by
-    1 + [D] with [D] = sum divisor[k] x_k (adjunction).  A Chern number
-    c_omega is the coefficient of the top monomial in c_omega, times [D]
-    for a divisor (Stong, Notes on Cobordism Theory, 1968, for the Milnor
-    hypersurfaces).
-
-    A monomial x^e is the integer sum e_k R^k with R = sum(dims) + 1:
-    exponents of total degree below R multiply by adding their integers
-    without carries, and a product survives the relations exactly when its
-    integer is one of the in-range monomials.
-
-    Returns (numbers, total): numbers is {partition of d: int} for the
-    dimension d of the variety, and total[w] is the degree-w part of its
-    total tangent class, {monomial integer: int}, for w = 0..d."""
-    radix = sum(dims) + 1
-    place = [radix ** k for k in range(len(dims))]
-    d = sum(dims) - (1 if divisor else 0)
-    total = [{} for _ in range(d + 1)]
-    for e in product(*(range(m + 1) for m in dims)):
-        if sum(e) <= d:
-            c = 1
-            for m, a in zip(dims, e):
-                c *= comb(m + 1, a)
-            total[sum(e)][sum(a * p for a, p in zip(e, place))] = c
-    in_range = set().union(*total)
-
-    def mul(u, v):
-        out = {}
-        for k1, c1 in u.items():
-            for k2, c2 in v.items():
-                k = k1 + k2
-                if k in in_range:
-                    out[k] = out.get(k, 0) + c1 * c2
-        return out
-
-    top = sum(m * p for m, p in zip(dims, place))
-    if divisor:
-        cls = {p: a for p, a in zip(place, divisor) if a}
-        for w in range(1, d + 1):  # total_w -= [D] * total_{w-1}
-            for k, c in mul(cls, total[w - 1]).items():
-                total[w][k] -= c
-            total[w] = {k: c for k, c in total[w].items() if c}
-        # the coefficient of x^top in c_omega [D] is read off x^top / x_k
-        dual = {top - p: a for p, a, m in zip(place, divisor, dims) if a and m}
-    else:
-        dual = {top: 1}
-    chern = {(): {0: 1}}  # c_omega, built on the tails of the partitions
-
-    def chern_monomial(omega):
-        if omega not in chern:
-            chern[omega] = mul(total[omega[0]], chern_monomial(omega[1:]))
-        return chern[omega]
-
-    numbers = {}
-    for omega in partitions_of(d):
-        c_omega = chern_monomial(omega)
-        numbers[omega] = sum(a * c_omega.get(k, 0) for k, a in dual.items())
-    return numbers, total
 
 
 def degree_catalog(ctx, n):

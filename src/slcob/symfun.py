@@ -2,18 +2,15 @@
 
 Bases indexed by partitions of w in the global reverse-lexicographic order:
   m (monomial), e (elementary, = Chern monomials), p (power sums).
-Everything a characteristic class needs reduces to integer counting:
+Both transitions kept here are integer counts:
 
   * p_lambda expanded in the m basis has the coefficients "number of ways
     to distribute the parts of lambda onto the parts of mu", built one
     part at a time by the Pieri rule for p_k m_mu;
   * e_mu expanded in the m basis has the coefficients "number of 0/1
-    matrices with row sums mu and column sums nu";
-  * e_mu = m_mu' + (m_nu with nu below the conjugate mu' in dominance
-    order) (Macdonald, Symmetric Functions and Hall Polynomials, I.2 and
-    I.6).  Dominance refines the reverse-lexicographic order, so with its
-    rows re-indexed by mu' the e-to-m matrix is upper unitriangular, and
-    its inverse, the m-to-e matrix, follows by integer back-substitution.
+    matrices with row sums mu and column sums nu" (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.6); `mu.hurewicz_to_chern_numbers`
+    pairs it with the monomial numbers of a class.
 
 Vectors over a weight are dicts {partition: coefficient}; matrices are
 dicts {(row_partition, col_partition): coefficient}.
@@ -23,10 +20,6 @@ from functools import lru_cache
 from math import comb
 
 from .partitions import partitions_of
-
-
-class BasisConstructionError(RuntimeError):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +46,11 @@ def _p_in_m(lam):
 def distribute_count(lam, mu):
     """Coefficient of the monomial x^mu in p_lam = prod_i (sum_j x_j^{lam_i}):
     the number of maps from the parts of lam onto the slots of mu filling
-    each slot exactly."""
+    each slot exactly.  p_1^2 = m_2 + 2 m_11:
+
+    >>> distribute_count((1, 1), (2,)), distribute_count((1, 1), (1, 1))
+    (1, 2)
+    """
     slots = tuple(sorted((s for s in mu if s), reverse=True))
     return _p_in_m(tuple(lam)).get(slots, 0)
 
@@ -97,16 +94,6 @@ def _zero_one_count(rows, cols, memo):
     return total
 
 
-def _conjugate(mu):
-    """The conjugate partition: mu'_j = number of parts of mu that are > j.
-
-    >>> _conjugate((3, 1))
-    (2, 1, 1)
-    """
-    return tuple(sum(1 for part in mu if part > j)
-                 for j in range(mu[0] if mu else 0))
-
-
 @lru_cache(maxsize=None)
 def e_to_m_matrix(w):
     """Matrix E with E[mu][nu] = coefficient of m_nu in e_mu: the number of
@@ -120,39 +107,3 @@ def e_to_m_matrix(w):
             if c:
                 mat[(mu, nu)] = c
     return mat
-
-
-@lru_cache(maxsize=None)
-def m_to_e_matrix(w):
-    """Inverse of e_to_m_matrix over Z, by back-substitution in the
-    triangular order: m_nu = e_nu' - sum over nu2 after nu of
-    E[nu'][nu2] m_nu2.  Raises BasisConstructionError if E is not
-    unitriangular in that order."""
-    parts = partitions_of(w)
-    index = {p: i for i, p in enumerate(parts)}
-    E = e_to_m_matrix(w)
-    rows = [dict() for _ in parts]  # rows[index of nu'][nu] = E[(nu', nu)]
-    for (mu, nu), c in E.items():
-        rows[index[_conjugate(mu)]][nu] = c
-    in_e = {}  # nu -> {mu: coefficient of e_mu in m_nu}
-    for i in range(len(parts) - 1, -1, -1):
-        nu = parts[i]
-        row = rows[i]
-        if row.get(nu) != 1 or any(index[nu2] < i for nu2 in row):
-            raise BasisConstructionError(
-                "e-to-m matrix at weight %d is not unitriangular at %s"
-                % (w, nu))
-        vec = {_conjugate(nu): 1}
-        for nu2, c in row.items():
-            if nu2 != nu:
-                for mu, d in in_e[nu2].items():
-                    vec[mu] = vec.get(mu, 0) - c * d
-        in_e[nu] = {mu: c for mu, c in vec.items() if c}
-    return {(nu, mu): c for nu in parts for mu, c in in_e[nu].items()}
-
-
-def m_monomial_in_e(omega):
-    """m_omega as an integer combination of Chern monomials e_mu."""
-    w = sum(omega)
-    M = m_to_e_matrix(w)
-    return {mu: M[(omega, mu)] for mu in partitions_of(w) if (omega, mu) in M}

@@ -202,7 +202,7 @@ def run_suite(name, ctx=None, cf=None, kind=None, q=None, max_degree=12):
     if name == "leibniz":
         return suite_leibniz(ctx, cf, max_degree)
     if name == "cf-pattern":
-        return suite_cf_pattern(cf, min(max_degree - 1, 11))
+        return suite_cf_pattern(cf, max_degree - 1)
     if name == "subring":
         return suite_subring(ctx, cf, max_degree)
     if name == "table":
@@ -222,7 +222,7 @@ def run_suite(name, ctx=None, cf=None, kind=None, q=None, max_degree=12):
         out += [("leibniz: %s" % n, ok, d)
                 for n, ok, d in suite_leibniz(ctx, cf, max_degree)]
         out += [("cf: %s" % n, ok, d)
-                for n, ok, d in suite_cf_pattern(cf, min(max_degree - 1, 11))]
+                for n, ok, d in suite_cf_pattern(cf, max_degree - 1)]
         out += [("subring: %s" % n, ok, d)
                 for n, ok, d in suite_subring(ctx, cf, max_degree)]
         for k in kinds:

@@ -1,23 +1,25 @@
 """Independent oracles for the integer pipeline of the package.
 
 The library computes its transition matrices, lattice coordinates,
-operation classes and tangent numbers with integer counting, bpoly
-arithmetic, back-substitution and column Hermite forms.  These helpers
+operation classes and geometric classes with integer counting, bpoly
+arithmetic, the formal group law and column Hermite forms.  These helpers
 recompute the same objects the slow, obviously-correct way, over the
-rationals: Newton's
-identity for e in terms of p, distribution counts part by part for p in
-terms of m, dense Gauss-Jordan inversion, the binomial
-closed form for projective spaces, and, with the GradedPoly engine of
-`gradedpoly.py`, the formal group law, its inverse, the determinant classes
-written in Chern variables and the reciprocal Chern class.  An operation
-is applied by its definition, pairing the m-coefficients of its class
-against the coaction of the whole class, where the package multiplies
-cached columns; a class the package keeps as a power series in the sum L
-of the logs of the Chern roots is expanded into m-coefficients through
-power sums, and the determinant classes are built the same way from the
-exponential series, to pin those power series.  A Milnor
-hypersurface comes from its tangent Chern numbers, where the package
-reads it off the formal group law by Buchstaber's formula.  The integer
+rationals: Newton's identity for e in terms of p, distribution counts part
+by part for p in terms of m, dense Gauss-Jordan inversion (of the e-to-m
+matrix, and of the map from monomial numbers to tangent Chern numbers),
+the binomial closed form for projective spaces, and, with the GradedPoly
+engine of `gradedpoly.py`, the formal group law, its inverse, the
+determinant classes written in Chern variables and the reciprocal Chern
+class.  An operation is applied by its definition, pairing the
+m-coefficients of its class against the coaction of the whole class, where
+the package multiplies cached columns; a class the package keeps as a
+power series in the sum L of the logs of the Chern roots is expanded into
+m-coefficients through power sums, and the determinant classes are built
+the same way from the exponential series, to pin those power series.
+Milnor hypersurfaces and hypersurfaces of degree d in P^n come from their
+tangent Chern numbers, computed in the cohomology of the ambient product
+of projective spaces by adjunction, where the package reads them off the
+formal group law (Buchstaber's and Quillen's formulas).  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
 same canonical form.  Two lattices are compared by their reduced column
@@ -33,10 +35,9 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
-from slcob.mu import (MUClass, chern_numbers_to_hurewicz, degree_catalog,
-                      tangent_numbers)
+from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
 from slcob.partitions import merge, partitions_of
-from slcob.symfun import _p_in_m, m_to_e_matrix
+from slcob.symfun import _p_in_m, e_to_m_matrix
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +106,7 @@ def p_vec_to_m_vec(vec, combine=None):
     return {k: v for k, v in out.items() if v}
 
 
+@lru_cache(maxsize=None)
 def newton_e_to_m_matrix(w):
     """E[(mu, nu)] = coefficient of m_nu in e_mu, through the p basis."""
     mat = {}
@@ -130,6 +132,32 @@ def gauss_jordan_inverse(rows):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+@lru_cache(maxsize=None)
+def m_to_e_matrix(w):
+    """M[(nu, mu)] = coefficient of e_mu in m_nu: the inverse of the
+    e-to-m matrix, by Gauss-Jordan over Q."""
+    parts = partitions_of(w)
+    E = e_to_m_matrix(w)
+    inv = gauss_jordan_inverse([[E.get((mu, nu), 0) for mu in parts]
+                                for nu in parts])
+    assert all(c.denominator == 1 for row in inv for c in row)
+    return {(nu, mu): int(inv[i][j]) for i, mu in enumerate(parts)
+            for j, nu in enumerate(parts) if inv[i][j]}
+
+
+def chern_number(x, omega):
+    """The Chern number c_omega of the stable normal bundle (the negative
+    of the tangent bundle) of a class: its monomial numbers paired with
+    the row omega of the e-to-m matrix computed through power sums."""
+    omega = tuple(sorted(omega, reverse=True))
+    if sum(omega) != x.degree:
+        raise ValueError("partition weight %d does not match degree %d"
+                         % (sum(omega), x.degree))
+    E = newton_e_to_m_matrix(x.degree)
+    return sum(c * x.coefficient(nu) for (mu, nu), c in E.items()
+               if mu == omega)
 
 
 def graded_reciprocal_class_matrix(n):
@@ -211,12 +239,110 @@ def cpn_tangent_numbers(n):
     return out
 
 
+@lru_cache(maxsize=None)
+def _tangent_to_hurewicz(n):
+    """The inverse of R E over Q, as rows: the tangent numbers are R E
+    times the monomial numbers, R the reciprocal-class matrix."""
+    parts = partitions_of(n)
+    R, E = reciprocal_class_matrix(n), e_to_m_matrix(n)
+    return gauss_jordan_inverse(
+        [[sum(R.get((omega, mu), 0) * E.get((mu, nu), 0) for mu in parts)
+          for nu in parts] for omega in parts])
+
+
+def chern_numbers_to_hurewicz(numbers, n):
+    """The class with the given tangent Chern numbers {partition of n:
+    int}; KeyError if one is missing."""
+    parts = partitions_of(n)
+    vec = [numbers[omega] for omega in parts]
+    out = {}
+    for nu, row in zip(parts, _tangent_to_hurewicz(n)):
+        c = sum(r * v for r, v in zip(row, vec))
+        assert c.denominator == 1
+        out[nu] = int(c)
+    return MUClass.from_dict(n, out)
+
+
+@lru_cache(maxsize=None)
+def tangent_numbers(dims, divisor=None):
+    """Tangent Chern numbers and total tangent class of the product X of
+    projective spaces P^dims[0] x P^dims[1] x ..., or, given `divisor`,
+    of a smooth divisor of that multidegree in X.
+
+    The cohomology of X is Z[x_1, x_2, ...]/(x_k^(dims[k]+1)) and its total
+    tangent class is prod (1 + x_k)^(dims[k]+1); a divisor D divides it by
+    1 + [D] with [D] = sum divisor[k] x_k (adjunction).  A Chern number
+    c_omega is the coefficient of the top monomial in c_omega, times [D]
+    for a divisor (Stong, Notes on Cobordism Theory, 1968, for the Milnor
+    hypersurfaces).
+
+    A monomial x^e is the integer sum e_k R^k with R = sum(dims) + 1:
+    exponents of total degree below R multiply by adding their integers
+    without carries, and a product survives the relations exactly when its
+    integer is one of the in-range monomials.
+
+    Returns (numbers, total): numbers is {partition of d: int} for the
+    dimension d of the variety, and total[w] is the degree-w part of its
+    total tangent class, {monomial integer: int}, for w = 0..d."""
+    radix = sum(dims) + 1
+    place = [radix ** k for k in range(len(dims))]
+    d = sum(dims) - (1 if divisor else 0)
+    total = [{} for _ in range(d + 1)]
+    for e in product(*(range(m + 1) for m in dims)):
+        if sum(e) <= d:
+            c = 1
+            for m, a in zip(dims, e):
+                c *= comb(m + 1, a)
+            total[sum(e)][sum(a * p for a, p in zip(e, place))] = c
+    in_range = set().union(*total)
+
+    def mul(u, v):
+        out = {}
+        for k1, c1 in u.items():
+            for k2, c2 in v.items():
+                k = k1 + k2
+                if k in in_range:
+                    out[k] = out.get(k, 0) + c1 * c2
+        return out
+
+    top = sum(m * p for m, p in zip(dims, place))
+    if divisor:
+        cls = {p: a for p, a in zip(place, divisor) if a}
+        for w in range(1, d + 1):  # total_w -= [D] * total_{w-1}
+            for k, c in mul(cls, total[w - 1]).items():
+                total[w][k] -= c
+            total[w] = {k: c for k, c in total[w].items() if c}
+        # the coefficient of x^top in c_omega [D] is read off x^top / x_k
+        dual = {top - p: a for p, a, m in zip(place, divisor, dims) if a and m}
+    else:
+        dual = {top: 1}
+    chern = {(): {0: 1}}  # c_omega, built on the tails of the partitions
+
+    def chern_monomial(omega):
+        if omega not in chern:
+            chern[omega] = mul(total[omega[0]], chern_monomial(omega[1:]))
+        return chern[omega]
+
+    numbers = {}
+    for omega in partitions_of(d):
+        c_omega = chern_monomial(omega)
+        numbers[omega] = sum(a * c_omega.get(k, 0) for k, a in dual.items())
+    return numbers, total
+
+
 def milnor_hypersurface_class(ctx, i, j):
     """[H_{i,j}], the (1,1)-divisor in P^i x P^j, from its tangent Chern
-    numbers (Stong, Notes on Cobordism Theory, 1968)."""
+    numbers."""
     assert 1 <= i <= j and i + j - 1 <= ctx.bound
     return chern_numbers_to_hurewicz(tangent_numbers((i, j), (1, 1))[0],
                                      i + j - 1)
+
+
+def hypersurface_class(ambient_n, degree):
+    """A smooth hypersurface of the given degree in P^ambient_n, from its
+    tangent Chern numbers."""
+    return chern_numbers_to_hurewicz(
+        tangent_numbers((ambient_n,), (degree,))[0], ambient_n - 1)
 
 
 # -- the formal group law of a context, written out with GradedPoly ---------

@@ -137,7 +137,7 @@ def test_criterion_09_image_lattices_and_subring(ctx, cf):
 def test_criterion_10_quartic_surface(ctx, cf):
     """The quartic surface: c2-number 24, symbolic Calabi-Yau, lies in the
     degree-2 cycle lattice, passes the generator check with s = -3 * 2^4."""
-    q = charnum.hypersurface_class(3, 4)
+    q = charnum.hypersurface_class(ctx, 3, 4)
     assert q.tangent()[(2,)] == 24
     assert q.calabi_yau
     solver = HNFSolver(cf.cycles_in_lattice(2))

@@ -91,6 +91,29 @@ def test_charnum_hypersurface():
     assert data["generator_verdict"] is True
 
 
+def test_hypersurface_answers_match_benchmark_reference(monkeypatch):
+    """Every `charnum` command of the benchmark's CLI mix, and every
+    operation it applies to a `hyp` class, passes the benchmark's own gate
+    against its reference answers (perfbench/expected_cli.json)."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench"))
+    import workloads
+
+    expected = workloads.load_expected()
+    commands = [cmd for cmd in workloads.all_cli_commands()
+                if cmd.kind == "charnum" or "hyp" in cmd.key]
+    failures = []
+    for cmd in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(cmd.argv)
+        failures += workloads.gate_command(cmd, rc, out.getvalue(),
+                                           expected)[2]
+    assert len(commands) == 45
+    assert failures == []
+
+
 def test_verify_witt_suite():
     out = run_cli("verify", "--suite", "witt-oracle")
     assert out.returncode == 0

@@ -41,28 +41,30 @@ def test_s_number_vanishes_on_products(ctx, basis):
 
 def test_chern_transform_examples(ctx):
     # the point class
-    assert mu.chern_numbers_to_hurewicz({(): 1}, 0).coeffs() == {(): 1}
+    assert mu.hurewicz_to_chern_numbers(mu.MUClass.unit()) == {(): 1}
+    assert oracles.chern_numbers_to_hurewicz({(): 1}, 0).coeffs() == {(): 1}
     # [CP1]: tangent c1-number 2
-    out = mu.chern_numbers_to_hurewicz({(1,): 2}, 1)
+    assert mu.hurewicz_to_chern_numbers(mu.cpn_class(ctx, 1)) == {(1,): 2}
+    out = oracles.chern_numbers_to_hurewicz({(1,): 2}, 1)
     assert out == mu.cpn_class(ctx, 1)
     with pytest.raises(KeyError):
-        mu.chern_numbers_to_hurewicz({(2,): 3}, 2)  # missing (1,1)
+        oracles.chern_numbers_to_hurewicz({(2,): 3}, 2)  # missing (1,1)
 
 
 def test_chern_transform_round_trip(ctx, basis):
     for n in range(1, 7):
         for _, cls in basis.basis(n):
             numbers = mu.hurewicz_to_chern_numbers(cls)
-            back = mu.chern_numbers_to_hurewicz(numbers, n)
+            back = oracles.chern_numbers_to_hurewicz(numbers, n)
             assert back == cls
 
 
 def test_cpn_tangent_numbers_against_class(ctx):
     for n in range(1, 7):
-        cls = mu.chern_numbers_to_hurewicz(cpn_tangent_numbers(n), n)
-        assert cls == mu.cpn_class(ctx, n)
+        assert mu.hurewicz_to_chern_numbers(mu.cpn_class(ctx, n)) == \
+            cpn_tangent_numbers(n)
     for n in range(0, 13):
-        assert mu.tangent_numbers((n,))[0] == cpn_tangent_numbers(n)
+        assert oracles.tangent_numbers((n,))[0] == cpn_tangent_numbers(n)
 
 
 def test_milnor_h11_is_projective_line(ctx):
@@ -101,7 +103,7 @@ def test_milnor_h12_numbers_against_sympy_oracle(ctx):
         return p.coeff(x, 1).coeff(y, 2)
 
     oracle = {(2,): integrate(c2), (1, 1): integrate(c1 * c1)}
-    assert mu.tangent_numbers((1, 2), (1, 1))[0] == oracle
+    assert oracles.tangent_numbers((1, 2), (1, 1))[0] == oracle
 
 
 def test_milnor_table_against_tangent_oracle(ctx):
@@ -117,13 +119,29 @@ def test_milnor_table_against_tangent_oracle(ctx):
     assert count == 42
 
 
+def test_hypersurface_class_against_tangent_oracle(ctx):
+    """Quillen's formula gives every hypersurface of degree d <= 7 in P^n,
+    n <= 13, exactly as its tangent Chern numbers do."""
+    for n in range(1, 14):
+        for d in range(1, 8):
+            assert mu.hypersurface_class(ctx, n, d) == \
+                oracles.hypersurface_class(n, d), (n, d)
+
+
+def test_hypersurface_range_errors(ctx):
+    for n, d in ((0, 2), (3, 0), (ctx.bound + 2, 2)):
+        with pytest.raises(ValueError):
+            mu.hypersurface_class(ctx, n, d)
+    assert mu.hypersurface_class(ctx, ctx.bound + 1, 2).degree == ctx.bound
+
+
 def test_generators_avoid_symmetric_function_tables(monkeypatch):
     """The generator path uses the formal group law alone: neither the
-    m-to-e matrix nor the reciprocal Chern class is consulted."""
+    e-to-m matrix nor the reciprocal Chern class is consulted."""
     def refuse(*args):
         raise AssertionError("symmetric-function table on the generator path")
 
-    monkeypatch.setattr(symfun, "m_to_e_matrix", refuse)
+    monkeypatch.setattr(symfun, "e_to_m_matrix", refuse)
     monkeypatch.setattr(mu, "reciprocal_class_matrix", refuse)
     fresh = mu.MUBasis(FGLContext(12))
     for n in range(1, 13):

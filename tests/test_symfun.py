@@ -1,14 +1,9 @@
 from fractions import Fraction
 
-import pytest
-
 import oracles
-from oracles import (e_monomial_in_p, gauss_jordan_inverse, newton_e_to_m_matrix,
-                     p_vec_to_m_vec)
-from slcob import symfun
+from oracles import e_monomial_in_p, newton_e_to_m_matrix, p_vec_to_m_vec
 from slcob.partitions import partitions_of
-from slcob.symfun import (BasisConstructionError, distribute_count,
-                          e_to_m_matrix, m_monomial_in_e, m_to_e_matrix)
+from slcob.symfun import distribute_count, e_to_m_matrix
 
 
 def expand_in_variables(term, k):
@@ -57,43 +52,22 @@ def test_e_to_m_matches_newton():
 
 
 def test_m_to_e_inverse():
+    """The Gauss-Jordan inverse of the e-to-m matrix that the operation
+    oracles use to write classes in Chern variables."""
     for w in range(1, 13):
         E = e_to_m_matrix(w)
-        M = m_to_e_matrix(w)
+        M = oracles.m_to_e_matrix(w)
         parts = partitions_of(w)
         for a in parts:
             row = [(mu, c) for mu in parts for c in [M.get((a, mu), 0)] if c]
             for b in parts:
                 s = sum(c * E.get((mu, b), 0) for mu, c in row)
                 assert s == (1 if a == b else 0)
-
-
-def test_m_to_e_matches_gauss_jordan():
-    for w in range(1, 9):
-        parts = partitions_of(w)
-        E = e_to_m_matrix(w)
-        # rows indexed by nu (m-coordinates), columns by mu
-        inv = gauss_jordan_inverse(
-            [[E.get((mu, nu), 0) for mu in parts] for nu in parts])
-        M = m_to_e_matrix(w)
-        for i, mu in enumerate(parts):
-            for j, nu in enumerate(parts):
-                assert inv[i][j] == M.get((nu, mu), 0)
-
-
-def test_m_to_e_rejects_non_triangular_e(monkeypatch):
-    broken = dict(e_to_m_matrix(3))
-    broken[((3,), (3,))] = 1  # e_3 has no m_(3) term
-    monkeypatch.setattr(symfun, "e_to_m_matrix", lambda w: broken)
-    with pytest.raises(BasisConstructionError):
-        m_to_e_matrix.__wrapped__(3)
-
-
-def test_m_monomial_in_e_examples():
-    # m_(2) = e1^2 - 2 e2 (Newton)
-    assert m_monomial_in_e((2,)) == {(1, 1): 1, (2,): -2}
-    assert m_monomial_in_e((1, 1)) == {(2,): 1}
-    assert m_monomial_in_e((1,)) == {(1,): 1}
+    # m_(2) = e1^2 - 2 e2 (Newton), m_(1,1) = e2, m_(1) = e1
+    M = oracles.m_to_e_matrix(2)
+    assert {mu: M[((2,), mu)] for mu in ((1, 1), (2,))} == {(1, 1): 1, (2,): -2}
+    assert M[((1, 1), (2,))] == 1 and ((1, 1), (1, 1)) not in M
+    assert oracles.m_to_e_matrix(1) == {((1,), (1,)): 1}
 
 
 def test_p_vec_to_m_vec():
