@@ -63,7 +63,11 @@ def test_m_to_e_inverse():
             for b in parts:
                 s = sum(c * E.get((mu, b), 0) for mu, c in row)
                 assert s == (1 if a == b else 0)
-    # m_(2) = e1^2 - 2 e2 (Newton), m_(1,1) = e2, m_(1) = e1
+
+
+def test_m_monomial_in_e_examples():
+    """Rows of the m-to-e matrix: m_(2) = e1^2 - 2 e2 (Newton),
+    m_(1,1) = e2, m_(1) = e1."""
     M = oracles.m_to_e_matrix(2)
     assert {mu: M[((2,), mu)] for mu in ((1, 1), (2,))} == {(1, 1): 1, (2,): -2}
     assert M[((1, 1), (2,))] == 1 and ((1, 1), (1, 1)) not in M
