@@ -7,9 +7,8 @@ of normal forms is decidable.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
-from .intmat import smith_normal_form
+from .intmat import _divisor_chain, smith_normal_form
 
 
 def _factorint(n):
@@ -89,30 +88,11 @@ class FGAbGroup:
         FGAbGroup(free_rank=1, invariant_factors=(2, 12), inverted_primes=frozenset())
         """
         inverted = frozenset(int(p) for p in inverted_primes)
-        rank = 0
-        by_prime = {}
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-                continue
-            d = _strip_primes(d, inverted)
-            if d == 1:
-                continue
-            for p, e in _factorint(d).items():
-                by_prime.setdefault(p, []).append(e)
-        for p in by_prime:
-            by_prime[p].sort(reverse=True)
-        k = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for slot in range(k):  # slot 0 collects the largest powers
-            f = 1
-            for p, exps in by_prime.items():
-                if slot < len(exps):
-                    f *= p ** exps[slot]
-            factors.append(f)
-        factors.reverse()
-        return cls(rank, tuple(factors), inverted)
+        divisors = [abs(int(d)) for d in divisors]
+        chain = _divisor_chain([_strip_primes(d, inverted)
+                                for d in divisors if d])
+        return cls(divisors.count(0), tuple(f for f in chain if f > 1),
+                   inverted)
 
     @classmethod
     def trivial(cls, inverted_primes=()):
@@ -129,29 +109,26 @@ class FGAbGroup:
     def is_trivial(self):
         return self.free_rank == 0 and not self.invariant_factors
 
+    def _divisors(self):
+        """The orders of the cyclic summands, 0 for each Z."""
+        return [0] * self.free_rank + list(self.invariant_factors)
+
     def direct_sum(self, *others):
         groups = (self,) + others
-        inverted = frozenset().union(*(g.inverted_primes for g in groups))
-        divisors = []
-        rank = 0
-        for g in groups:
-            rank += g.free_rank
-            divisors.extend(g.invariant_factors)
-        out = FGAbGroup.from_divisors(divisors, inverted)
-        return FGAbGroup(rank + out.free_rank, out.invariant_factors, inverted)
+        return FGAbGroup.from_divisors(
+            [d for g in groups for d in g._divisors()],
+            frozenset().union(*(g.inverted_primes for g in groups)))
 
     def power(self, k):
         """Direct sum of k copies."""
         assert k >= 0
-        if k == 0:
-            return FGAbGroup.trivial(self.inverted_primes)
-        return reduce(lambda a, b: a.direct_sum(b), [self] * k)
+        return FGAbGroup.from_divisors(self._divisors() * k,
+                                       self.inverted_primes)
 
     def localize(self, primes):
         """Invert additional primes (strip their torsion)."""
-        inverted = self.inverted_primes | frozenset(primes)
         return FGAbGroup.from_divisors(
-            [0] * self.free_rank + list(self.invariant_factors), inverted)
+            self._divisors(), self.inverted_primes | frozenset(primes))
 
     def torsion_part(self):
         return FGAbGroup(0, self.invariant_factors, self.inverted_primes)
@@ -194,7 +171,7 @@ class FGAbGroup:
         return " + ".join(terms) if terms else "0"
 
 
-def cokernel(mat, inverted_primes=()):
-    """Normal form of Z^rows / column span of mat, localized at Z[1/e]."""
+def cokernel(mat):
+    """Normal form of Z^rows / column span of mat."""
     d = smith_normal_form(mat)
-    return FGAbGroup.from_divisors(d + [0] * (mat.rows - len(d)), inverted_primes)
+    return FGAbGroup.from_divisors(d + [0] * (mat.rows - len(d)))

@@ -7,6 +7,9 @@ values.  This bare representation is the hot path of the whole package
 and its only polynomial arithmetic.  Chern monomials c^omega are
 partitions too, and the reciprocal Chern class is computed here with c_i
 in the role of b_i.
+
+Products keep every term; the weight bound truncates series, at the
+power `top` of the series variable, and never their coefficients.
 """
 
 from .partitions import merge
@@ -31,18 +34,14 @@ def scale(a, c):
     return {k: c * v for k, v in a.items()}
 
 
-def mul(a, b, bound=None):
-    return mul_into({}, a, b, bound)
+def mul(a, b):
+    return mul_into({}, a, b)
 
 
-def mul_into(out, a, b, bound=None):
-    """out += a * b in place, dropping terms of weight above `bound`;
-    returns out."""
+def mul_into(out, a, b):
+    """out += a * b in place; returns out."""
     for k1, v1 in a.items():
-        w1 = sum(k1)
         for k2, v2 in b.items():
-            if bound is not None and w1 + sum(k2) > bound:
-                continue
             k = merge(k1, k2)
             s = out.get(k, 0) + v1 * v2
             if s:

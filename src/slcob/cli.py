@@ -14,12 +14,11 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import charnum, msl, mu
 from .conner_floyd import ConnerFloyd
-from .fgl import FGLContext
 from .kq import KQPresentation
-from .mu import MUBasis
 from .operations import (apply_operation, boundary_partial, delta_op,
                          landweber_novikov)
 from .partitions import partitions_of
@@ -68,15 +67,11 @@ def effective_settings(args, csv_form=True):
     return trunc, setting("field"), setting("q", None, int), fmt
 
 
-_FIXTURES = {}
-
-
+@lru_cache(maxsize=None)
 def fixtures(truncation):
-    if truncation not in _FIXTURES:
-        ctx = FGLContext(truncation)
-        basis = MUBasis(ctx)
-        _FIXTURES[truncation] = (ctx, basis, ConnerFloyd(ctx, basis))
-    return _FIXTURES[truncation]
+    """The chain at this truncation (it carries `ctx` and `basis`), built
+    once per process."""
+    return ConnerFloyd(truncation)
 
 
 def emit(data, fmt, csv_rows=None):
@@ -153,8 +148,9 @@ def check_class_range(factors, truncation):
                          % (degree, truncation))
 
 
-def build_class(factors, ctx, basis):
+def build_class(factors, cf):
     """The product of the classes named by parse_class_label's factors."""
+    ctx = cf.ctx
     cls = mu.MUClass.unit()
     for kind, a in factors:
         if kind == "cp":
@@ -164,11 +160,11 @@ def build_class(factors, ctx, basis):
         elif kind == "h":
             cls = cls * mu.milnor_hypersurface_class(ctx, *a)
         else:
-            cls = cls * basis.generators[a[0]]
+            cls = cls * cf.basis.generators[a[0]]
     return cls
 
 
-def class_report(cls, basis):
+def class_report(cls):
     coeffs = {"*".join("b%d" % i for i in p) or "1": c for p, c in cls.hb}
     out = {
         "degree": cls.degree,
@@ -215,27 +211,28 @@ def cmd_msl(args):
 
 def cmd_cf(args):
     trunc, _, _, fmt = effective_settings(args)
-    ctx, basis, cf = fixtures(trunc)
+    cf = fixtures(trunc)
     max_n = args.max_degree if args.max_degree is not None else trunc - 1
     if not 0 <= max_n <= trunc - 1:
         raise ValueError("--max-degree must be between 0 and %d (homology "
                          "needs degree + 1 within the truncation)" % (trunc - 1))
     if args.cf_cmd == "homology":
-        rows = []
-        for n in range(0, max_n + 1):
-            rows.append({
-                "n": n,
-                "rank_Z": cf.cycles_in_lattice(n).cols,
-                "rank_B": cf.boundaries_in_lattice(n).cols,
-                "H": cf.homology(n).to_json(),
-                "H_normal_form": str(cf.homology(n)),
-            })
-        csv_rows = [["n", "rank_Z", "rank_B", "H"]] + [
-            [r["n"], r["rank_Z"], r["rank_B"], r["H_normal_form"]] for r in rows]
-        emit(rows, fmt, csv_rows)
+        table = homology_table(cf, max_n)
+        rows = [{"n": n, "rank_Z": z, "rank_B": b,
+                 "H": cf.homology(n).to_json(), "H_normal_form": h}
+                for n, z, b, h in table[1:]]
+        emit(rows, fmt, table)
     else:  # dump
         return dump_cf(args.out, cf, max_n)
     return 0
+
+
+def homology_table(cf, max_n):
+    """The header row and the rows (n, rank_Z, rank_B, H) for degrees
+    0..max_n, H in normal form."""
+    return [["n", "rank_Z", "rank_B", "H"]] + [
+        [n, cf.cycles_in_lattice(n).cols, cf.boundaries_in_lattice(n).cols,
+         str(cf.homology(n))] for n in range(max_n + 1)]
 
 
 def dump_cf(outdir, cf, max_n):
@@ -248,12 +245,7 @@ def dump_cf(outdir, cf, max_n):
                 writer.writerow(row)
     path = os.path.join(outdir, "homology.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "rank_Z", "rank_B", "H"])
-        for n in range(0, max_n):
-            writer.writerow([n, cf.cycles_in_lattice(n).cols,
-                             cf.boundaries_in_lattice(n).cols,
-                             str(cf.homology(n))])
+        csv.writer(fh).writerows(homology_table(cf, max_n - 1))
     return 0
 
 
@@ -271,15 +263,15 @@ def cmd_op(args):
         raise ValueError("unknown operation %r" % name)
     factors = parse_class_label(args.cls)  # reject bad input before fixtures
     check_class_range(factors, trunc)
-    ctx, basis, _ = fixtures(trunc)
+    cf = fixtures(trunc)
     if name in ctx_ops:
-        op = ctx_ops[name](ctx)
-    cls = build_class(factors, ctx, basis)
-    result = apply_operation(ctx, op, cls)
+        op = ctx_ops[name](cf.ctx)
+    cls = build_class(factors, cf)
+    result = apply_operation(cf.ctx, op, cls)
     data = {
         "operation": name,
-        "input": class_report(cls, basis),
-        "result": class_report(result, basis),
+        "input": class_report(cls),
+        "result": class_report(result),
     }
     emit(data, fmt)
     return 0
@@ -321,8 +313,8 @@ def cmd_charnum(args):
     trunc, _, _, fmt = effective_settings(args, csv_form=False)
     if args.ambient - 1 > trunc:
         raise ValueError("dimension exceeds truncation")
-    ctx, _, cf = fixtures(trunc)
-    v = charnum.hypersurface_class(ctx, args.ambient, args.degree)
+    cf = fixtures(trunc)
+    v = charnum.hypersurface_class(cf.ctx, args.ambient, args.degree)
     data = v.to_json()
     if v.dimension >= 2:
         try:
@@ -355,7 +347,8 @@ def cmd_verify(args):
 
 def cmd_dump(args):
     trunc, _, _, _ = effective_settings(args)
-    ctx, basis, cf = fixtures(trunc)
+    cf = fixtures(trunc)
+    basis = cf.basis
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     # basis and tangent-number tables

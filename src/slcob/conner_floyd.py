@@ -24,8 +24,9 @@ integral solver per degree.
 """
 
 from .abelian import FGAbGroup, cokernel
-from .fgl import _memoized
+from .fgl import FGLContext, _memoized
 from .intmat import HNFSolver, IntMatrix, kernel_basis
+from .mu import MUBasis
 from .operations import apply_operation, boundary_partial, delta_op
 from .partitions import partition_count
 
@@ -48,10 +49,14 @@ def _solve_columns(solver, targets, message):
 
 
 class ConnerFloyd:
-    def __init__(self, ctx, basis):
-        self.ctx = ctx
-        self.basis = basis
-        self.max_n = basis.max_n
+    """The chain at truncation T.  It builds and owns its formal group law
+    context `ctx` and its lattice basis `basis`, so all three stop at the
+    same degree."""
+
+    def __init__(self, truncation):
+        self.ctx = FGLContext(truncation)
+        self.basis = MUBasis(self.ctx)
+        self.max_n = truncation
         self._memo = {}
 
     # -- full-lattice matrices -------------------------------------------

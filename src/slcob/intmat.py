@@ -13,7 +13,8 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
                        stacked over an identity, then forward
                        substitution per target;
   smith_normal_form    passes on the columns and on the transpose until
-                       diagonal, then (gcd, lcm) on diagonal pairs.
+                       diagonal, then (gcd, lcm) on diagonal pairs, the
+                       pass that `abelian` also normalizes groups with.
 """
 
 from dataclasses import dataclass
@@ -142,7 +143,13 @@ def smith_normal_form(mat):
         columns = [list(r) for r in zip(*columns)]
     else:
         raise RuntimeError("Smith normal form did not converge")
-    d = [c[k] for k, c in enumerate(columns)]
+    return _divisor_chain([c[k] for k, c in enumerate(columns)])
+
+
+def _divisor_chain(d):
+    """Replace pairs (a, b) of the positive integers d by (gcd, lcm) until
+    each entry divides the next, in place: the invariant factors of the
+    diagonal matrix with entries d, with units kept.  Returns d."""
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])

@@ -95,9 +95,7 @@ class KQPresentation:
         r = x.degree % 4
         if r == 0:
             return self.element(x.degree, w.gw_mul(g, x.coeff))
-        if r == 1:
-            return self.element(x.degree, w.gw_rank(g) * x.coeff)
-        if r == 2:
+        if r in (1, 2):
             return self.element(x.degree, w.gw_rank(g) * x.coeff)
         return self.zero(x.degree)
 
@@ -128,17 +126,17 @@ class KQPresentation:
         r = n % 4
         if r == 0:
             return self.element(n, (1, 0))
-        if r == 1:
-            return self.element(n, 1)
-        if r == 2:
+        if r in (1, 2):
             return self.element(n, 1)
         return None
 
     # -- verification ---------------------------------------------------------
 
-    def relation_check(self, max_degree=16):
-        """Check every defining relation and the degree table up to the
-        given degree.  Returns a list of (name, ok, detail) entries."""
+    def relation_check(self):
+        """Check every defining relation and the degree table up to degree
+        16, the largest truncation.  Returns a list of (name, ok, detail)
+        entries."""
+        max_degree = 16
         w = self.witt
         out = []
 

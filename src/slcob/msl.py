@@ -151,12 +151,12 @@ def away_from_two_expected(field, n):
 # -- the introduction table -------------------------------------------------
 
 
-def intro_table_rows(field, max_n=9):
-    """Rows n = 0..max_n with the symbolic decomposition (ideal summands
+def intro_table_rows(field):
+    """Rows n = 0..9 with the symbolic decomposition (ideal summands
     grouped with rank sections into GW-labels) and the instantiated
     normal form."""
     rows = []
-    for n in range(0, max_n + 1):
+    for n in range(0, 10):
         ans = msl_diagonal(field, n)
         rows.append({
             "n": n,

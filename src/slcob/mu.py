@@ -164,16 +164,7 @@ def hurewicz_to_chern_numbers(x):
     if n == 0:
         return {(): x.coefficient(())}
     from .symfun import e_to_m_matrix
-    E = e_to_m_matrix(n)
-    normal_c = {}
-    for mu in partitions_of(n):
-        s = 0
-        for nu in partitions_of(n):
-            c = E.get((mu, nu), 0)
-            if c:
-                s += c * x.coefficient(nu)
-        if s:
-            normal_c[mu] = s
+    normal_c = _apply_matrix(e_to_m_matrix(n), x.coeffs(), n)
     tangent = _apply_matrix(reciprocal_class_matrix(n), normal_c, n)
     return {omega: tangent.get(omega, 0) for omega in partitions_of(n)}
 
@@ -319,30 +310,28 @@ def select_generator(ctx, n):
 
 
 class _Generators(dict):
-    """{n: x_n} for 1 <= n <= max_n; x_n is selected on first lookup."""
+    """{n: x_n} for 1 <= n <= ctx.bound; x_n is selected on first lookup."""
 
-    def __init__(self, ctx, max_n):
+    def __init__(self, ctx):
         super().__init__()
-        self.ctx, self.max_n = ctx, max_n
+        self.ctx = ctx
 
     def __missing__(self, n):
-        if not 1 <= n <= self.max_n:
+        if not 1 <= n <= self.ctx.bound:
             raise KeyError(n)
         self[n] = select_generator(self.ctx, n)
         return self[n]
 
 
 class MUBasis:
-    """Monomial basis x^omega of every degree <= max_n, with coordinate
+    """Monomial basis x^omega of every degree <= ctx.bound, with coordinate
     matrices in the b-monomial coordinates and exact solving.  Generators,
     monomials, matrices and solvers are built per degree, when first
     asked for."""
 
-    def __init__(self, ctx, max_n=None):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.max_n = ctx.bound if max_n is None else max_n
-        assert self.max_n <= ctx.bound
-        self.generators = _Generators(ctx, self.max_n)
+        self.generators = _Generators(ctx)
         self._memo = {}
 
     @_memoized

@@ -115,14 +115,11 @@ def delta_op(ctx):
 # -- the coaction and the column tables ------------------------------------
 
 
+@_memoized
 def _psi_monomial(ctx, part):
     """psi(b^part) = product of psi(b_i), as {t-partition: bpoly}, where
-    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}.  Filled on demand and kept
-    in the context's memo, so it dies with the context."""
-    table = ctx._memo.setdefault("operations.psi", {})
-    hit = table.get(part)
-    if hit is not None:
-        return hit
+    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}.  Kept in the context's memo,
+    so it dies with the context."""
     if not part:
         out = {(): dict(bpoly.ONE)}
     elif len(part) == 1:
@@ -140,7 +137,6 @@ def _psi_monomial(ctx, part):
             for t2, c2 in tail.items():
                 bpoly.mul_into(out.setdefault(merge(t1, t2), {}), c1, c2)
         out = {key: val for key, val in out.items() if val}
-    table[part] = out
     return out
 
 
@@ -162,14 +158,11 @@ def _column(ctx, coeffs, part):
     return out
 
 
+@_memoized
 def _log_ops(ctx, part):
     """[O_0(b^part), ..., O_n(b^part)] with n = |part|, where O_k is the
-    operation with class L^k (it vanishes in degrees below k).  Filled on
-    demand by the binomial product law and kept in the context's memo."""
-    table = ctx._memo.setdefault("operations.log_ops", {})
-    hit = table.get(part)
-    if hit is not None:
-        return hit
+    operation with class L^k (it vanishes in degrees below k).  Built by
+    the binomial product law and kept in the context's memo."""
     if len(part) <= 1:
         p = sum(part)  # b^() = b_0 = [x^1] exp
         out = []
@@ -188,7 +181,6 @@ def _log_ops(ctx, part):
             for j, r in enumerate(rest):
                 if h and r:
                     bpoly.mul_into(out[i + j], bpoly.scale(h, comb(i + j, i)), r)
-    table[part] = out
     return out
 
 

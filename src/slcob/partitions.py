@@ -20,7 +20,7 @@ def _partitions_bounded(n, max_part):
     return tuple(out)
 
 
-def partitions_of(n, max_part=None):
+def partitions_of(n):
     """All partitions of n in reverse-lexicographic order.
 
     >>> partitions_of(4)
@@ -30,9 +30,7 @@ def partitions_of(n, max_part=None):
     """
     if n < 0:
         return []
-    if max_part is None:
-        max_part = n
-    return list(_partitions_bounded(n, max_part))
+    return list(_partitions_bounded(n, n))
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,13 @@ from .witt import field_descriptor, witt_data
 from .wittforms import FormCalculus
 
 
-def suite_leibniz(ctx, cf, max_degree=12):
+def suite_leibniz(cf, max_degree):
     """Both product laws on all ordered pairs of Wall-lattice basis
     classes with total degree within the truncation.  The boundary
     operation's correction term is multiplication by minus the class of
     the projective line (the xy-coefficient of the group law)."""
     checks = []
+    ctx = cf.ctx
     pd = boundary_partial(ctx)
     dl = delta_op(ctx)
     a11 = mu.cpn_class(ctx, 1).scale(-1)
@@ -59,7 +60,7 @@ def suite_leibniz(ctx, cf, max_degree=12):
     return checks
 
 
-def suite_cf_pattern(cf, max_degree=11):
+def suite_cf_pattern(cf, max_degree):
     """Homology pattern, rank bookkeeping, surjectivity, image lattices."""
     checks = []
     for n in range(0, max_degree + 1):
@@ -80,7 +81,7 @@ def suite_cf_pattern(cf, max_degree=11):
     return checks
 
 
-def suite_subring(ctx, cf, max_degree=12):
+def suite_subring(cf, max_degree):
     """Products of cycles are cycles; boundaries sit inside cycles with
     the 2-torsion quotient."""
     from .intmat import HNFSolver
@@ -160,11 +161,11 @@ def _expected_intro(fd):
     ]
 
 
-def suite_kq(kind, q=None, max_degree=16):
+def suite_kq(kind, q=None):
     from .kq import KQPresentation
     fd = field_descriptor(kind, q)
     pres = KQPresentation(fd)
-    checks = list(pres.relation_check(max_degree))
+    checks = pres.relation_check()
     surj, ker, iso = pres.eta_top_square_check()
     checks.append(("rank-mod-2 factorization surjective", surj, ""))
     checks.append(("kernel is the fundamental ideal", ker, ""))
@@ -173,11 +174,11 @@ def suite_kq(kind, q=None, max_degree=16):
     return checks
 
 
-def suite_witt_oracle(qs=(3, 5, 7)):
-    """Brute-force classification over small finite fields against the
+def suite_witt_oracle():
+    """Brute-force classification over F_3, F_5 and F_7 against the
     stored tables."""
     checks = []
-    for q in qs:
+    for q in (3, 5, 7):
         fc = FormCalculus(q)
         struct = fc.group_structure()
         expected = (4,) if q % 4 == 3 else (2, 2)
@@ -191,20 +192,18 @@ def suite_witt_oracle(qs=(3, 5, 7)):
     return checks
 
 
-def run_suite(name, ctx=None, cf=None, kind=None, q=None, max_degree=12):
-    """Dispatch a named suite; heavy fixtures are built on demand."""
+def run_suite(name, cf=None, kind=None, q=None, max_degree=12):
+    """Dispatch a named suite; the chain at truncation max_degree is built
+    on demand."""
     if name in ("leibniz", "cf-pattern", "subring", "all") and cf is None:
-        from .fgl import FGLContext
-        from .mu import MUBasis
-        ctx = ctx or FGLContext(max(max_degree, 2))
-        cf = ConnerFloyd(ctx, MUBasis(ctx))
+        cf = ConnerFloyd(max(max_degree, 2))
     kinds = [kind] if kind else ["c", "r", "fq1", "fq3"]
     if name == "leibniz":
-        return suite_leibniz(ctx, cf, max_degree)
+        return suite_leibniz(cf, max_degree)
     if name == "cf-pattern":
         return suite_cf_pattern(cf, max_degree - 1)
     if name == "subring":
-        return suite_subring(ctx, cf, max_degree)
+        return suite_subring(cf, max_degree)
     if name == "table":
         out = []
         for k in kinds:
@@ -220,11 +219,11 @@ def run_suite(name, ctx=None, cf=None, kind=None, q=None, max_degree=12):
     if name == "all":
         out = []
         out += [("leibniz: %s" % n, ok, d)
-                for n, ok, d in suite_leibniz(ctx, cf, max_degree)]
+                for n, ok, d in suite_leibniz(cf, max_degree)]
         out += [("cf: %s" % n, ok, d)
                 for n, ok, d in suite_cf_pattern(cf, max_degree - 1)]
         out += [("subring: %s" % n, ok, d)
-                for n, ok, d in suite_subring(ctx, cf, max_degree)]
+                for n, ok, d in suite_subring(cf, max_degree)]
         for k in kinds:
             out += [("table[%s]: %s" % (k, n), ok, d)
                     for n, ok, d in suite_table(k, q)]

@@ -1,22 +1,20 @@
 import pytest
 
 from slcob.conner_floyd import ConnerFloyd
-from slcob.fgl import FGLContext
-from slcob.mu import MUBasis
 
 TRUNCATION = 12
 
 
 @pytest.fixture(scope="session")
-def ctx():
-    return FGLContext(TRUNCATION)
+def cf():
+    return ConnerFloyd(TRUNCATION)
 
 
 @pytest.fixture(scope="session")
-def basis(ctx):
-    return MUBasis(ctx)
+def ctx(cf):
+    return cf.ctx
 
 
 @pytest.fixture(scope="session")
-def cf(ctx, basis):
-    return ConnerFloyd(ctx, basis)
+def basis(cf):
+    return cf.basis

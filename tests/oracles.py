@@ -24,7 +24,9 @@ kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
 same canonical form.  Two lattices are compared by their reduced column
 Hermite forms, which are unique; so the monomial basis is checked against
-all products of catalog classes.
+all products of catalog classes.  The invariant factors of a direct sum
+of cyclic groups, which the package gets by a (gcd, lcm) pass, are read
+off the prime powers of the summands.
 """
 
 from fractions import Fraction
@@ -34,6 +36,7 @@ from math import comb
 
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
+from slcob.abelian import _factorint
 from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
 from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
 from slcob.partitions import merge, partitions_of
@@ -601,3 +604,32 @@ def apply_operation(ctx, op, x):
             if omega in co:
                 out = bpoly.add(out, bpoly.mul(coeff, co[omega]))
     return MUClass.from_dict(target, out)
+
+
+# -- abelian groups ---------------------------------------------------------
+
+
+def invariant_factors_by_prime(divisors, inverted_primes):
+    """(free rank, invariant factors) of the direct sum of the Z/d, d = 0
+    standing for Z, with the inverted primes stripped.  The prime powers of
+    every d are sorted per prime; the last factor multiplies the largest
+    power of each prime, the one before it the next largest, and so on."""
+    rank = 0
+    by_prime = {}
+    for d in divisors:
+        if d == 0:
+            rank += 1
+            continue
+        for p, e in _factorint(abs(d)).items():
+            if p not in inverted_primes:
+                by_prime.setdefault(p, []).append(e)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    factors = []
+    for slot in range(max(map(len, by_prime.values()), default=0)):
+        f = 1
+        for p, exps in by_prime.items():
+            if slot < len(exps):
+                f *= p ** exps[slot]
+        factors.append(f)
+    return rank, tuple(reversed(factors))

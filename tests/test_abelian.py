@@ -2,13 +2,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import invariant_factors_by_prime
 from slcob.abelian import FGAbGroup, cokernel
 from slcob.intmat import IntMatrix
 
 
 def test_cokernel_examples():
     assert cokernel(IntMatrix.from_rows([[2]])) == FGAbGroup.cyclic(2)
-    assert cokernel(IntMatrix.from_rows([[2]]), [2]).is_trivial()
+    assert cokernel(IntMatrix.from_rows([[2]])).localize([2]).is_trivial()
     m = IntMatrix.from_rows([[1, 0], [0, 4]])
     assert cokernel(m) == FGAbGroup.cyclic(4)
 
@@ -49,6 +50,19 @@ def test_representation_idempotent(divisors, seed):
             [[factors[i] if i == j else 0 for j in range(rows)]
              for i in range(rows)])
         assert cokernel(m) == g.torsion_part()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-72, 72), st.integers(0, 10 ** 6)),
+                max_size=8),
+       st.lists(st.sampled_from([2, 3, 5, 7]), max_size=2))
+def test_from_divisors_matches_prime_power_bucketing(divisors, inverted):
+    """The (gcd, lcm) normal form is the one read off the prime powers of
+    the summands, with the inverted primes stripped."""
+    g = FGAbGroup.from_divisors(divisors, inverted)
+    assert (g.free_rank, g.invariant_factors) == \
+        invariant_factors_by_prime(divisors, inverted)
+    assert g.inverted_primes == frozenset(inverted)
 
 
 def test_direct_sum_and_power():

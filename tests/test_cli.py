@@ -232,6 +232,13 @@ def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
     assert cli.main(["op", "apply", "--name", name, "--class", label]) == 2
 
 
+def test_fixtures_build_the_chain_once():
+    """Every command of a process shares the one chain per truncation."""
+    cf = cli.fixtures(4)
+    assert cli.fixtures(4) is cf
+    assert cf.ctx.bound == 4 and cf.basis.ctx is cf.ctx
+
+
 def test_cli_imports_no_rational_engine():
     """The package computes with integers only: importing the command line
     loads neither `fractions` nor a GradedPoly module."""

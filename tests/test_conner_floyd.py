@@ -130,22 +130,29 @@ def test_msl_image_examples(cf):
     assert img0.cols == 1 and abs(img0.entries[0][0]) == 1
 
 
-def test_boundary_escape_detection(ctx, basis):
+def test_boundary_escape_detection():
     """A deliberately wrong lattice triggers the convention guard."""
-    cf2 = ConnerFloyd(ctx, basis)
+    cf2 = ConnerFloyd(12)
     # degree-2 Wall lattice is spanned by 9[CP1]^2 - 8[CP2]; a class with
     # nonzero shift-2 image is not in it
-    cp2 = mu.cpn_class(ctx, 2)
+    cp2 = mu.cpn_class(cf2.ctx, 2)
     solver = HNFSolver(cf2.w_lattice(2))
-    assert solver.solve(basis.to_coordinates(cp2)) is None
+    assert solver.solve(cf2.basis.to_coordinates(cp2)) is None
+
+
+def test_chain_owns_its_context_and_basis():
+    """One truncation builds the whole chain: the context, the basis over
+    that context, and the complex all stop at the same degree."""
+    for truncation in (2, 6, 12):
+        cf = ConnerFloyd(truncation)
+        assert cf.ctx.bound == truncation
+        assert cf.basis.ctx is cf.ctx
+        assert cf.max_n == truncation
 
 
 def test_small_truncation_consistency():
     """The same pattern computed in a smaller ambient truncation."""
-    from slcob.fgl import FGLContext
-    from slcob.mu import MUBasis
-    ctx = FGLContext(6)
-    cf = ConnerFloyd(ctx, MUBasis(ctx))
+    cf = ConnerFloyd(6)
     assert [str(cf.homology(n)) for n in range(6)] == \
         ["Z/2", "0", "Z/2", "0", "Z/2", "0"]
 
@@ -160,17 +167,16 @@ def test_wall_lattice_matches_one_shot_kernel(cf):
 
 
 def test_deleted_instance_is_collected():
-    """The caches live on the instances (the complex and the context), so
-    nothing keeps either alive."""
+    """The caches live on the instances (the complex, its context and its
+    basis), so nothing keeps any of them alive."""
     import gc
     import weakref
-    from slcob.fgl import FGLContext
-    from slcob.mu import MUBasis
-    ctx = FGLContext(4)
-    cf = ConnerFloyd(ctx, MUBasis(ctx))
+    cf = ConnerFloyd(4)
+    ctx = cf.ctx
     assert str(cf.homology(2)) == "Z/2"
     assert ctx._memo["operations.columns"]  # the column tables live here
-    refs = [weakref.ref(cf), weakref.ref(ctx)]
+    assert ctx._memo["_log_ops"]  # and the table of the L^k operations
+    refs = [weakref.ref(cf), weakref.ref(ctx), weakref.ref(cf.basis)]
     del cf, ctx
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
