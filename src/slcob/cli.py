@@ -231,7 +231,7 @@ def homology_table(cf, max_n):
     """The header row and the rows (n, rank_Z, rank_B, H) for degrees
     0..max_n, H in normal form."""
     return [["n", "rank_Z", "rank_B", "H"]] + [
-        [n, cf.cycles_in_lattice(n).cols, cf.boundaries_in_lattice(n).cols,
+        [n, cf.cycles(n).cols, cf.delta_matrix(n + 1).cols,
          str(cf.homology(n))] for n in range(max_n + 1)]
 
 
@@ -245,7 +245,7 @@ def dump_cf(outdir, cf, max_n):
                 writer.writerow(row)
     path = os.path.join(outdir, "homology.csv")
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(homology_table(cf, max_n - 1))
+        csv.writer(fh).writerows(homology_table(cf, max_n))
     return 0
 
 

@@ -14,21 +14,24 @@ and the free ranks satisfy rank Ker(shift-2 op) = p(n) - p(n-2) and
 rank(cycles) = p(n) - p(n-1).  The module also carries the image lattices
 of the special linear theory inside the general one.
 
-The chain runs on b-monomial (Hurewicz) coordinates.  With B_n the basis
-matrix and H the b-monomial matrix of an operation, the operation on the
-lattice is H B_n.  The Wall basis W_n is the kernel of H_delta B_n: the
-same lattice as in basis coordinates, since B_(n-2) is injective, and the
-same basis, since the reduced column Hermite form of a lattice is unique.
-The differential solves B_(n-1) W_(n-1) X = -H_partial B_n W_n, one
-integral solver per degree.
+The Wall lattice is a polynomial ring under a * b = ab + 2V da db, with
+V = [CP^1]^2 - [CP^2] and d the differential, on x_1 = [CP^1] and x_k for
+k >= 3 (Conner-Floyd, Torsion in SU-bordism, 1966; Chernykh-Panov,
+Izv. Math., 2023), so its basis is the *-monomials and no kernel is
+computed.  Operations run on b-monomial (Hurewicz) coordinates: with B_n
+the basis matrix and H the b-monomial matrix of an operation, the
+operation on the lattice is H B_n, and the differential solves
+B_(n-1) W_(n-1) X = -H_partial B_n W_n.
 """
 
-from .abelian import FGAbGroup, cokernel
+from . import bpoly
+from .abelian import FGAbGroup, _factorint, cokernel
 from .fgl import FGLContext, _memoized
-from .intmat import HNFSolver, IntMatrix, kernel_basis
-from .mu import MUBasis
+from .intmat import HNFSolver, IntMatrix, kernel_basis, solve_mod
+from .mu import (BasisConstructionError, MUBasis, complete_intersection_class,
+                 cpn_class, generator_target, min_s_combination, s_number)
 from .operations import apply_operation, boundary_partial, delta_op
-from .partitions import partition_count
+from .partitions import partition_count, partitions_of
 
 
 class ConventionError(RuntimeError):
@@ -74,7 +77,8 @@ class ConnerFloyd:
     def delta_cokernel(self, n):
         """Cokernel of the shift-2 operation from degree n to n-2 on the
         full lattice (trivial for every n: the operation is split onto)."""
-        assert n >= 2
+        if n < 2:
+            raise ValueError("shift-2 cokernels start in degree 2, not %d" % n)
         image = self.operation_matrix("delta", n)
         return cokernel(_solve_columns(
             self.basis.solver(n - 2),
@@ -83,14 +87,67 @@ class ConnerFloyd:
 
     # -- the Wall lattice ---------------------------------------------------
 
+    @staticmethod
+    def wall_labels(n):
+        """The partitions of n with no part 2: the Wall basis labels."""
+        return [omega for omega in partitions_of(n) if 2 not in omega]
+
     @_memoized
     def w_lattice(self, n):
-        """Columns: a basis of Ker(shift-2 op) in degree-n monomial
-        coordinates.  Degrees 0 and 1 are the full lattice."""
+        """Columns: the Wall basis in degree-n MUBasis coordinates, the
+        *-monomial x_(omega_1) * (the rest) for each omega of `wall_labels`;
+        x_1 = [CP^1], x_k for k >= 3 is `_generator`'s."""
         dim = partition_count(n)
         if n < 2:
             return IntMatrix.identity(dim)
-        return kernel_basis(self.operation_matrix("delta", n))
+        cp1, cp2 = cpn_class(self.ctx, 1), cpn_class(self.ctx, 2)
+        two_v = dict(zip(partitions_of(2), self.basis.to_coordinates(
+            (cp1 * cp1 - cp2).scale(2))))
+        cols = []
+        for omega in self.wall_labels(n):
+            if len(omega) > 1:  # x * y = xy + 2V dx dy, the sign of d cancels
+                (x, dx), (y, dy) = self._wall_poly(omega[:1]), \
+                    self._wall_poly(omega[1:])
+                xy = bpoly.mul_into(bpoly.mul(x, y), two_v, bpoly.mul(dx, dy))
+                cols.append([xy.get(p, 0) for p in partitions_of(n)])
+        if n > 2:
+            cols.insert(0, self._generator(n, cols))
+        return IntMatrix.from_columns(dim, cols)
+
+    def _wall_poly(self, omega):
+        """The Wall class labeled omega and its differential, as
+        polynomials in the MUBasis generators (x_k in the role of b_k)."""
+        m = sum(omega)
+        j = self.wall_labels(m).index(omega)
+        return [{p: c for p, c in zip(partitions_of(k), mat.column(j)) if c}
+                for k, mat in ((m, self.w_lattice(m)),
+                               (m - 1, self.boundaries_in_lattice(m - 1)))]
+
+    def _generator(self, n, decomposables):
+        """x_n for n >= 3 in MUBasis coordinates, with s_n = m_n m_(n-1)
+        (m_k as in `mu.generator_target`): the least s-number combination
+        of the Calabi-Yau complete intersections of bidegree
+        (d, n + 3 - d) in P^(n+2), which lie in the Wall lattice, made
+        primitive one prime p of the surplus at a time, by
+        x -> (x - delta) / p for delta = x mod p in the decomposables."""
+        target = generator_target(n) * generator_target(n - 1)
+        x, s = min_s_combination(
+            complete_intersection_class(self.ctx, n + 2, (d, n + 3 - d))
+            for d in range(1, (n + 3) // 2 + 1))
+        x = self.basis.to_coordinates(x)
+        dmat = IntMatrix.from_columns(len(x), decomposables)
+        for p, e in _factorint(s // target).items():
+            for _ in range(e):
+                c = solve_mod(dmat, x, p)
+                if c is None:
+                    raise BasisConstructionError("degree %d: no decomposable "
+                                                 "is x mod %d" % (n, p))
+                x = [(a - b) // p for a, b in zip(x, dmat.apply(c))]
+        s = s_number(self.basis.from_coordinates(n, x))
+        if s != target:
+            raise BasisConstructionError(
+                "degree %d: x_n has s-number %d, not %d" % (n, s, target))
+        return x
 
     def w_rank(self, n):
         return self.w_lattice(n).cols
@@ -98,16 +155,15 @@ class ConnerFloyd:
     def wall_classes(self, n):
         """The Wall-lattice basis as actual coefficient-ring classes."""
         w = self.w_lattice(n)
-        out = []
-        for j in range(w.cols):
-            out.append(self.basis.from_coordinates(n, list(w.column(j))))
-        return out
+        return [self.basis.from_coordinates(n, w.column(j))
+                for j in range(w.cols)]
 
     @_memoized
     def delta_matrix(self, n):
         """The differential (minus the boundary operation) from the Wall
         lattice in degree n to degree n-1, in the Wall bases."""
-        assert n >= 1
+        if n < 1:
+            raise ValueError("the differential starts in degree 1, not %d" % n)
         image = self.operation_matrix("partial", n) * self.w_lattice(n)
         wall = self.basis.matrix(n - 1) * self.w_lattice(n - 1)
         return _solve_columns(
@@ -125,13 +181,9 @@ class ConnerFloyd:
         return kernel_basis(self.delta_matrix(n))
 
     def cycle_classes(self, n):
-        w = self.w_lattice(n)
-        z = self.cycles(n)
-        out = []
-        for j in range(z.cols):
-            coords = w.apply(list(z.column(j)))
-            out.append(self.basis.from_coordinates(n, coords))
-        return out
+        z = self.cycles_in_lattice(n)
+        return [self.basis.from_coordinates(n, z.column(j))
+                for j in range(z.cols)]
 
     def cycles_in_lattice(self, n):
         """Cycle basis in full monomial coordinates (columns)."""
@@ -144,17 +196,23 @@ class ConnerFloyd:
         B_n times the cycle basis."""
         return HNFSolver(self.basis.matrix(n) * self.cycles_in_lattice(n))
 
+    @_memoized
     def boundaries_in_lattice(self, n):
         """Boundary basis in full monomial coordinates (columns)."""
-        assert n + 1 <= self.max_n
+        self._check_below_top(n)
         w = self.w_lattice(n)
         return w * self.delta_matrix(n + 1)
+
+    def _check_below_top(self, n):
+        if n + 1 > self.max_n:
+            raise ValueError("degree %d needs degree %d, above the "
+                             "truncation %d" % (n, n + 1, self.max_n))
 
     def homology(self, n):
         """Cycles mod boundaries in degree n as a normal-form group.
         Boundaries are expressed in a basis of the (saturated) cycle
         lattice first, so no spurious torsion appears."""
-        assert n + 1 <= self.max_n
+        self._check_below_top(n)
         b = self.delta_matrix(n + 1)
         return cokernel(_solve_columns(
             HNFSolver(self.cycles(n)),

@@ -8,13 +8,17 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 
   kernel_basis         row by row: a one-row pass cuts the kernel so far,
                        kept in Hermite form so entries stay near the
-                       answer's size (Kannan-Bachem 1979);
+                       answer's size (Kannan-Bachem 1979); it serves the
+                       cycles of the differential, while the Wall lattice
+                       is built from *-monomials with no kernel;
   HNFSolver            the one integral solver: one pass on the columns
                        stacked over an identity, then forward
                        substitution per target;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs, the
                        pass that `abelian` also normalizes groups with.
+
+`solve_mod` is the same layout over F_p, for the Wall generators.
 """
 
 from dataclasses import dataclass
@@ -201,3 +205,22 @@ class HNFSolver:
             return None
         return x
 
+
+def solve_mod(mat, target, p):
+    """x with entries in 0..p-1 and M x = target mod the prime p, or None:
+    the columns mod p over an identity, then the target, are reduced in
+    turn by the pivots before them, each new pivot scaled to 1."""
+    pivots = []  # (row, column)
+    for j in range(mat.cols + 1):
+        top = mat.column(j) if j < mat.cols else target
+        col = [a % p for a in top] + [int(i == j) for i in range(mat.cols)]
+        for r, piv in pivots:
+            f = col[r]
+            if f:
+                col = [(a - f * b) % p for a, b in zip(col, piv)]
+        r = next((i for i in range(mat.rows) if col[i]), None)
+        if j == mat.cols:
+            return None if r is not None else [-a % p for a in col[mat.rows:]]
+        if r is not None:
+            inv = pow(col[r], -1, p)
+            pivots.append((r, [a * inv % p for a in col]))

@@ -14,9 +14,9 @@ Every geometric class comes from the formal group law: [CP^n] is (n+1)
 times the n-th log coefficient, the Milnor hypersurfaces follow from
 Buchstaber's formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j,
 C(u) = sum [CP^i] u^i (Buchstaber-Panov, Toric Topology, 2015, 9.1), and
-a hypersurface of degree d in P^n from Quillen's Gysin formula.  The one
-map from classes to numbers is `hurewicz_to_chern_numbers`, which serves
-`charnum` and the reports.
+a complete intersection in P^n (a hypersurface is the one-divisor case)
+from Quillen's Gysin formula.  The one map from classes to numbers is
+`hurewicz_to_chern_numbers`, which serves `charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
 vector, and the lattice computations stay in those coordinates: an
@@ -194,24 +194,39 @@ def milnor_hypersurface_class(ctx, i, j):
 
 
 def hypersurface_class(ctx, n, d):
-    """A smooth hypersurface of degree d in P^n, of dimension n - 1.
-
-    The divisor of a section of O(d) has Gysin class
-    [d]_F(u) = exp(d log u), and u^k pushes forward to [CP^(n-k)], so the
-    class is sum_{k=1..n} [u^k] exp(d log u) [CP^(n-k)] (Quillen,
-    Elementary proofs of some results of cobordism theory using Steenrod
-    operations, 1971)."""
+    """A smooth hypersurface of degree d in P^n, of dimension n - 1."""
     if n < 1 or d < 1:
         raise ValueError("a hypersurface needs an ambient dimension and a "
                          "degree of at least 1 (got P^%d, degree %d)" % (n, d))
-    if n - 1 > ctx.bound:
-        raise ValueError("degree %d exceeds truncation %d" % (n - 1, ctx.bound))
-    dlog = [bpoly.scale(c, d) for c in ctx.log_series[: n + 1]]
-    series = bpoly.ser_compose(ctx.exp_series[: n + 1], dlog, n)
+    return complete_intersection_class(ctx, n, (d,))
+
+
+def complete_intersection_class(ctx, n, degrees):
+    """A smooth complete intersection of r hypersurfaces of the given
+    degrees in P^n, of dimension n - r.
+
+    The divisor of a section of O(d) has Gysin class [d]_F(u) =
+    exp(d log u) = sum_k d^k e_k log(u)^k (e_k the exp coefficients), and
+    u^k pushes forward to [CP^(n-k)], so the class is
+    sum_k [u^k] prod_i [d_i]_F(u) [CP^(n-k)] (Quillen, Elementary proofs
+    of some results of cobordism theory using Steenrod operations, 1971);
+    each factor starts at u^1, so it is needed only up to u^(n-r+1)."""
+    dim = n - len(degrees)
+    if dim > ctx.bound:
+        raise ValueError("degree %d exceeds truncation %d" % (dim, ctx.bound))
+    top = dim + 1
+    product = [dict(bpoly.ONE)]
+    for d in degrees:
+        series = bpoly.ser_zero(top)
+        for k in range(1, top + 1):
+            ek = bpoly.scale(ctx.exp_series[k], d ** k)
+            for j in range(k, top + 1):
+                bpoly.mul_into(series[j], ek, ctx.log_powers[k][j])
+        product = bpoly.ser_mul(product, series, n)
     out = {}
-    for k in range(1, n + 1):
-        bpoly.mul_into(out, series[k], cpn_class(ctx, n - k).coeffs())
-    return MUClass.from_dict(n - 1, out)
+    for k in range(len(degrees), n + 1):
+        bpoly.mul_into(out, product[k], cpn_class(ctx, n - k).coeffs())
+    return MUClass.from_dict(dim, out)
 
 
 @_memoized
@@ -279,14 +294,12 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def select_generator(ctx, n):
-    """Deterministic integer combination of the degree-n catalog achieving
-    the minimal positive s-number.  Sequential extended gcd over the
-    catalog in its fixed order."""
-    entries = degree_catalog(ctx, n)
+def min_s_combination(classes):
+    """(x, s): the combination x of the classes with the least positive
+    s-number s, by sequential extended gcd in their order."""
     combo = None
     g = 0
-    for _, cls in entries:
+    for cls in classes:
         s = s_number(cls)
         if s == 0:
             continue
@@ -298,9 +311,16 @@ def select_generator(ctx, n):
                 combo = combo.scale(u) + cls.scale(v)
                 g = gg
     if combo is None:
-        raise BasisConstructionError("no class with nonzero s-number in degree %d" % n)
+        raise BasisConstructionError("no class with nonzero s-number")
     if g < 0:
         combo, g = combo.scale(-1), -g
+    return combo, g
+
+
+def select_generator(ctx, n):
+    """The combination of the degree-n catalog with the least positive
+    s-number, which must be the Milnor target."""
+    combo, g = min_s_combination(cls for _, cls in degree_catalog(ctx, n))
     target = generator_target(n)
     if g != target:
         raise BasisConstructionError(

@@ -16,15 +16,17 @@ the package multiplies cached columns; a class the package keeps as a
 power series in the sum L of the logs of the Chern roots is expanded into
 m-coefficients through power sums, and the determinant classes are built
 the same way from the exponential series, to pin those power series.
-Milnor hypersurfaces and hypersurfaces of degree d in P^n come from their
+Milnor hypersurfaces and complete intersections in P^n come from their
 tangent Chern numbers, computed in the cohomology of the ambient product
 of projective spaces by adjunction, where the package reads them off the
 formal group law (Buchstaber's and Quillen's formulas).  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
-same canonical form.  Two lattices are compared by their reduced column
-Hermite forms, which are unique; so the monomial basis is checked against
-all products of catalog classes.  The invariant factors of a direct sum
+same canonical form; the Wall lattice, which the package builds from
+*-monomials, is checked against the kernel of the shift-2 operation.  Two
+lattices are compared by their reduced column Hermite forms, which are
+unique; so the monomial basis is checked against all products of catalog
+classes.  The invariant factors of a direct sum
 of cyclic groups, which the package gets by a (gcd, lcm) pass, are read
 off the prime powers of the summands.
 """
@@ -37,7 +39,8 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.abelian import _factorint
-from slcob.intmat import IntMatrix, _column_echelon, _hermite_columns
+from slcob.intmat import (IntMatrix, _column_echelon, _hermite_columns,
+                          kernel_basis)
 from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import _p_in_m, e_to_m_matrix
@@ -201,6 +204,13 @@ def kernel_basis_one_shot(mat):
     return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
 
 
+def wall_lattice_kernel(cf, n):
+    """The Wall lattice in degree n as the kernel of the shift-2 operation
+    on the degree-n basis, in reduced column Hermite form: no *-product
+    and no choice of generators."""
+    return kernel_basis(cf.operation_matrix("delta", n))
+
+
 def hermite_column_form(mat):
     """The reduced column Hermite form of mat, zero columns dropped."""
     columns = [list(mat.column(j)) for j in range(mat.cols)]
@@ -267,17 +277,18 @@ def chern_numbers_to_hurewicz(numbers, n):
 
 
 @lru_cache(maxsize=None)
-def tangent_numbers(dims, divisor=None):
+def tangent_numbers(dims, divisors=()):
     """Tangent Chern numbers and total tangent class of the product X of
-    projective spaces P^dims[0] x P^dims[1] x ..., or, given `divisor`,
-    of a smooth divisor of that multidegree in X.
+    projective spaces P^dims[0] x P^dims[1] x ..., or, given `divisors`
+    (a tuple of multidegrees), of the smooth complete intersection of
+    divisors of those multidegrees in X.
 
     The cohomology of X is Z[x_1, x_2, ...]/(x_k^(dims[k]+1)) and its total
-    tangent class is prod (1 + x_k)^(dims[k]+1); a divisor D divides it by
-    1 + [D] with [D] = sum divisor[k] x_k (adjunction).  A Chern number
-    c_omega is the coefficient of the top monomial in c_omega, times [D]
-    for a divisor (Stong, Notes on Cobordism Theory, 1968, for the Milnor
-    hypersurfaces).
+    tangent class is prod (1 + x_k)^(dims[k]+1); each divisor D divides it
+    by 1 + [D] with [D] = sum divisor[k] x_k (adjunction).  A Chern number
+    c_omega is the coefficient of the top monomial in c_omega times the
+    product of the [D] (Stong, Notes on Cobordism Theory, 1968, for the
+    Milnor hypersurfaces).
 
     A monomial x^e is the integer sum e_k R^k with R = sum(dims) + 1:
     exponents of total degree below R multiply by adding their integers
@@ -289,10 +300,10 @@ def tangent_numbers(dims, divisor=None):
     total tangent class, {monomial integer: int}, for w = 0..d."""
     radix = sum(dims) + 1
     place = [radix ** k for k in range(len(dims))]
-    d = sum(dims) - (1 if divisor else 0)
-    total = [{} for _ in range(d + 1)]
+    d = sum(dims) - len(divisors)
+    total = [{} for _ in range(max(d, len(divisors)) + 1)]
     for e in product(*(range(m + 1) for m in dims)):
-        if sum(e) <= d:
+        if sum(e) < len(total):
             c = 1
             for m, a in zip(dims, e):
                 c *= comb(m + 1, a)
@@ -309,16 +320,18 @@ def tangent_numbers(dims, divisor=None):
         return out
 
     top = sum(m * p for m, p in zip(dims, place))
-    if divisor:
+    cut = {0: 1}  # the product of the divisor classes
+    for divisor in divisors:
         cls = {p: a for p, a in zip(place, divisor) if a}
         for w in range(1, d + 1):  # total_w -= [D] * total_{w-1}
             for k, c in mul(cls, total[w - 1]).items():
                 total[w][k] -= c
             total[w] = {k: c for k, c in total[w].items() if c}
-        # the coefficient of x^top in c_omega [D] is read off x^top / x_k
-        dual = {top - p: a for p, a, m in zip(place, divisor, dims) if a and m}
-    else:
-        dual = {top: 1}
+        cut = mul(cut, cls)
+    # the coefficient of x^top in c_omega [D_1]...[D_r] is read off
+    # x^top / x^e for the monomials x^e of the product
+    dual = {top - k: a for k, a in cut.items() if a}
+    total = total[: d + 1]
     chern = {(): {0: 1}}  # c_omega, built on the tails of the partitions
 
     def chern_monomial(omega):
@@ -337,15 +350,22 @@ def milnor_hypersurface_class(ctx, i, j):
     """[H_{i,j}], the (1,1)-divisor in P^i x P^j, from its tangent Chern
     numbers."""
     assert 1 <= i <= j and i + j - 1 <= ctx.bound
-    return chern_numbers_to_hurewicz(tangent_numbers((i, j), (1, 1))[0],
-                                     i + j - 1)
+    return chern_numbers_to_hurewicz(
+        tangent_numbers((i, j), ((1, 1),))[0], i + j - 1)
+
+
+def complete_intersection_class(ambient_n, degrees):
+    """A smooth complete intersection of hypersurfaces of the given
+    degrees in P^ambient_n, from its tangent Chern numbers."""
+    return chern_numbers_to_hurewicz(
+        tangent_numbers((ambient_n,), tuple((d,) for d in degrees))[0],
+        ambient_n - len(degrees))
 
 
 def hypersurface_class(ambient_n, degree):
     """A smooth hypersurface of the given degree in P^ambient_n, from its
     tangent Chern numbers."""
-    return chern_numbers_to_hurewicz(
-        tangent_numbers((ambient_n,), (degree,))[0], ambient_n - 1)
+    return complete_intersection_class(ambient_n, (degree,))
 
 
 # -- the formal group law of a context, written out with GradedPoly ---------

@@ -44,7 +44,7 @@ def test_calabi_yau_flag_iff_degree_matches(ctx):
     for ambient in range(1, 10):
         for degree in range(1, 8):
             v = charnum.hypersurface_class(ctx, ambient, degree)
-            total = oracles.tangent_numbers((ambient,), (degree,))[1]
+            total = oracles.tangent_numbers((ambient,), ((degree,),))[1]
             assert v.calabi_yau == (ambient >= 2 and not total[1])
             assert v.calabi_yau == (ambient >= 2 and degree == ambient + 1)
 
@@ -56,7 +56,7 @@ def test_tangent_numbers_against_oracle(ctx):
         for degree in range(1, 8):
             v = charnum.hypersurface_class(ctx, ambient, degree)
             assert v.tangent() == \
-                oracles.tangent_numbers((ambient,), (degree,))[0], \
+                oracles.tangent_numbers((ambient,), ((degree,),))[0], \
                 (ambient, degree)
 
 

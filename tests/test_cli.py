@@ -150,6 +150,20 @@ def test_cf_homology_and_dump(tmp_path):
     assert (outdir / "delta_matrix_1.csv").read_text().strip() == "-2"
 
 
+def test_cf_dump_homology_matches_cf_homology_csv(tmp_path):
+    """The dump's homology.csv has the rows 0..D that `cf homology
+    --max-degree D` prints, H_D included."""
+    outdir = tmp_path / "dump"
+    out = run_cli("--truncation", "6", "cf", "dump", "--max-degree", "5",
+                  "--out", str(outdir))
+    assert out.returncode == 0
+    table = run_cli("--truncation", "6", "--format", "csv", "cf", "homology",
+                    "--max-degree", "5")
+    assert table.returncode == 0
+    assert (outdir / "homology.csv").read_text() == table.stdout
+    assert table.stdout.splitlines()[-1] == "5,2,6,0"
+
+
 BAD_INPUTS = [
     ("witt", "table", "--field", "fq1", "--q", "7"),
     ("witt", "table", "--field", "fq3", "--q", "15"),

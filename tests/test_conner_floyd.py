@@ -158,12 +158,124 @@ def test_small_truncation_consistency():
 
 
 def test_wall_lattice_matches_one_shot_kernel(cf):
-    """The row-by-row Wall kernel equals the one-shot echelon kernel over
-    an identity block, entry for entry (both are canonical)."""
-    from oracles import kernel_basis_one_shot
-    for n in range(2, 12):
-        assert cf.w_lattice(n) == kernel_basis_one_shot(
-            cf.operation_matrix("delta", n))
+    """The *-monomials span the kernel of the shift-2 operation: the same
+    lattice as its Hermite kernel for n <= 12, and that kernel is the
+    one-shot echelon kernel, entry for entry (both are canonical)."""
+    from oracles import kernel_basis_one_shot, same_column_span, \
+        wall_lattice_kernel
+    for n in range(0, 13):
+        kernel = wall_lattice_kernel(cf, n)
+        assert same_column_span(cf.w_lattice(n), kernel), n
+        if n < 12:
+            assert kernel == kernel_basis_one_shot(
+                cf.operation_matrix("delta", n)), n
+
+
+def test_star_product_and_twisted_law_on_every_pair(ctx, cf):
+    """On every unordered pair of *-monomials a, b of positive degree with
+    deg a + deg b <= 12, with a * b = ab + 2V da db, V = [CP^1]^2 - [CP^2]
+    and d the boundary operation: a * b is the *-monomial of the merged
+    partition (so * closes on the Wall lattice and the basis is a
+    polynomial ring), and d(a * b) = da * b + a * db - x_1 * da * db, the
+    twisted law with x_1 = [CP^1]."""
+    from slcob.operations import boundary_partial, delta_op
+    from slcob.partitions import merge
+    dl = delta_op(ctx)
+    x1, cp2 = mu.cpn_class(ctx, 1), mu.cpn_class(ctx, 2)
+    two_v = (x1 * x1 - cp2).scale(2)
+    boundaries = {}
+
+    def d(cls):
+        if cls not in boundaries:
+            boundaries[cls] = apply_operation(ctx, boundary_partial(ctx), cls)
+        return boundaries[cls]
+
+    def star(a, b):
+        return a * b + two_v * d(a) * d(b)
+
+    wall = {omega: cls for n in range(1, 13)
+            for omega, cls in zip(cf.wall_labels(n), cf.wall_classes(n))}
+    monomials = [(omega, cls) for omega, cls in wall.items()
+                 if cls.degree < 12]
+    pairs = 0
+    for i, (alpha, a) in enumerate(monomials):
+        for beta, b in monomials[i:]:
+            n = a.degree + b.degree
+            if n > 12:
+                continue
+            pairs += 1
+            ab = star(a, b)
+            assert ab == wall[merge(alpha, beta)]
+            assert apply_operation(ctx, dl, ab).is_zero()
+            law = star(d(a), b) + star(a, d(b)) - star(x1, star(d(a), d(b)))
+            assert d(ab) == law, (alpha, beta)
+    assert pairs == 444
+
+
+def test_generators_are_calabi_yau_combinations_of_the_right_size(cf):
+    """x_1 = [CP^1]; for n >= 3, s_n(x_n) = m_n m_(n-1) and the
+    *-monomials have invariant factors 1 in the lattice basis."""
+    from slcob.intmat import smith_normal_form
+    assert cf.wall_classes(1) == [mu.cpn_class(cf.ctx, 1)]
+    for n in range(3, 13):
+        x = cf.wall_classes(n)[0]
+        assert mu.s_number(x) == \
+            mu.generator_target(n) * mu.generator_target(n - 1), n
+    for n in range(0, 13):
+        assert set(smith_normal_form(cf.w_lattice(n))) <= {1}, n
+
+
+def test_cf_homology_builds_no_wall_kernel(monkeypatch, capsys):
+    """`cf homology` runs with the integer kernel patched to raise while
+    the Wall lattice is built, and with the shift-2 operation matrix
+    patched to raise."""
+    from slcob import cli, conner_floyd, intmat
+
+    class Forbidden(Exception):
+        pass
+
+    building = []
+    real_w, real_kernel = ConnerFloyd.w_lattice, conner_floyd.kernel_basis
+    real_op = ConnerFloyd.operation_matrix
+
+    def w_lattice(self, n):
+        building.append(n)
+        try:
+            return real_w(self, n)
+        finally:
+            building.pop()
+
+    def kernel_basis(mat):
+        if building:
+            raise Forbidden("a kernel while building the Wall lattice")
+        return real_kernel(mat)
+
+    def operation_matrix(self, name, n):
+        if name == "delta":
+            raise Forbidden("the shift-2 operation matrix")
+        return real_op(self, name, n)
+
+    monkeypatch.setattr(ConnerFloyd, "w_lattice", w_lattice)
+    monkeypatch.setattr(ConnerFloyd, "operation_matrix", operation_matrix)
+    monkeypatch.setattr(conner_floyd, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(intmat, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
+    assert cli.main(["--truncation", "10", "--format", "csv",
+                     "cf", "homology"]) == 0
+    rows = capsys.readouterr().out.split()
+    assert [row.split(",")[3] for row in rows[1:]] == \
+        ["Z/2", "0", "Z/2", "0", "Z/2", "0", "Z/2", "0", "(Z/2)^2", "0"]
+
+
+def test_construction_errors_are_not_assertions():
+    """Out-of-range degrees raise ValueError with a sentence, also under
+    python -O."""
+    import pytest
+    cf = ConnerFloyd(4)
+    for call in (lambda: cf.homology(4), lambda: cf.boundaries_in_lattice(4),
+                 lambda: cf.delta_matrix(0), lambda: cf.delta_cokernel(1)):
+        with pytest.raises(ValueError, match=" "):
+            call()
 
 
 def test_deleted_instance_is_collected():

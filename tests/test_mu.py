@@ -103,7 +103,7 @@ def test_milnor_h12_numbers_against_sympy_oracle(ctx):
         return p.coeff(x, 1).coeff(y, 2)
 
     oracle = {(2,): integrate(c2), (1, 1): integrate(c1 * c1)}
-    assert oracles.tangent_numbers((1, 2), (1, 1))[0] == oracle
+    assert oracles.tangent_numbers((1, 2), ((1, 1),))[0] == oracle
 
 
 def test_milnor_table_against_tangent_oracle(ctx):
@@ -126,6 +126,30 @@ def test_hypersurface_class_against_tangent_oracle(ctx):
         for d in range(1, 8):
             assert mu.hypersurface_class(ctx, n, d) == \
                 oracles.hypersurface_class(n, d), (n, d)
+
+
+def test_complete_intersection_class_against_tangent_oracle(ctx):
+    """Quillen's formula with two divisors gives the complete
+    intersections of bidegree (d1, d2) in P^N, dimension N - 2 <= 10,
+    exactly as their tangent Chern numbers do; the Calabi-Yau ones among
+    them (d1 + d2 = N + 1) included."""
+    for big_n in range(3, 13):
+        for d1 in range(1, 4):
+            for d2 in range(d1, big_n + 2 - d1):
+                assert mu.complete_intersection_class(ctx, big_n, (d1, d2)) \
+                    == oracles.complete_intersection_class(big_n, (d1, d2)), \
+                    (big_n, d1, d2)
+
+
+def test_calabi_yau_complete_intersection_s_numbers(ctx):
+    """s_n = d1 d2 (n + 3 - d1^n - d2^n) for the complete intersection of
+    bidegree (d1, d2 = n + 3 - d1) in P^(n+2), for every n <= 12."""
+    for n in range(1, 13):
+        for d1 in range(1, (n + 3) // 2 + 1):
+            d2 = n + 3 - d1
+            x = mu.complete_intersection_class(ctx, n + 2, (d1, d2))
+            assert x.degree == n
+            assert mu.s_number(x) == d1 * d2 * (n + 3 - d1 ** n - d2 ** n)
 
 
 def test_hypersurface_range_errors(ctx):
