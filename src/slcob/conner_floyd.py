@@ -18,10 +18,9 @@ The Wall lattice is a polynomial ring under a * b = ab + 2V da db, with
 V = [CP^1]^2 - [CP^2] and d the differential, on x_1 = [CP^1] and x_k for
 k >= 3 (Conner-Floyd, Torsion in SU-bordism, 1966; Chernykh-Panov,
 Izv. Math., 2023), so its basis is the *-monomials and no kernel is
-computed.  Operations run on b-monomial (Hurewicz) coordinates: with B_n
-the basis matrix and H the b-monomial matrix of an operation, the
-operation on the lattice is H B_n, and the differential solves
-B_(n-1) W_(n-1) X = -H_partial B_n W_n.
+computed.  The differential follows from d x_k by the twisted Leibniz law
+d(a * b) = da * b + a * db + x_1 * da * db, so no operation matrix is
+built for it.
 """
 
 from . import bpoly
@@ -61,6 +60,7 @@ class ConnerFloyd:
         self.basis = MUBasis(self.ctx)
         self.max_n = truncation
         self._memo = {}
+        self._d = {}
 
     # -- full-lattice matrices -------------------------------------------
 
@@ -124,18 +124,21 @@ class ConnerFloyd:
                                (m - 1, self.boundaries_in_lattice(m - 1)))]
 
     def _generator(self, n, decomposables):
-        """x_n for n >= 3 in MUBasis coordinates, with s_n = m_n m_(n-1)
-        (m_k as in `mu.generator_target`): the least s-number combination
-        of the Calabi-Yau complete intersections of bidegree
-        (d, n + 3 - d) in P^(n+2), which lie in the Wall lattice, made
-        primitive one prime p of the surplus at a time, by
-        x -> (x - delta) / p for delta = x mod p in the decomposables."""
+        """x_n for n >= 3 in MUBasis coordinates, s_n = m_n m_(n-1) (m_k as
+        in `mu.generator_target`): the least s-number combination x of the
+        Calabi-Yau complete intersections of bidegree (d1, d2) = (d, n+3-d)
+        in P^(n+2), s_n = d1 d2 (n + 3 - d1^n - d2^n), made primitive one
+        prime p of the surplus at a time by x -> (x - D c) / p, D c = x mod p
+        for D the decomposables; so x_n = (x - D C) / P.  c_1 = 0 on x, so
+        d x = 0 and d x_n = -(sum_j C_j d D_j) / P, which goes to `_d`."""
         target = generator_target(n) * generator_target(n - 1)
+        cy = [(d, n + 3 - d) for d in range(1, (n + 3) // 2 + 1)]
         x, s = min_s_combination(
-            complete_intersection_class(self.ctx, n + 2, (d, n + 3 - d))
-            for d in range(1, (n + 3) // 2 + 1))
+            [a * b * (n + 3 - a ** n - b ** n) for a, b in cy],
+            lambda i: complete_intersection_class(self.ctx, n + 2, cy[i]))
         x = self.basis.to_coordinates(x)
         dmat = IntMatrix.from_columns(len(x), decomposables)
+        combo, scale = [0] * dmat.cols, 1
         for p, e in _factorint(s // target).items():
             for _ in range(e):
                 c = solve_mod(dmat, x, p)
@@ -143,11 +146,38 @@ class ConnerFloyd:
                     raise BasisConstructionError("degree %d: no decomposable "
                                                  "is x mod %d" % (n, p))
                 x = [(a - b) // p for a, b in zip(x, dmat.apply(c))]
+                combo = [a + scale * b for a, b in zip(combo, c)]
+                scale *= p
         s = s_number(self.basis.from_coordinates(n, x))
         if s != target:
             raise BasisConstructionError(
                 "degree %d: x_n has s-number %d, not %d" % (n, s, target))
+        dx = {}
+        for c, omega in zip(combo, self.wall_labels(n)[1:]):
+            bpoly.mul_into(dx, {(): -c}, self._wall_d(omega))
+        if any(a % scale for a in dx.values()):
+            raise BasisConstructionError("degree %d: d x_n not integral" % n)
+        self._d[(n,)] = {k: a // scale for k, a in dx.items()}
         return x
+
+    def _wall_d(self, omega):
+        """d of the *-monomial omega in *-monomials (x_k for b_k), memoized in
+        `_d`: d x_1 = -2 by one boundary operation, d x_n from `_generator`,
+        and d(a * b) = da * b + a * db + x_1 * da * db (d = -boundary)."""
+        if omega not in self._d:
+            a, b = omega[:1], omega[1:]
+            if b:
+                da, db = self._wall_d(a), self._wall_d(b)
+                d = bpoly.mul_into(bpoly.mul(da, {b: 1}), {a: 1}, db)
+                self._d[omega] = bpoly.mul_into(d, bpoly.mul(da, {(1,): 1}),
+                                                db)
+            elif a == (1,):
+                self._d[a] = apply_operation(
+                    self.ctx, boundary_partial(self.ctx),
+                    cpn_class(self.ctx, 1)).scale(-1).coeffs()
+            else:
+                self.w_lattice(a[0])
+        return self._d[omega]
 
     def w_rank(self, n):
         return self.w_lattice(n).cols
@@ -161,15 +191,14 @@ class ConnerFloyd:
     @_memoized
     def delta_matrix(self, n):
         """The differential (minus the boundary operation) from the Wall
-        lattice in degree n to degree n-1, in the Wall bases."""
+        lattice in degree n to degree n-1, in the Wall bases: column omega
+        holds the coefficients of `_wall_d(omega)`."""
         if n < 1:
             raise ValueError("the differential starts in degree 1, not %d" % n)
-        image = self.operation_matrix("partial", n) * self.w_lattice(n)
-        wall = self.basis.matrix(n - 1) * self.w_lattice(n - 1)
-        return _solve_columns(
-            HNFSolver(wall),
-            [[-a for a in image.column(j)] for j in range(image.cols)],
-            "boundary image escapes the Wall lattice in degree %d" % n)
+        rows = self.wall_labels(n - 1)
+        return IntMatrix.from_columns(len(rows), [
+            [self._wall_d(omega).get(r, 0) for r in rows]
+            for omega in self.wall_labels(n)])
 
     # -- cycles, boundaries, homology ---------------------------------------
 
@@ -208,6 +237,7 @@ class ConnerFloyd:
             raise ValueError("degree %d needs degree %d, above the "
                              "truncation %d" % (n, n + 1, self.max_n))
 
+    @_memoized
     def homology(self, n):
         """Cycles mod boundaries in degree n as a normal-form group.
         Boundaries are expressed in a basis of the (saturated) cycle

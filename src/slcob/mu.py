@@ -294,33 +294,36 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def min_s_combination(classes):
-    """(x, s): the combination x of the classes with the least positive
-    s-number s, by sequential extended gcd in their order."""
-    combo = None
-    g = 0
-    for cls in classes:
-        s = s_number(cls)
-        if s == 0:
-            continue
-        if combo is None:
-            combo, g = cls, s
-        else:
-            gg, u, v = _ext_gcd(g, s)
-            if abs(gg) < abs(g):
-                combo = combo.scale(u) + cls.scale(v)
-                g = gg
-    if combo is None:
+def min_s_combination(s_numbers, build):
+    """(x, g): the combination x of the classes build(i) with the least
+    positive s-number g, by sequential extended gcd on their s-numbers in
+    order.  Only the classes that x combines are built, and each must have
+    the s-number it was chosen by."""
+    coeffs, g = [0] * len(s_numbers), 0
+    for i, s in enumerate(s_numbers):
+        gg, u, v = _ext_gcd(g, s)
+        if abs(gg) < abs(g) or not g:
+            coeffs = [u * c for c in coeffs]
+            coeffs[i], g = v, gg
+    if g == 0:
         raise BasisConstructionError("no class with nonzero s-number")
-    if g < 0:
-        combo, g = combo.scale(-1), -g
-    return combo, g
+    x = MUClass.zero(0)
+    for i, (c, s) in enumerate(zip(coeffs, s_numbers)):
+        if c:
+            cls = build(i)
+            if s_number(cls) != s:
+                raise BasisConstructionError("degree %d: s-number %d, not %d"
+                                             % (cls.degree, s_number(cls), s))
+            x += cls.scale(c)
+    return (x, g) if g > 0 else (x.scale(-1), -g)
 
 
 def select_generator(ctx, n):
     """The combination of the degree-n catalog with the least positive
     s-number, which must be the Milnor target."""
-    combo, g = min_s_combination(cls for _, cls in degree_catalog(ctx, n))
+    classes = [cls for _, cls in degree_catalog(ctx, n)]
+    combo, g = min_s_combination([s_number(cls) for cls in classes],
+                                 classes.__getitem__)
     target = generator_target(n)
     if g != target:
         raise BasisConstructionError(

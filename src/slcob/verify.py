@@ -8,7 +8,7 @@ table, the Hermitian K-theory relations, and the brute-force Witt oracle.
 from . import msl, mu
 from .conner_floyd import ConnerFloyd, ConventionError
 from .abelian import FGAbGroup
-from .intmat import HNFSolver, smith_normal_form
+from .intmat import HNFSolver, IntMatrix, smith_normal_form
 from .mu import BasisConstructionError
 from .operations import apply_operation, boundary_partial, delta_op
 from .partitions import partition_count
@@ -63,9 +63,10 @@ def suite_leibniz(cf, max_degree):
 
 
 def suite_cf_pattern(cf, max_degree):
-    """The Wall basis certificate, the homology pattern, rank bookkeeping
-    and surjectivity, each a property of every degree in a range.  A chain
-    that cannot be built fails the checks that need it."""
+    """The Wall basis certificate, the differential against the boundary
+    operation, the homology pattern, rank bookkeeping and surjectivity,
+    each a property of every degree in a range.  A chain that cannot be
+    built fails the checks that need it."""
     top, p = min(max_degree + 1, cf.max_n), partition_count
     tests = [
         ("Wall basis: the shift-2 operation vanishes on every *-monomial "
@@ -78,6 +79,12 @@ def suite_cf_pattern(cf, max_degree):
         ("Wall basis: a saturated sublattice, all invariant factors 1 "
          "(degrees <= %d)" % top, range(top + 1),
          lambda n: set(smith_normal_form(cf.w_lattice(n))) <= {1}),
+        ("Differential: the boundary operation on every Wall class equals "
+         "the twisted-law column (degrees <= %d)" % top, range(1, top + 1),
+         lambda n: cf.basis.matrix(n - 1) * cf.boundaries_in_lattice(n - 1)
+         == IntMatrix.from_columns(p(n - 1), [apply_operation(
+             cf.ctx, boundary_partial(cf.ctx), c).scale(-1).vector()
+             for c in cf.wall_classes(n)])),
     ] + [("H_%d = %s" % (n, cf.expected_homology(n)), [n],
           lambda n: cf.homology(n) == cf.expected_homology(n))
          for n in range(max_degree + 1)] + [

@@ -23,7 +23,9 @@ formal group law (Buchstaber's and Quillen's formulas).  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
 same canonical form; the Wall lattice, which the package builds from
-*-monomials, is checked against the kernel of the shift-2 operation.  Two
+*-monomials, is checked against the kernel of the shift-2 operation, and
+the differential, which the package reads off the twisted Leibniz law, is
+solved from the boundary operation on the whole lattice.  Two
 lattices are compared by their reduced column Hermite forms, which are
 unique; so the monomial basis is checked against all products of catalog
 classes.  The invariant factors of a direct sum
@@ -39,8 +41,8 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
 from slcob.abelian import _factorint
-from slcob.intmat import (IntMatrix, _column_echelon, _hermite_columns,
-                          kernel_basis)
+from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
+                          _hermite_columns, kernel_basis)
 from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
 from slcob.partitions import merge, partitions_of
 from slcob.symfun import _p_in_m, e_to_m_matrix
@@ -209,6 +211,19 @@ def wall_lattice_kernel(cf, n):
     on the degree-n basis, in reduced column Hermite form: no *-product
     and no choice of generators."""
     return kernel_basis(cf.operation_matrix("delta", n))
+
+
+def delta_matrix_by_operation(cf, n):
+    """The differential from the Wall lattice in degree n to degree n - 1,
+    in the Wall bases, by the dense route: minus the boundary operation's
+    b-monomial matrix times B_n W_n, solved against B_(n-1) W_(n-1).  No
+    Leibniz law and no generator step."""
+    image = cf.operation_matrix("partial", n) * cf.w_lattice(n)
+    solver = HNFSolver(cf.basis.matrix(n - 1) * cf.w_lattice(n - 1))
+    cols = [solver.solve([-a for a in image.column(j)])
+            for j in range(image.cols)]
+    assert None not in cols, "boundary image escapes the Wall lattice"
+    return IntMatrix.from_columns(solver.mat.cols, cols)
 
 
 def hermite_column_form(mat):

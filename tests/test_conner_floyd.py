@@ -39,6 +39,26 @@ def test_differential_against_boundary_of_each_wall_class(ctx, cf, basis):
         assert [list(image.column(j)) for j in range(image.cols)] == expected
 
 
+def test_delta_matrix_matches_operation_route(cf):
+    """The differential read off the twisted Leibniz law equals, entry for
+    entry, the one solved from the boundary operation on the lattice."""
+    from oracles import delta_matrix_by_operation
+    for n in range(1, 13):
+        assert cf.delta_matrix(n) == delta_matrix_by_operation(cf, n), n
+
+
+def test_calabi_yau_classes_are_su(ctx):
+    """The boundary operation kills every Calabi-Yau complete intersection
+    of bidegree (d, n + 3 - d) in P^(n+2), n <= 12: c_1 = 0, so the
+    generator step needs no differential of its starting class."""
+    from slcob.operations import boundary_partial
+    op = boundary_partial(ctx)
+    for n in range(1, 13):
+        for d in range(1, (n + 3) // 2 + 1):
+            cls = mu.complete_intersection_class(ctx, n + 2, (d, n + 3 - d))
+            assert apply_operation(ctx, op, cls).is_zero(), (n, d)
+
+
 def test_differential_squares_to_zero(cf):
     for n in range(2, 13):
         m = cf.delta_matrix(n - 1) * cf.delta_matrix(n)
@@ -265,6 +285,64 @@ def test_cf_homology_builds_no_wall_kernel(monkeypatch, capsys):
     rows = capsys.readouterr().out.split()
     assert [row.split(",")[3] for row in rows[1:]] == \
         ["Z/2", "0", "Z/2", "0", "Z/2", "0", "Z/2", "0", "(Z/2)^2", "0"]
+
+
+def test_generator_builds_only_the_combined_classes(monkeypatch):
+    """Up to degree 12 the generator step builds 23 of the 50 Calabi-Yau
+    classes, and in each degree their s-numbers have the gcd of all of
+    them; a class whose s-number is not the closed form is an error."""
+    import pytest
+    from functools import reduce
+    from math import gcd
+    from slcob import conner_floyd
+    real = conner_floyd.complete_intersection_class
+    built = {}
+
+    def counting(ctx, ambient, degrees):
+        cls = real(ctx, ambient, degrees)
+        built.setdefault(cls.degree, []).append(mu.s_number(cls))
+        return cls
+
+    monkeypatch.setattr(conner_floyd, "complete_intersection_class", counting)
+    ConnerFloyd(12).w_lattice(12)
+    assert sum(map(len, built.values())) == 23
+    for n in range(3, 13):
+        every = [d * (n + 3 - d) * (n + 3 - d ** n - (n + 3 - d) ** n)
+                 for d in range(1, (n + 3) // 2 + 1)]
+        assert reduce(gcd, built[n]) == reduce(gcd, every), n
+    monkeypatch.setattr(conner_floyd, "complete_intersection_class",
+                        lambda *args: real(*args).scale(2))
+    with pytest.raises(mu.BasisConstructionError, match="s-number"):
+        ConnerFloyd(4).w_lattice(3)
+
+
+def test_cf_homology_builds_no_operation_matrix(monkeypatch, capsys):
+    """`cf homology` runs with every operation matrix patched to raise and
+    applies an operation once, to [CP^1]: the differential comes from the
+    twisted Leibniz law."""
+    from slcob import cli, conner_floyd
+
+    def operation_matrix(self, name, n):
+        raise AssertionError("the %s operation matrix in degree %d"
+                             % (name, n))
+
+    applied = []
+    real_apply = conner_floyd.apply_operation
+
+    def apply_operation(ctx, op, cls):
+        applied.append(cls)
+        return real_apply(ctx, op, cls)
+
+    monkeypatch.setattr(ConnerFloyd, "operation_matrix", operation_matrix)
+    monkeypatch.setattr(conner_floyd, "apply_operation", apply_operation)
+    monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
+    assert cli.main(["--truncation", "12", "--format", "csv",
+                     "cf", "homology"]) == 0
+    rows = capsys.readouterr().out.split()
+    cf = ConnerFloyd(12)
+    assert [row.split(",")[3] for row in rows[1:]] == \
+        [str(cf.expected_homology(n)) for n in range(12)]
+    assert len(applied) <= 1
 
 
 def test_construction_errors_are_not_assertions():
