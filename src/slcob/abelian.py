@@ -152,11 +152,6 @@ class FGAbGroup:
             "inverted_primes": sorted(self.inverted_primes),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["free_rank"], tuple(data["invariant_factors"]),
-                   frozenset(data["inverted_primes"]))
-
     def __str__(self):
         terms = []
         if self.free_rank == 1:

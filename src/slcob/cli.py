@@ -22,7 +22,7 @@ from .kq import KQPresentation
 from .operations import (apply_operation, boundary_partial, delta_op,
                          landweber_novikov)
 from .partitions import partitions_of
-from .verify import run_suite
+from .verify import CHAIN_SUITES, run_suite
 from .witt import field_descriptor, witt_data
 
 MAX_TRUNCATION = 16
@@ -333,7 +333,8 @@ def cmd_verify(args):
     if not 2 <= max_degree <= MAX_TRUNCATION:
         raise ValueError("--max-degree must be between 2 and %d (the suites "
                          "run at that truncation)" % MAX_TRUNCATION)
-    checks = run_suite(args.suite, kind=field, q=q, max_degree=max_degree)
+    cf = fixtures(max_degree) if args.suite in CHAIN_SUITES else None
+    checks = run_suite(args.suite, cf, field, q, max_degree)
     failures = 0
     for name, ok, detail in checks:
         line = "%s %s" % ("PASS" if ok else "FAIL", name)

@@ -133,8 +133,34 @@ def suite_subring(cf, max_degree):
     return checks
 
 
-def suite_table(kind, q=None):
-    """The introduction table and the assembly consistency identities."""
+def chain_decomposition(fd, cf, n):
+    """The views of the diagonal in degree n, built from the computed
+    chain and the Witt data of the field.  The special unitary free rank
+    is the rank of the cycles Z_n; its torsion in degrees 1 mod 4 is
+    (Z/2)^(rank H_(n-1)); in degrees 0 mod 4 the ideal part is
+    I(k)^(rank H_n) and the first off-diagonal group W(k)^(rank H_n)."""
+    wr, inv = witt_data(fd), fd.inverted_primes
+    ideal = len(cf.homology(n).invariant_factors) if n % 4 == 0 else 0
+    torsion = FGAbGroup.cyclic(2, inv).power(
+        len(cf.homology(n - 1).invariant_factors) if n % 4 == 1 else 0)
+    free = FGAbGroup.free(cf.cycles(n).cols, inv)
+    witt = wr.w.power(ideal)
+    return {
+        "msu_free": free,
+        "msu_torsion": torsion,
+        "ideal_part": wr.fundamental_ideal_power(1).power(ideal),
+        "off_diagonal": witt,
+        "away_from_two": free.direct_sum(witt).localize([2]),
+        "msl_torsion": wr.two_primary_torsion_of_ideal(1).power(ideal)
+        .direct_sum(torsion),
+    }
+
+
+def suite_table(kind, q, cf, max_degree):
+    """The published introduction table, then each degree n <= 11 below
+    the truncation against `chain_decomposition`: the tabulated
+    decomposition, the first off-diagonal group, the diagonal with 2
+    inverted and its 2-primary torsion."""
     fd = field_descriptor(kind, q)
     checks = []
     rows = msl.intro_table_rows(fd)
@@ -142,20 +168,18 @@ def suite_table(kind, q=None):
     for row, exp in zip(rows, expected):
         checks.append(("degree %d: %s" % (row["n"], exp),
                        str(row["group"]) == exp, "got %s" % row["group"]))
-    for n in range(0, 12):
-        q1 = msl.quotient_by_ideal(fd, n)
-        q2 = msl.msu_additive(n, fd.inverted_primes)
-        checks.append(("quotient by the ideal = special unitary part, n=%d" % n,
-                       q1 == q2, ""))
-        a1 = msl.away_from_two(fd, n)
-        a2 = msl.away_from_two_expected(fd, n)
-        checks.append(("away-from-2 splitting, n=%d" % n, a1 == a2, ""))
-        checks.append(("eta-surjectivity bookkeeping, n=%d" % n,
-                       msl.eta_epi_check(fd, n), ""))
-        tor = msl.msl_torsion(fd, n)
-        diag_tor = msl.msl_diagonal(fd, n).group.torsion_part()
-        checks.append(("torsion consistency, n=%d" % n,
-                       tor.primary_part(2) == diag_tor.primary_part(2), ""))
+    for n in range(min(11, max_degree - 1) + 1):
+        ans = msl.msl_diagonal(fd, n)
+        got = {"msu_free": ans.msu_free, "msu_torsion": ans.msu_torsion,
+               "ideal_part": ans.ideal_part,
+               "off_diagonal": msl.msl_off_diagonal(fd, n, 1),
+               "away_from_two": msl.away_from_two(fd, n),
+               "msl_torsion": msl.msl_torsion(fd, n)}
+        want = chain_decomposition(fd, cf, n)
+        bad = ["%s %s, chain %s" % (k, got[k], want[k])
+               for k in want if got[k] != want[k]]
+        checks.append(("degree %d agrees with the chain at truncation %d"
+                       % (n, max_degree), not bad, "; ".join(bad)))
     return checks
 
 
@@ -217,10 +241,14 @@ def suite_witt_oracle():
     return checks
 
 
+# The suites that read the chain.
+CHAIN_SUITES = ("leibniz", "cf-pattern", "subring", "table", "all")
+
+
 def run_suite(name, cf=None, kind=None, q=None, max_degree=12):
     """Dispatch a named suite; the chain at truncation max_degree is built
     on demand."""
-    if name in ("leibniz", "cf-pattern", "subring", "all") and cf is None:
+    if name in CHAIN_SUITES and cf is None:
         cf = ConnerFloyd(max(max_degree, 2))
     kinds = [kind] if kind else ["c", "r", "fq1", "fq3"]
     if name == "leibniz":
@@ -232,7 +260,8 @@ def run_suite(name, cf=None, kind=None, q=None, max_degree=12):
     if name == "table":
         out = []
         for k in kinds:
-            out += [("[%s] %s" % (k, n), ok, d) for n, ok, d in suite_table(k, q)]
+            out += [("[%s] %s" % (k, n), ok, d)
+                    for n, ok, d in suite_table(k, q, cf, max_degree)]
         return out
     if name == "kq":
         out = []
@@ -251,7 +280,7 @@ def run_suite(name, cf=None, kind=None, q=None, max_degree=12):
                 for n, ok, d in suite_subring(cf, max_degree)]
         for k in kinds:
             out += [("table[%s]: %s" % (k, n), ok, d)
-                    for n, ok, d in suite_table(k, q)]
+                    for n, ok, d in suite_table(k, q, cf, max_degree)]
             out += [("kq[%s]: %s" % (k, n), ok, d) for n, ok, d in suite_kq(k, q)]
         out += [("witt: %s" % n, ok, d) for n, ok, d in suite_witt_oracle()]
         return out

@@ -30,7 +30,8 @@ lattices are compared by their reduced column Hermite forms, which are
 unique; so the monomial basis is checked against all products of catalog
 classes.  The invariant factors of a direct sum
 of cyclic groups, which the package gets by a (gcd, lcm) pass, are read
-off the prime powers of the summands.
+off the prime powers of the summands, and a group is read back from its
+JSON form.
 """
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ from math import comb
 
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly
-from slcob.abelian import _factorint
+from slcob.abelian import FGAbGroup, _factorint
 from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
                           _hermite_columns, kernel_basis)
 from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
@@ -668,3 +669,9 @@ def invariant_factors_by_prime(divisors, inverted_primes):
                 f *= p ** exps[slot]
         factors.append(f)
     return rank, tuple(reversed(factors))
+
+
+def group_from_json(data):
+    """The FGAbGroup whose `to_json` is data."""
+    return FGAbGroup(data["free_rank"], tuple(data["invariant_factors"]),
+                     frozenset(data["inverted_primes"]))

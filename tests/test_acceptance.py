@@ -8,8 +8,8 @@ from slcob import charnum, msl, mu
 from slcob.intmat import HNFSolver
 from slcob.kq import KQPresentation
 from slcob.partitions import partition_count as p
-from slcob.verify import (_expected_intro, suite_leibniz, suite_subring,
-                          suite_witt_oracle)
+from slcob.verify import (_expected_intro, chain_decomposition, suite_leibniz,
+                          suite_subring, suite_witt_oracle)
 from slcob.witt import field_descriptor
 from slcob.wittforms import FormCalculus
 
@@ -165,14 +165,15 @@ def test_criterion_11_mod_eta_quotient():
     report(11, "monomial counts and off-diagonal groups match for all kinds")
 
 
-def test_criterion_12_quotient_and_localization():
+def test_criterion_12_quotient_and_localization(cf):
     """Quotient by the ideal gives the special unitary answer; inverting 2
-    splits off the Witt part; both for all kinds and n <= 11."""
+    splits off the Witt part; both for all kinds and n <= 11, against the
+    groups built from the computed chain."""
     for kind in ALL_KINDS:
         fd = field_descriptor(kind)
         for n in range(0, 12):
-            assert msl.quotient_by_ideal(fd, n) == msl.msu_additive(
-                n, fd.inverted_primes), (kind, n)
-            assert msl.away_from_two(fd, n) == msl.away_from_two_expected(
-                fd, n), (kind, n)
+            chain = chain_decomposition(fd, cf, n)
+            assert msl.quotient_by_ideal(fd, n) == chain["msu_free"].direct_sum(
+                chain["msu_torsion"]), (kind, n)
+            assert msl.away_from_two(fd, n) == chain["away_from_two"], (kind, n)
     report(12, "quotient and away-from-2 identities hold for all kinds, n <= 11")

@@ -131,11 +131,14 @@ def test_sign_insensitivity(ctx, cf, basis):
 
 
 def test_msu_additive_examples():
-    from slcob.msl import msu_additive
-    assert msu_additive(5) == FGAbGroup.from_divisors([0, 0, 2])
-    assert msu_additive(9) == FGAbGroup.from_divisors([0] * 8 + [2, 2])
-    assert msu_additive(3) == FGAbGroup.free(1)
-    assert msu_additive(0) == FGAbGroup.free(1)
+    """The diagonal modulo the ideal is the special unitary group."""
+    from slcob.msl import quotient_by_ideal
+    from slcob.witt import field_descriptor
+    fd = field_descriptor("c")
+    assert quotient_by_ideal(fd, 5) == FGAbGroup.from_divisors([0, 0, 2])
+    assert quotient_by_ideal(fd, 9) == FGAbGroup.from_divisors([0] * 8 + [2, 2])
+    assert quotient_by_ideal(fd, 3) == FGAbGroup.free(1)
+    assert quotient_by_ideal(fd, 0) == FGAbGroup.free(1)
 
 
 def test_msl_image_examples(cf):

@@ -1,6 +1,6 @@
 import doctest
 
-from slcob import abelian, intmat, partitions, symfun
+from slcob import abelian, intmat, msl, partitions, symfun
 
 
 def test_partition_doctests():
@@ -20,4 +20,9 @@ def test_symfun_doctests():
 
 def test_intmat_doctests():
     results = doctest.testmod(intmat)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_msl_doctests():
+    results = doctest.testmod(msl)
     assert results.failed == 0 and results.attempted > 0

@@ -2,6 +2,7 @@ import pytest
 
 from slcob import msl
 from slcob.abelian import FGAbGroup
+from slcob.verify import chain_decomposition
 from slcob.witt import field_descriptor, witt_data
 
 ALL_KINDS = ("c", "r", "fq1", "fq3")
@@ -37,12 +38,22 @@ def test_off_diagonal_examples():
         msl.msl_off_diagonal(q3, 4, 0)
 
 
+def ideal(kind, n):
+    return msl.msl_diagonal(field_descriptor(kind), n).ideal_part
+
+
 def test_ideal_examples():
-    assert msl.i_msl(field_descriptor("r"), 8) == FGAbGroup.free(2)
+    assert ideal("r", 8) == FGAbGroup.free(2)
     for n in range(0, 12):
-        assert msl.i_msl(field_descriptor("c"), n).is_trivial()
+        assert ideal("c", n).is_trivial()
     for kind in ALL_KINDS:
-        assert msl.i_msl(field_descriptor(kind), 6).is_trivial()
+        assert ideal(kind, 6).is_trivial()
+
+
+def test_negative_degree_raises():
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="starts in degree 0"):
+            msl.msl_diagonal(field_descriptor(kind), -1)
 
 
 def test_torsion_examples():
@@ -89,20 +100,28 @@ def test_intro_table_rows():
         "Z^4", "Z^4", "GW(k)^2 + Z^5", "Z^8 + (Z/2)^2"]
 
 
-def test_quotient_and_localization_consistency():
+def test_quotient_and_localization_consistency(cf):
+    """Against the groups built from the computed chain; the diagonal
+    surjects onto the first off-diagonal group W(k)^p because p rank
+    sections cover the rank-mod-2 quotient of the ideal part I(k)^p."""
     for kind in ALL_KINDS:
         fd = field_descriptor(kind)
         for n in range(0, 12):
-            assert msl.quotient_by_ideal(fd, n) == msl.msu_additive(
-                n, fd.inverted_primes)
-            assert msl.away_from_two(fd, n) == msl.away_from_two_expected(fd, n)
-            assert msl.eta_epi_check(fd, n)
+            chain = chain_decomposition(fd, cf, n)
+            assert msl.quotient_by_ideal(fd, n) == chain["msu_free"].direct_sum(
+                chain["msu_torsion"])
+            assert msl.away_from_two(fd, n) == chain["away_from_two"]
+            p = len(cf.homology(n).invariant_factors) if n % 4 == 0 else 0
+            assert msl.msl_off_diagonal(fd, n, 1).is_trivial() or \
+                msl.msl_diagonal(fd, n).msu_free.free_rank >= p
 
 
-def test_quadratically_closed_equals_msu():
+def test_quadratically_closed_equals_msu(cf):
     fd = field_descriptor("c")
     for n in range(0, 12):
-        assert msl.msl_diagonal(fd, n).group == msl.msu_additive(n)
+        chain = chain_decomposition(fd, cf, n)
+        assert msl.msl_diagonal(fd, n).group == chain["msu_free"].direct_sum(
+            chain["msu_torsion"])
 
 
 def test_inverted_primes_do_not_touch_stated_torsion():
