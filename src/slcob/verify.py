@@ -6,7 +6,7 @@ table, the Hermitian K-theory relations, and the brute-force Witt oracle.
 """
 
 from . import msl, mu
-from .conner_floyd import ConnerFloyd, ConventionError
+from .conner_floyd import ConventionError
 from .abelian import FGAbGroup
 from .intmat import HNFSolver, IntMatrix, smith_normal_form
 from .mu import BasisConstructionError
@@ -138,7 +138,11 @@ def chain_decomposition(fd, cf, n):
     chain and the Witt data of the field.  The special unitary free rank
     is the rank of the cycles Z_n; its torsion in degrees 1 mod 4 is
     (Z/2)^(rank H_(n-1)); in degrees 0 mod 4 the ideal part is
-    I(k)^(rank H_n) and the first off-diagonal group W(k)^(rank H_n)."""
+    I(k)^(rank H_n) and the first off-diagonal group W(k)^(rank H_n).
+
+    Only those three ranks come from the chain.  The remaining entries
+    assemble groups from them with the Witt data as `msl` does, so they
+    check msl's assembly of the views, not the chain itself."""
     wr, inv = witt_data(fd), fd.inverted_primes
     ideal = len(cf.homology(n).invariant_factors) if n % 4 == 0 else 0
     torsion = FGAbGroup.cyclic(2, inv).power(
@@ -245,11 +249,9 @@ def suite_witt_oracle():
 CHAIN_SUITES = ("leibniz", "cf-pattern", "subring", "table", "all")
 
 
-def run_suite(name, cf=None, kind=None, q=None, max_degree=12):
-    """Dispatch a named suite; the chain at truncation max_degree is built
-    on demand."""
-    if name in CHAIN_SUITES and cf is None:
-        cf = ConnerFloyd(max(max_degree, 2))
+def run_suite(name, cf, kind=None, q=None, max_degree=12):
+    """Dispatch a named suite.  The suites in CHAIN_SUITES read `cf`, the
+    chain at truncation max_degree; the others ignore it."""
     kinds = [kind] if kind else ["c", "r", "fq1", "fq3"]
     if name == "leibniz":
         return suite_leibniz(cf, max_degree)

@@ -128,11 +128,9 @@ def test_verify_kq_single_field():
 def test_verify_shares_one_chain_per_truncation(monkeypatch):
     """In one process the verify suites that read the chain reuse the CLI's
     chain at their truncation, and the others build none."""
-    from slcob import verify
     built = []
     real = cli.ConnerFloyd
     monkeypatch.setattr(cli, "ConnerFloyd", lambda t: built.append(t) or real(t))
-    monkeypatch.setattr(verify, "ConnerFloyd", None)
     cli.fixtures.cache_clear()
     for suite in ("table", "subring", "table", "kq", "witt-oracle"):
         assert exit_code(["verify", "--suite", suite, "--max-degree", "4"]) == 0
