@@ -182,8 +182,10 @@ class ConnerFloyd:
     def w_rank(self, n):
         return self.w_lattice(n).cols
 
+    @_memoized
     def wall_classes(self, n):
-        """The Wall-lattice basis as actual coefficient-ring classes."""
+        """The Wall-lattice basis as actual coefficient-ring classes (one
+        list per degree, shared by every caller: do not mutate it)."""
         w = self.w_lattice(n)
         return [self.basis.from_coordinates(n, w.column(j))
                 for j in range(w.cols)]

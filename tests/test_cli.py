@@ -125,6 +125,22 @@ def test_verify_kq_single_field():
     assert out.returncode == 0
 
 
+def test_verify_leibniz_under_optimize():
+    """The Leibniz suite's memo and pair count rest on no `assert`: under
+    `python -O` it prints the same three lines."""
+    argv = ["-m", "slcob.cli", "--truncation", "8", "verify", "--suite",
+            "leibniz"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv],
+                                       capture_output=True, text=True)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout.splitlines() == [
+        "PASS twisted Leibniz for the boundary operation (121 Wall pairs)",
+        "PASS product law for the shift-2 operation (121 Wall pairs)",
+        "2 checks, 0 failures"]
+
+
 def test_verify_shares_one_chain_per_truncation(monkeypatch):
     """In one process the verify suites that read the chain reuse the CLI's
     chain at their truncation, and the others build none."""

@@ -1,6 +1,10 @@
 import pytest
 
 from slcob import msl, verify
+from slcob.conner_floyd import ConnerFloyd
+from slcob.mu import MUClass
+from slcob.operations import apply_operation, boundary_partial, delta_op
+from slcob.partitions import partition_count, partitions_of
 
 
 def test_cf_pattern_runs_to_the_truncation(monkeypatch):
@@ -48,3 +52,81 @@ def test_table_suite_fails_on_a_miscounted_degree(monkeypatch, cf, degree,
         assert chained == ["degree %d agrees with the chain at truncation 12"
                            % degree], (kind, failed)
         assert all(name.startswith("degree %d" % degree) for name in failed)
+
+
+def wall_products(cf, max_degree):
+    """Every product a*b of Wall classes of positive degrees with total
+    degree at most max_degree, ordered pairs included."""
+    wall = {n: cf.wall_classes(n) for n in range(1, max_degree)}
+    return [a * b for na in wall for nb in wall if na + nb <= max_degree
+            for a in wall[na] for b in wall[nb]]
+
+
+@pytest.mark.parametrize("truncation", [6, 9, 12])
+def test_leibniz_suite_counts_every_ordered_pair(cf, truncation):
+    """The suite reports sum r(na) r(nb) over na + nb <= T, where
+    r(n) = p(n) - p(n-2) is the rank of the Wall lattice in degree n."""
+    def r(n):
+        return partition_count(n) - partition_count(n - 2)
+
+    pairs = sum(r(na) * r(nb) for na in range(1, truncation)
+                for nb in range(1, truncation - na + 1))
+    assert [name for name, _, _ in verify.suite_leibniz(cf, truncation)] == [
+        "twisted Leibniz for the boundary operation (%d Wall pairs)" % pairs,
+        "product law for the shift-2 operation (%d Wall pairs)" % pairs]
+    if truncation == 12:
+        assert pairs == 871
+
+
+def test_leibniz_suite_applies_each_operation_once_per_class(monkeypatch, cf):
+    """The shift-2 operation runs once per distinct product a*b (194 at
+    T = 12, against one per ordered pair), the boundary operation once per
+    distinct Wall class or product."""
+    applied = {"partial": [], "delta": []}
+
+    def counting(ctx, op, x):
+        applied[op.name].append(x)
+        return apply_operation(ctx, op, x)
+
+    monkeypatch.setattr(verify, "apply_operation", counting)
+    assert all(ok for _, ok, _ in verify.suite_leibniz(cf, 12))
+    products = set(wall_products(cf, 12))
+    wall = {c for n in range(1, 12) for c in cf.wall_classes(n)}
+    assert len(products) == 194
+    assert len(applied["delta"]) == len(set(applied["delta"])) == 194
+    assert set(applied["delta"]) == products
+    assert len(applied["partial"]) == len(set(applied["partial"]))
+    assert set(applied["partial"]) <= products | wall
+
+
+def corrupt_column(cf, op, part):
+    """Add one to one entry of the cached column op(b^part)."""
+    apply_operation(cf.ctx, op, MUClass.from_dict(sum(part), {part: 1}))
+    column = cf.ctx._memo["operations.columns"][op][2][part]
+    mon = partitions_of(sum(part) - op.shift)[0]
+    column[mon] = column.get(mon, 0) + 1
+
+
+@pytest.mark.parametrize("corrupted", [("delta",), ("partial",),
+                                       ("delta", "partial")])
+def test_leibniz_suite_memo_does_not_hide_a_corrupt_column(corrupted):
+    """One entry off by one in the column of a b-monomial that only
+    products reach (no Wall class has it) fails exactly the law that
+    reads it, and each failing law names itself.  A fresh chain keeps
+    the corruption out of the session's column tables."""
+    cf = ConnerFloyd(8)
+    reached = {part for cls in wall_products(cf, 8) for part, _ in cls.hb}
+    walls = {part for n in range(1, 8) for cls in cf.wall_classes(n)
+             for part, _ in cls.hb}
+    part = max(reached - walls)
+    ops = {"delta": delta_op(cf.ctx), "partial": boundary_partial(cf.ctx)}
+    for name in corrupted:
+        corrupt_column(cf, ops[name], part)
+    (boundary, ok_b, detail_b), (product, ok_p, detail_p) = \
+        verify.suite_leibniz(cf, 8)
+    assert boundary.startswith("twisted Leibniz")
+    assert product.startswith("product law")
+    assert ok_b == ("partial" not in corrupted)
+    assert ok_p == ("delta" not in corrupted)
+    assert detail_b.startswith("partial law at (") or ok_b and not detail_b
+    assert detail_p.startswith("product law at (") or ok_p and not detail_p
