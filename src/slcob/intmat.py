@@ -13,7 +13,11 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
                        is built from *-monomials with no kernel;
   HNFSolver            the one integral solver: one pass on the columns
                        stacked over an identity, then forward
-                       substitution per target;
+                       substitution per target; columns already in
+                       echelon form (leading rows strictly increasing,
+                       as the lower triangular basis matrices B_n and
+                       Hermite kernels are) skip the pass, since
+                       substitution needs echelon form, not reduction;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs, the
                        pass that `abelian` also normalizes groups with.
@@ -174,14 +178,22 @@ def kernel_basis(mat):
 
 
 class HNFSolver:
-    """Factored integral solver: column-reduce M once, then solve
-    M x = b for many right-hand sides by forward substitution."""
+    """Factored integral solver: bring the columns of M to echelon form
+    once, then solve M x = b for many right-hand sides by forward
+    substitution.  Columns whose leading rows already strictly increase
+    are taken as they stand: they are independent, so the solution is
+    the unique one the reduction would also find."""
 
     def __init__(self, mat):
         self.mat = mat
         columns = [list(mat.column(j)) + [int(i == j) for i in range(mat.cols)]
                    for j in range(mat.cols)]
-        self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
+        leads = [next((i for i in range(mat.rows) if c[i]), mat.rows)
+                 for c in columns]
+        if all(a < b for a, b in zip(leads, leads[1:] + [mat.rows])):
+            self.pivot_rows = leads
+        else:
+            self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
         self.columns = columns
 
     def solve(self, target):

@@ -23,8 +23,12 @@ vector, and the lattice computations stay in those coordinates: an
 operation on the lattice is its b-monomial matrix times the basis matrix
 B_n, whose columns are the vectors of the x^omega.  Where coordinates in
 the basis are wanted, one `intmat.HNFSolver` per degree solves against
-B_n, which must have full rank.  Chern monomials are partitions too, so
-the reciprocal-class matrix is computed in bpoly.
+B_n, which must have full rank.  That solver skips elimination: x^omega
+has b-monomials only at refinements of omega, which come later in
+partition order, and its b^omega coefficient is plus or minus the
+product of the generators' s-numbers, so B_n is lower triangular with a
+nonzero diagonal, which is column echelon form.  Chern monomials are
+partitions too, so the reciprocal-class matrix is computed in bpoly.
 """
 
 from dataclasses import dataclass
@@ -360,14 +364,13 @@ class MUBasis:
     @_memoized
     def basis(self, n):
         """List of (partition label, MUClass) for degree n, in the global
-        partition order."""
-        entries = []
-        for omega in partitions_of(n):
-            cls = MUClass.unit()
-            for part in omega:
-                cls = cls * self.generators[part]
-            entries.append((omega, cls))
-        return entries
+        partition order.  x^omega is x_(omega_1) times the memoized tail
+        x^(omega[1:]) of degree n - omega_1."""
+        if n == 0:
+            return [((), MUClass.unit())]
+        tails = {m: dict(self.basis(m)) for m in range(n)}
+        return [(omega, self.generators[omega[0]] * tails[n - omega[0]][omega[1:]])
+                for omega in partitions_of(n)]
 
     @_memoized
     def matrix(self, n):

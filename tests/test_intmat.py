@@ -110,6 +110,62 @@ def test_hnf_solver_hand_example():
     assert solver.solve([1, 0]) is None
 
 
+def random_echelon(rng, rows, cols):
+    """A rows x cols matrix in column echelon form, not reduced: leading
+    rows strictly increase, pivots are nonzero and may be negative or
+    other than 1, and the entries below a pivot are arbitrary."""
+    leads = sorted(rng.sample(range(rows), cols))
+    columns = []
+    for r in leads:
+        col = [0] * rows
+        col[r] = rng.choice([-7, -3, -2, -1, 1, 2, 3, 5])
+        for i in range(r + 1, rows):
+            col[i] = rng.randint(-9, 9)
+        columns.append(col)
+    return IntMatrix.from_columns(rows, columns), leads
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10 ** 6))
+def test_hnf_solver_echelon_fast_path(rows, seed):
+    """Columns already in echelon form are taken as they stand, and every
+    solve agrees with a column-permuted copy, which has to be reduced."""
+    rng = random.Random(seed)
+    cols = rng.randint(2, rows)
+    m, leads = random_echelon(rng, rows, cols)
+    solver = HNFSolver(m)
+    assert solver.pivot_rows == leads
+    assert [c[:rows] for c in solver.columns] == [list(m.column(j))
+                                                   for j in range(cols)]
+    perm = list(range(cols))[::-1]
+    permuted = IntMatrix.from_columns(rows, [m.column(j) for j in perm])
+    reduced = HNFSolver(permuted)
+    assert_reduced_hermite(IntMatrix.from_columns(
+        rows, [c[:rows] for c in reduced.columns[:len(reduced.pivot_rows)]]))
+    targets = [m.apply([rng.randint(-5, 5) for _ in range(cols)])
+               for _ in range(4)]
+    targets += [[rng.randint(-20, 20) for _ in range(rows)] for _ in range(4)]
+    for target in targets:
+        sol, psol = solver.solve(target), reduced.solve(target)
+        assert (sol is None) == (psol is None) == (not in_span(m, target))
+        if sol is not None:
+            assert m.apply(sol) == target
+            assert [sol[j] for j in perm] == psol
+
+
+def test_hnf_solver_reduces_when_not_in_echelon_form():
+    """Leading rows that increase but end on a zero column (its lead lies
+    below the matrix) are not echelon form: the full reduction runs and
+    finds the rank."""
+    m = IntMatrix.from_rows([[-2, 0, 0], [1, 3, 0], [0, 1, 0]])
+    solver = HNFSolver(m)
+    assert solver.pivot_rows == [0, 1]
+    assert solver.solve([4, 1, 1]) == [-2, 1, 0]
+    assert solver.solve([1, 0, 0]) is None
+    # a square matrix whose last lead lies inside is taken as it stands
+    assert HNFSolver(IntMatrix.from_rows([[-2, 0], [1, 3]])).pivot_rows == [0, 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_hnf_solver_matches_span_oracle(rows, cols, seed):

@@ -236,6 +236,26 @@ def test_full_rank_all_degrees(basis):
             assert coords[idx] == 1 and sum(map(abs, coords)) == 1
 
 
+def test_basis_matrix_is_echelon_and_solved_without_reduction(basis):
+    """B_n is lower triangular with a nonzero diagonal in partition order,
+    so its solver takes the columns as they stand, and each x^omega built
+    from its memoized tail is the product of its generators."""
+    assert basis.ctx.bound == 12
+    for n in range(13):
+        m = basis.matrix(n)
+        p = partition_count(n)
+        assert m.rows == m.cols == p
+        for j in range(p):
+            assert m.entries[j][j] != 0
+            assert all(m.entries[i][j] == 0 for i in range(j))
+        assert basis.solver(n).pivot_rows == list(range(p))
+        for omega, cls in basis.basis(n):
+            expected = mu.MUClass.unit()
+            for part in omega:
+                expected = expected * basis.generators[part]
+            assert cls == expected
+
+
 def test_multiply_and_commutativity(ctx, basis):
     cp1 = mu.cpn_class(ctx, 1)
     assert cp1 * mu.MUClass.unit() == cp1
