@@ -1,20 +1,24 @@
-"""Fast arithmetic in Z[b1, b2, ...] with monomials keyed by partitions.
+"""Fast arithmetic in Z[b1, b2, ...] with monomials keyed by integer codes.
 
 The Hurewicz model stores everything as integer polynomials in the homology
 generators b_i (weight i).  A monomial b_{i1} b_{i2} ... is the partition
-(i1 >= i2 >= ...); a polynomial is a dict {partition: int} with no zero
-values.  This bare representation is the hot path of the whole package
-and its only polynomial arithmetic.  Chern monomials c^omega are
-partitions too, and the reciprocal Chern class is computed here with c_i
-in the role of b_i.
+(i1 >= i2 >= ...), keyed by its code `partitions.encode`, the product of
+the primes p_(i1) p_(i2) ...; a polynomial is a dict {code: int} with no
+zero values.  Codes rather than partition tuples because the product of
+two monomials is then the product of their codes (unique factorisation),
+one integer multiplication where tuples need a merge and a sort.  This
+bare representation is the hot path of the whole package and its only
+polynomial arithmetic.  Chern monomials c^omega are coded the same way,
+and the reciprocal Chern class is computed here with c_i in the role of
+b_i.
 
 Products keep every term; the weight bound truncates series, at the
 power `top` of the series variable, and never their coefficients.
 """
 
-from .partitions import merge
+from .partitions import encode
 
-ONE = {(): 1}
+ONE = {1: 1}
 
 
 def add(a, b):
@@ -42,7 +46,7 @@ def mul_into(out, a, b):
     """out += a * b in place; returns out."""
     for k1, v1 in a.items():
         for k2, v2 in b.items():
-            k = merge(k1, k2)
+            k = k1 * k2
             s = out.get(k, 0) + v1 * v2
             if s:
                 out[k] = s
@@ -52,7 +56,7 @@ def mul_into(out, a, b):
 
 
 def gen(i):
-    return {(i,): 1}
+    return {encode((i,)): 1}
 
 
 # -- univariate series with bpoly coefficients ---------------------------
@@ -73,36 +77,6 @@ def ser_mul(f, g, top):
                 continue
             mul_into(out[i + j], fi, gj)
     return out
-
-
-def ser_compose(f, g, top):
-    """f(g(x)) for series with g[0] = 0."""
-    assert not g[0]
-    out = ser_zero(top)
-    gp = ser_zero(top)
-    gp[0] = dict(ONE)
-    for k in range(len(f)):
-        if k > top:
-            break
-        if k > 0:
-            gp = ser_mul(gp, g, top)
-        if f[k]:
-            for d in range(top + 1):
-                if gp[d]:
-                    mul_into(out[d], f[k], gp[d])
-    return out
-
-
-def ser_inverse(f, top):
-    """Compositional inverse of f = x + higher; integral whenever f is."""
-    assert not f[0] and f[1] == ONE
-    g = ser_zero(top)
-    g[1] = dict(ONE)
-    for d in range(2, top + 1):
-        err = ser_compose(f[: d + 1], g, d)[d]
-        if err:
-            g[d] = scale(err, -1)
-    return g
 
 
 def ser_powers(f, top, count):

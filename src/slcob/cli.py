@@ -21,11 +21,10 @@ from .conner_floyd import ConnerFloyd
 from .kq import KQPresentation
 from .operations import (apply_operation, boundary_partial, delta_op,
                          landweber_novikov)
-from .partitions import partitions_of
+from .partitions import MAX_TRUNCATION, partitions_of
 from .verify import CHAIN_SUITES, run_suite
 from .witt import field_descriptor, witt_data
 
-MAX_TRUNCATION = 16
 FORMATS = ("text", "json", "csv")
 
 

@@ -30,7 +30,7 @@ from .intmat import HNFSolver, IntMatrix, kernel_basis, solve_mod
 from .mu import (BasisConstructionError, MUBasis, complete_intersection_class,
                  cpn_class, generator_target, min_s_combination, s_number)
 from .operations import apply_operation, boundary_partial, delta_op
-from .partitions import partition_count, partitions_of
+from .partitions import codes_of, encode, partition_count, partitions_of
 
 
 class ConventionError(RuntimeError):
@@ -101,7 +101,7 @@ class ConnerFloyd:
         if n < 2:
             return IntMatrix.identity(dim)
         cp1, cp2 = cpn_class(self.ctx, 1), cpn_class(self.ctx, 2)
-        two_v = dict(zip(partitions_of(2), self.basis.to_coordinates(
+        two_v = dict(zip(codes_of(2), self.basis.to_coordinates(
             (cp1 * cp1 - cp2).scale(2))))
         cols = []
         for omega in self.wall_labels(n):
@@ -109,7 +109,7 @@ class ConnerFloyd:
                 (x, dx), (y, dy) = self._wall_poly(omega[:1]), \
                     self._wall_poly(omega[1:])
                 xy = bpoly.mul_into(bpoly.mul(x, y), two_v, bpoly.mul(dx, dy))
-                cols.append([xy.get(p, 0) for p in partitions_of(n)])
+                cols.append([xy.get(c, 0) for c in codes_of(n)])
         if n > 2:
             cols.insert(0, self._generator(n, cols))
         return IntMatrix.from_columns(dim, cols)
@@ -119,7 +119,7 @@ class ConnerFloyd:
         polynomials in the MUBasis generators (x_k in the role of b_k)."""
         m = sum(omega)
         j = self.wall_labels(m).index(omega)
-        return [{p: c for p, c in zip(partitions_of(k), mat.column(j)) if c}
+        return [{p: c for p, c in zip(codes_of(k), mat.column(j)) if c}
                 for k, mat in ((m, self.w_lattice(m)),
                                (m - 1, self.boundaries_in_lattice(m - 1)))]
 
@@ -154,7 +154,7 @@ class ConnerFloyd:
                 "degree %d: x_n has s-number %d, not %d" % (n, s, target))
         dx = {}
         for c, omega in zip(combo, self.wall_labels(n)[1:]):
-            bpoly.mul_into(dx, {(): -c}, self._wall_d(omega))
+            bpoly.mul_into(dx, {1: -c}, self._wall_d(omega))
         if any(a % scale for a in dx.values()):
             raise BasisConstructionError("degree %d: d x_n not integral" % n)
         self._d[(n,)] = {k: a // scale for k, a in dx.items()}
@@ -168,13 +168,13 @@ class ConnerFloyd:
             a, b = omega[:1], omega[1:]
             if b:
                 da, db = self._wall_d(a), self._wall_d(b)
-                d = bpoly.mul_into(bpoly.mul(da, {b: 1}), {a: 1}, db)
-                self._d[omega] = bpoly.mul_into(d, bpoly.mul(da, {(1,): 1}),
-                                                db)
+                tail = bpoly.mul_into({encode(b): 1}, bpoly.gen(1), db)
+                self._d[omega] = bpoly.mul_into(bpoly.mul(da, tail),
+                                                {encode(a): 1}, db)
             elif a == (1,):
                 self._d[a] = apply_operation(
                     self.ctx, boundary_partial(self.ctx),
-                    cpn_class(self.ctx, 1)).scale(-1).coeffs()
+                    cpn_class(self.ctx, 1)).scale(-1).poly()
             else:
                 self.w_lattice(a[0])
         return self._d[omega]
@@ -197,7 +197,7 @@ class ConnerFloyd:
         holds the coefficients of `_wall_d(omega)`."""
         if n < 1:
             raise ValueError("the differential starts in degree 1, not %d" % n)
-        rows = self.wall_labels(n - 1)
+        rows = [encode(r) for r in self.wall_labels(n - 1)]
         return IntMatrix.from_columns(len(rows), [
             [self._wall_d(omega).get(r, 0) for r in rows]
             for omega in self.wall_labels(n)])

@@ -11,6 +11,9 @@ The class of CP^n is (n+1) times the n-th log coefficient; its b_n
 coefficient is -(n+1), i.e. coordinates in Z[b] are monomial-symmetric
 characteristic numbers of the stable normal bundle.
 
+The log x + m_1 x^2 + m_2 x^3 + ... is read off the powers of exp: the
+x^d coefficient of log(exp(x)) = sum_k m_k exp(x)^(k+1) = x vanishes for
+d >= 2, and [x^d] exp^d = 1, so m_(d-1) = -sum_(k<d-1) m_k [x^d] exp^(k+1).
 The operations need only exp, log and their powers; F and chi are
 written out as polynomials only by the test suite.
 """
@@ -18,6 +21,7 @@ written out as polynomials only by the test suite.
 from functools import cached_property, wraps
 
 from . import bpoly
+from .partitions import MAX_TRUNCATION
 
 
 def _memoized(method):
@@ -46,7 +50,9 @@ class FGLContext:
     """
 
     def __init__(self, bound=12):
-        assert bound >= 2
+        if not 2 <= bound <= MAX_TRUNCATION:
+            raise ValueError("the truncation must be between 2 and %d, not %r"
+                             % (MAX_TRUNCATION, bound))
         self.bound = bound
         top = bound + 1
         self.top = top
@@ -55,9 +61,15 @@ class FGLContext:
         for i in range(1, top):
             exp[i + 1] = bpoly.gen(i)
         self.exp_series = exp
-        self.log_series = bpoly.ser_inverse(exp, top)
-        # exp powers B^k for k = 1..top+1 (used by the coaction)
+        # exp powers B^k for k = 1..top+1 (the log and the coaction read them)
         self.exp_powers = bpoly.ser_powers(exp, top, top + 1)
+        log = [{}, dict(bpoly.ONE)]
+        for d in range(2, top + 1):
+            m = {}
+            for k in range(1, d):  # log[k] = m_(k-1), exp_powers[k-1] = exp^k
+                bpoly.mul_into(m, log[k], self.exp_powers[k - 1][d])
+            log.append(bpoly.scale(m, -1))
+        self.log_series = log
         self._memo = {}
 
     def log_coefficient(self, n):

@@ -64,13 +64,17 @@ class IntMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def __mul__(self, other):
+        # Only nonzero entries are multiplied: differentials are mostly 0.
         assert self.cols == other.rows
-        a, b = self.entries, other.entries
+        b = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = [sum(a[i][k] * b[k][j] for k in range(self.cols))
-                   for j in range(other.cols)]
-            out.append(row)
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, b_row in zip(row, b):
+                if a:
+                    for j, x in b_row:
+                        acc[j] += a * x
+            out.append(acc)
         if not out:
             return IntMatrix.zero(0, other.cols)
         return IntMatrix.from_rows(out)

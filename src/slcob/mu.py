@@ -12,10 +12,16 @@ time its degree is asked for.
 
 Every geometric class comes from the formal group law: [CP^n] is (n+1)
 times the n-th log coefficient, the Milnor hypersurfaces follow from
-Buchstaber's formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j,
-C(u) = sum [CP^i] u^i (Buchstaber-Panov, Toric Topology, 2015, 9.1), and
-a complete intersection in P^n (a hypersurface is the one-divisor case)
-from Quillen's Gysin formula.  The one map from classes to numbers is
+Buchstaber's formula F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j, where
+C(u) = sum [CP^i] u^i = log'(u) (Mischenko; Buchstaber-Panov, Toric
+Topology, 2015, 9.1); the binomial theorem on F = exp(log u + log v),
+exp(x) = sum e_k x^k, turns it into
+
+    H_(i,j) = sum_(a,c) e_(a+c) C(a+c, a) P_a[i] P_c[j],
+    P_a[i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1),
+
+and a complete intersection in P^n (a hypersurface is the one-divisor
+case) from Quillen's Gysin formula.  The one map from classes to numbers is
 `hurewicz_to_chern_numbers`, which serves `charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
@@ -39,7 +45,7 @@ from . import bpoly
 from .abelian import _factorint
 from .fgl import _memoized
 from .intmat import HNFSolver, IntMatrix
-from .partitions import partitions_of
+from .partitions import codes_of, decode, encode, partitions_of
 
 
 class NotInLattice(ValueError):
@@ -52,16 +58,24 @@ class BasisConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MUClass:
-    """Element of the degree-n coefficient group, as its Hurewicz image."""
+    """Element of the degree-n coefficient group, as its Hurewicz image:
+    (code, int) terms sorted by code, which the arithmetic runs on; `hb`,
+    `coeffs`, `coefficient` and `vector` read them by partition."""
     degree: int
-    hb: tuple  # sorted tuple of (partition, int), the b-monomial coordinates
+    terms: tuple
+
+    @classmethod
+    def from_poly(cls, degree, poly):
+        """The class of a code-keyed bpoly, trusted to have weight degree."""
+        return cls(degree, tuple(sorted((k, v) for k, v in poly.items() if v)))
 
     @classmethod
     def from_dict(cls, degree, coeffs):
-        items = tuple(sorted((k, int(v)) for k, v in coeffs.items() if v))
-        for part, _ in items:
-            assert sum(part) == degree, "non-homogeneous class"
-        return cls(degree, items)
+        if any(sum(part) != degree for part in coeffs):
+            raise ValueError("a class of degree %d has a monomial of "
+                             "another weight" % degree)
+        return cls.from_poly(degree, {encode(p): int(v)
+                                      for p, v in coeffs.items()})
 
     @classmethod
     def zero(cls, degree):
@@ -69,39 +83,46 @@ class MUClass:
 
     @classmethod
     def unit(cls):
-        return cls(0, (((), 1),))
+        return cls(0, ((1, 1),))
+
+    @property
+    def hb(self):
+        return tuple(sorted((decode(k), v) for k, v in self.terms))
+
+    def poly(self):
+        return dict(self.terms)
 
     def coeffs(self):
         return dict(self.hb)
 
     def is_zero(self):
-        return not self.hb
+        return not self.terms
 
     def coefficient(self, part):
-        return dict(self.hb).get(tuple(part), 0)
+        return dict(self.terms).get(encode(part), 0)
 
     def vector(self):
         """The b-monomial coordinates in the global partition order."""
-        coeffs = dict(self.hb)
-        return [coeffs.get(p, 0) for p in partitions_of(self.degree)]
+        poly = dict(self.terms)
+        return [poly.get(c, 0) for c in codes_of(self.degree)]
 
     def __add__(self, other):
         assert self.degree == other.degree or self.is_zero() or other.is_zero()
         deg = other.degree if self.is_zero() else self.degree
-        return MUClass.from_dict(deg, bpoly.add(self.coeffs(), other.coeffs()))
+        return MUClass.from_poly(deg, bpoly.add(self.poly(), other.poly()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return MUClass.from_dict(self.degree, bpoly.scale(self.coeffs(), c))
+        return MUClass.from_poly(self.degree, bpoly.scale(self.poly(), c))
 
     def __mul__(self, other):
-        return MUClass.from_dict(self.degree + other.degree,
-                                 bpoly.mul(self.coeffs(), other.coeffs()))
+        return MUClass.from_poly(self.degree + other.degree,
+                                 bpoly.mul(self.poly(), other.poly()))
 
     def __str__(self):
-        if not self.hb:
+        if not self.terms:
             return "0"
         terms = []
         for part, c in self.hb:
@@ -113,7 +134,8 @@ class MUClass:
 def s_number(x):
     """The reported s-number: the b_n coordinate normalized so that
     s_n[CP^n] = n+1 (raw normal-bundle coordinate times the global sign)."""
-    assert x.degree >= 1
+    if x.degree < 1:
+        raise ValueError("an s-number needs degree >= 1, not %d" % x.degree)
     return -x.coefficient((x.degree,))
 
 
@@ -140,8 +162,8 @@ def reciprocal_class_matrix(n):
         prod = dict(bpoly.ONE)
         for part in omega:
             prod = bpoly.mul(prod, pieces[part])
-        for omega2 in partitions_of(n):
-            c = prod.get(omega2, 0)
+        for omega2, code in zip(partitions_of(n), codes_of(n)):
+            c = prod.get(code, 0)
             if c:
                 mat[(omega, omega2)] = c
     return mat
@@ -183,7 +205,7 @@ def cpn_class(ctx, n):
         return MUClass.unit()
     if n > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (n, ctx.bound))
-    return MUClass.from_dict(n, bpoly.scale(ctx.log_coefficient(n), n + 1))
+    return MUClass.from_poly(n, bpoly.scale(ctx.log_coefficient(n), n + 1))
 
 
 def milnor_hypersurface_class(ctx, i, j):
@@ -210,66 +232,71 @@ def complete_intersection_class(ctx, n, degrees):
     degrees in P^n, of dimension n - r.
 
     The divisor of a section of O(d) has Gysin class [d]_F(u) =
-    exp(d log u) = sum_k d^k e_k log(u)^k (e_k the exp coefficients), and
-    u^k pushes forward to [CP^(n-k)], so the class is
-    sum_k [u^k] prod_i [d_i]_F(u) [CP^(n-k)] (Quillen, Elementary proofs
-    of some results of cobordism theory using Steenrod operations, 1971);
-    each factor starts at u^1, so it is needed only up to u^(n-r+1)."""
+    exp(d log u) = sum_k d^k S_k(u), S_k = e_k log(u)^k (e_k the exp
+    coefficients, `_gysin_blocks`), and u^k pushes forward to
+    [CP^(n-k)], so the class is sum_k [u^k] prod_i [d_i]_F(u) [CP^(n-k)]
+    (Quillen, Elementary proofs of some results of cobordism theory using
+    Steenrod operations, 1971); each factor starts at u^1, so it is needed
+    only up to u^(n-r+1)."""
     dim = n - len(degrees)
     if dim > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (dim, ctx.bound))
     top = dim + 1
+    blocks = _gysin_blocks(ctx)
     product = [dict(bpoly.ONE)]
     for d in degrees:
         series = bpoly.ser_zero(top)
         for k in range(1, top + 1):
-            ek = bpoly.scale(ctx.exp_series[k], d ** k)
             for j in range(k, top + 1):
-                bpoly.mul_into(series[j], ek, ctx.log_powers[k][j])
+                bpoly.mul_into(series[j], {1: d ** k}, blocks[k][j])
         product = bpoly.ser_mul(product, series, n)
     out = {}
     for k in range(len(degrees), n + 1):
-        bpoly.mul_into(out, product[k], cpn_class(ctx, n - k).coeffs())
-    return MUClass.from_dict(dim, out)
+        bpoly.mul_into(out, product[k], cpn_class(ctx, n - k).poly())
+    return MUClass.from_poly(dim, out)
+
+
+@_memoized
+def _gysin_blocks(ctx):
+    """S_k = e_k log^k for 1 <= k <= top, the d-free blocks of every
+    Gysin series [d]_F(u) = sum_k d^k S_k(u), built once per context."""
+    return [None] + [[bpoly.mul(ctx.exp_series[k], lk) for lk in
+                      ctx.log_powers[k]] for k in range(1, ctx.top + 1)]
 
 
 @_memoized
 def _milnor_table(ctx):
-    """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, from
-    F(u,v) C(u) C(v) = sum [H_{i,j}] u^i v^j.
-
-    With l = log and exp(x) = sum e_k x^k, the binomial theorem splits
-    F = exp(l(u) + l(v)) into sum_a l(u)^a E_a(v), where
-    E_a(v) = sum_m e_{a+m} C(a+m, a) l(v)^m; the coefficient of u^i v^j
-    has weight i + j - 1, so nothing is truncated inside the table."""
+    """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, by the
+    module's formula, summed as sum_a P_a[i] R_a[j] with
+    R_a[j] = sum_c e_(a+c) C(a+c, a) P_c[j]; P_a is integral, as log is,
+    so its division is exact.  The coefficient of u^i v^j has weight
+    i + j - 1, so nothing is truncated inside the table."""
     top = ctx.top
     rows = top // 2 + 1  # i <= j and i + j <= top leave i <= top // 2
-    lpow = ctx.log_powers
-    F = {}
+    P = []  # P[a][i] for a, i < top
+    for a, power in enumerate(ctx.log_powers[1:]):
+        row = [bpoly.scale(power[i + 1], i + 1) for i in range(top)]
+        if any(v % (a + 1) for p in row for v in p.values()):
+            raise ArithmeticError("log^%d log' is not integral" % a)
+        P.append([{k: v // (a + 1) for k, v in p.items()} for p in row])
+    H = {}
     for a in range(rows):
-        E = [{} for _ in range(top + 1 - a)]  # E_a, up to v^(top - a)
-        for m in range(top + 1 - a):
-            e = bpoly.scale(ctx.exp_series[a + m], comb(a + m, a))
-            for j in range(m, top + 1 - a):
-                bpoly.mul_into(E[j], lpow[m][j], e)
-        for i in range(a, rows):
-            for j in range(top + 1 - i):
-                bpoly.mul_into(F.setdefault((i, j), {}), lpow[a][i], E[j])
-    C = [cpn_class(ctx, k).coeffs() for k in range(top)]
-    G = {}  # F(u,v) C(u)
-    for (i, j), f in F.items():
-        for k in range(min(rows - i, top + 1 - i - j)):
-            bpoly.mul_into(G.setdefault((i + k, j), {}), f, C[k])
-    H = {}  # G(u,v) C(v), for i >= 1
-    for (i, j), g in G.items():
-        for k in range(max(i - j, 0), top + 1 - i - j if i else 0):
-            bpoly.mul_into(H.setdefault((i, j + k), {}), g, C[k])
-    return {(i, j): MUClass.from_dict(i + j - 1, h) for (i, j), h in H.items()}
+        jmax = top - max(a, 1)  # j <= top - i, i >= max(a, 1)
+        R = [{} for _ in range(jmax + 1)]
+        for c in range(jmax + 1):
+            e = bpoly.scale(ctx.exp_series[a + c], comb(a + c, a))
+            for j in range(c, jmax + 1):
+                bpoly.mul_into(R[j], P[c][j], e)
+        for i in range(max(a, 1), rows):
+            for j in range(i, top + 1 - i):
+                bpoly.mul_into(H.setdefault((i, j), {}), P[a][i], R[j])
+    return {(i, j): MUClass.from_poly(i + j - 1, h) for (i, j), h in H.items()}
 
 
 def degree_catalog(ctx, n):
     """Ordered catalog of geometric classes in degree n."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("the catalog starts in degree 1, not %d" % n)
     entries = [("cp%d" % n, cpn_class(ctx, n))]
     for i in range(1, n // 2 + 2):
         j = n + 1 - i
@@ -401,6 +428,6 @@ class MUBasis:
         out = {}
         for (_, cls), c in zip(self.basis(n), coords):
             if c:
-                for part, v in cls.hb:
-                    out[part] = out.get(part, 0) + c * v
-        return MUClass.from_dict(n, out)
+                for code, v in cls.terms:
+                    out[code] = out.get(code, 0) + c * v
+        return MUClass.from_poly(n, out)

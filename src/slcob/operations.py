@@ -14,9 +14,10 @@ fails all three.
 
 An operation is linear, so it is applied as an integer matrix on the
 b-monomial basis: column omega is op(b^omega), built on first use and kept
-per context and operation in the context's memo; a class is the sparse
-sum of its coefficients times these columns.  There are two routes to a
-column, chosen by the form of the class:
+per context and operation in the context's memo under the code of omega,
+as its dense vector in partition order (most entries are nonzero); a class
+is the sum of its coefficients times these columns.  There are two routes
+to a column, chosen by the form of the class:
 
   * m-pairing.  A Landweber-Novikov operation s_omega has the single
     monomial symmetric function m_omega as its class, so pairing its
@@ -44,7 +45,7 @@ from math import comb
 from . import bpoly
 from .fgl import _memoized
 from .mu import MUClass
-from .partitions import merge
+from .partitions import codes_of, decode, encode
 
 
 @dataclass(frozen=True)
@@ -117,41 +118,42 @@ def delta_op(ctx):
 
 @_memoized
 def _psi_monomial(ctx, part):
-    """psi(b^part) = product of psi(b_i), as {t-partition: bpoly}, where
-    psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}.  Kept in the context's memo,
-    so it dies with the context."""
+    """psi(b^part) = product of psi(b_i), as {code of a t-partition: bpoly},
+    where psi(b_n) = sum_j t_j [x^{n+1}] exp^{j+1}.  Kept in the context's
+    memo, so it dies with the context."""
     if not part:
-        out = {(): dict(bpoly.ONE)}
+        out = {1: dict(bpoly.ONE)}
     elif len(part) == 1:
         n = part[0]
         out = {}
         for j in range(0, n + 1):
             coeff = ctx.exp_powers[j][n + 1]  # [x^{n+1}] exp^{j+1}
             if coeff:
-                out[(j,) if j else ()] = coeff
+                out[encode((j,) if j else ())] = coeff
     else:
         head = _psi_monomial(ctx, part[:1])
         tail = _psi_monomial(ctx, part[1:])
         out = {}
         for t1, c1 in head.items():
             for t2, c2 in tail.items():
-                bpoly.mul_into(out.setdefault(merge(t1, t2), {}), c1, c2)
+                bpoly.mul_into(out.setdefault(t1 * t2, {}), c1, c2)
         out = {key: val for key, val in out.items() if val}
     return out
 
 
 def _column(ctx, coeffs, part):
     """op(b^part) as a bpoly, given the operation's m-coefficients as
-    {partition: bpoly}: the pairing against psi(b^part) is taken inside
-    the product psi(b^part[:1]) * psi(b^part[1:]), which is never built."""
+    {code of a partition: bpoly}: the pairing against psi(b^part) is taken
+    inside the product psi(b^part[:1]) * psi(b^part[1:]), which is never
+    built."""
     if not part:
-        return dict(coeffs.get((), {}))
+        return dict(coeffs.get(1, {}))
     out = {}
     rest = _psi_monomial(ctx, part[1:])
     for t1, c1 in _psi_monomial(ctx, part[:1]).items():
         inner = {}
         for t2, c2 in rest.items():
-            coeff = coeffs.get(merge(t1, t2))
+            coeff = coeffs.get(t1 * t2)
             if coeff:
                 bpoly.mul_into(inner, coeff, c2)
         bpoly.mul_into(out, c1, inner)
@@ -206,15 +208,16 @@ def apply_operation(ctx, op, x):
         if op.log_coeffs:
             entry = (_log_column, [dict(c) for c in op.log_coeffs], {})
         else:
-            entry = (_column, {omega: dict(coeff) for _, vec in op.m_coeffs
-                               for omega, coeff in vec}, {})
+            entry = (_column, {encode(omega): dict(coeff) for _, vec in
+                               op.m_coeffs for omega, coeff in vec}, {})
         tables[op] = entry
     build, data, columns = entry
-    out = {}
-    for part, c in x.hb:
-        column = columns.get(part)
+    codes = codes_of(target)
+    out = [0] * len(codes)
+    for code, c in x.terms:
+        column = columns.get(code)
         if column is None:
-            column = columns[part] = build(ctx, data, part)
-        for mon, v in column.items():
-            out[mon] = out.get(mon, 0) + c * v
-    return MUClass.from_dict(target, out)
+            poly = build(ctx, data, decode(code))
+            column = columns[code] = [poly.get(k, 0) for k in codes]
+        out = [a + c * v for a, v in zip(out, column)]
+    return MUClass.from_poly(target, dict(zip(codes, out)))

@@ -9,8 +9,9 @@ Both transitions kept here are integer counts:
     part at a time by the Pieri rule for p_k m_mu;
   * e_mu expanded in the m basis has the coefficients "number of 0/1
     matrices with row sums mu and column sums nu" (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.6); `mu.hurewicz_to_chern_numbers`
-    pairs it with the monomial numbers of a class.
+    Functions and Hall Polynomials, I.6), built one part at a time by the
+    Pieri rule for e_k m_nu; `mu.hurewicz_to_chern_numbers` pairs it with
+    the monomial numbers of a class.
 
 Vectors over a weight are dicts {partition: coefficient}; matrices are
 dicts {(row_partition, col_partition): coefficient}.
@@ -55,55 +56,45 @@ def distribute_count(lam, mu):
     return _p_in_m(tuple(lam)).get(slots, 0)
 
 
-def _zero_one_count(rows, cols, memo):
-    """Number of 0/1 matrices with row sums `rows` and column sums `cols`
-    (both partitions).  The first row takes one unit from each of rows[0]
-    distinct columns; columns of equal remaining sum are interchangeable,
-    so the choice is how many to take from each such group."""
-    if not rows:
-        return 0 if cols else 1
-    key = (rows, cols)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    if rows[0] <= len(cols):
-        groups = []
-        for c in cols:
-            if groups and groups[-1][0] == c:
-                groups[-1][1] += 1
-            else:
-                groups.append([c, 1])
-        # (ways, units still to take, new column sums); groups go in
-        # decreasing order, so the new column sums stay sorted
-        partial = [(1, rows[0], ())]
-        for value, mult in groups:
-            nxt = []
-            for ways, need, new in partial:
-                for k in range(min(mult, need) + 1):
-                    nxt.append((ways * comb(mult, k), need - k,
-                                new + (value,) * (mult - k) + (value - 1,) * k))
-            partial = nxt
-        rest = rows[1:]
-        for ways, need, new in partial:
-            if need == 0:
-                while new and new[-1] == 0:
-                    new = new[:-1]
-                total += ways * _zero_one_count(rest, new, memo)
-    memo[key] = total
-    return total
+@lru_cache(maxsize=None)
+def _e_in_m(mu):
+    """e_mu in the m basis without its zeros, as e_mu = e_k e_rest with
+    k = mu[0] and the Pieri rule: e_k m_nu sums the monomials made from
+    x^nu by raising k distinct entries (zeros included) by one, and the
+    coefficient of m_lam counts the choices of entries of x^lam that
+    lower back to x^nu, prod_u C(mult_lam(u), number lowered at u)."""
+    if not mu:
+        return {(): 1}
+    k = mu[0]
+    out = {}
+    for nu, c in _e_in_m(mu[1:]).items():
+        # (parts of lam so far, entries left to raise, ways, entries of the
+        # last value kept), over the values of nu in decreasing order, so
+        # that lam comes out sorted
+        states, last = [((), k, c, 0)], 0
+        for v in sorted(set(nu), reverse=True):
+            m, adjacent = nu.count(v), last == v + 1
+            states = [(lam + (v + 1,) * r + (v,) * (m - r), left - r,
+                       ways * comb(r + kept * adjacent, r), m - r)
+                      for lam, left, ways, kept in states
+                      for r in range(min(m, left) + 1)]
+            last = v
+        for lam, left, ways, kept in states:  # zeros raise the rest to 1
+            lam += (1,) * left
+            ways *= comb(left + kept * (last == 1), left)
+            out[lam] = out.get(lam, 0) + ways
+    return out
 
 
 @lru_cache(maxsize=None)
 def e_to_m_matrix(w):
     """Matrix E with E[mu][nu] = coefficient of m_nu in e_mu: the number of
     0/1 matrices with row sums mu and column sums nu."""
-    memo = {}
     parts = partitions_of(w)
     mat = {}
     for mu in parts:
+        row = _e_in_m(mu)
         for nu in parts:
-            c = _zero_one_count(mu, nu, memo)
-            if c:
-                mat[(mu, nu)] = c
+            if nu in row:
+                mat[(mu, nu)] = row[nu]
     return mat

@@ -31,7 +31,11 @@ unique; so the monomial basis is checked against all products of catalog
 classes.  The invariant factors of a direct sum
 of cyclic groups, which the package gets by a (gcd, lcm) pass, are read
 off the prime powers of the summands, and a group is read back from its
-JSON form.
+JSON form.  Where the package found a cheaper exact form, the form it
+replaced is kept: the log by compositional inversion of exp, the Milnor
+table by three convolutions, every Gysin series built afresh, and the
+e-to-m matrix by counting 0/1 matrices row by row.  `by_partition` and
+`by_code` turn bpoly keys (codes) into partitions and back.
 """
 
 from fractions import Fraction
@@ -44,9 +48,20 @@ from slcob import bpoly
 from slcob.abelian import FGAbGroup, _factorint
 from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
                           _hermite_columns, kernel_basis)
-from slcob.mu import MUClass, degree_catalog, reciprocal_class_matrix
-from slcob.partitions import merge, partitions_of
+from slcob.mu import (MUClass, cpn_class, degree_catalog,
+                      reciprocal_class_matrix)
+from slcob.partitions import decode, encode, merge, partitions_of
 from slcob.symfun import _p_in_m, e_to_m_matrix
+
+
+def by_partition(poly):
+    """A bpoly {code: int} keyed by partitions instead."""
+    return {decode(k): v for k, v in poly.items()}
+
+
+def by_code(poly):
+    """A polynomial {partition: int} as a bpoly, keyed by codes."""
+    return {encode(k): v for k, v in poly.items()}
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +139,54 @@ def newton_e_to_m_matrix(w):
             assert c.denominator == 1
             mat[(mu, nu)] = int(c)
     return mat
+
+
+def zero_one_count(rows, cols, memo):
+    """Number of 0/1 matrices with row sums `rows` and column sums `cols`
+    (both partitions).  The first row takes one unit from each of rows[0]
+    distinct columns; columns of equal remaining sum are interchangeable,
+    so the choice is how many to take from each such group."""
+    if not rows:
+        return 0 if cols else 1
+    key = (rows, cols)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    if rows[0] <= len(cols):
+        groups = []
+        for c in cols:
+            if groups and groups[-1][0] == c:
+                groups[-1][1] += 1
+            else:
+                groups.append([c, 1])
+        # (ways, units still to take, new column sums); groups go in
+        # decreasing order, so the new column sums stay sorted
+        partial = [(1, rows[0], ())]
+        for value, mult in groups:
+            nxt = []
+            for ways, need, new in partial:
+                for k in range(min(mult, need) + 1):
+                    nxt.append((ways * comb(mult, k), need - k,
+                                new + (value,) * (mult - k) + (value - 1,) * k))
+            partial = nxt
+        rest = rows[1:]
+        for ways, need, new in partial:
+            if need == 0:
+                while new and new[-1] == 0:
+                    new = new[:-1]
+                total += ways * zero_one_count(rest, new, memo)
+    memo[key] = total
+    return total
+
+
+def zero_one_e_to_m_matrix(w):
+    """E[(mu, nu)] = the number of 0/1 matrices with row sums mu and
+    column sums nu, counted row by row."""
+    memo = {}
+    parts = partitions_of(w)
+    return {(mu, nu): c for mu in parts for nu in parts
+            if (c := zero_one_count(mu, nu, memo))}
 
 
 def gauss_jordan_inverse(rows):
@@ -384,6 +447,57 @@ def hypersurface_class(ambient_n, degree):
     return complete_intersection_class(ambient_n, (degree,))
 
 
+# -- the catalog by the formulas it replaced ---------------------------------
+
+
+def milnor_table_fgh(ctx):
+    """{(i, j): [H_{i,j}]} as three convolutions: F(u,v) = exp(l(u) + l(v))
+    written as sum_a l(u)^a E_a(v), E_a(v) = sum_m e_(a+m) C(a+m, a)
+    l(v)^m, then G = F C(u) and H = G C(v), C(u) = sum [CP^k] u^k built
+    from the classes of projective spaces rather than from log'."""
+    top = ctx.top
+    rows = top // 2 + 1
+    lpow = ctx.log_powers
+    F = {}
+    for a in range(rows):
+        E = [{} for _ in range(top + 1 - a)]
+        for m in range(top + 1 - a):
+            e = bpoly.scale(ctx.exp_series[a + m], comb(a + m, a))
+            for j in range(m, top + 1 - a):
+                bpoly.mul_into(E[j], lpow[m][j], e)
+        for i in range(a, rows):
+            for j in range(top + 1 - i):
+                bpoly.mul_into(F.setdefault((i, j), {}), lpow[a][i], E[j])
+    C = [cpn_class(ctx, k).poly() for k in range(top)]
+    G = {}
+    for (i, j), f in F.items():
+        for k in range(min(rows - i, top + 1 - i - j)):
+            bpoly.mul_into(G.setdefault((i + k, j), {}), f, C[k])
+    H = {}
+    for (i, j), g in G.items():
+        for k in range(max(i - j, 0), top + 1 - i - j if i else 0):
+            bpoly.mul_into(H.setdefault((i, j + k), {}), g, C[k])
+    return {(i, j): MUClass.from_poly(i + j - 1, h) for (i, j), h in H.items()}
+
+
+def complete_intersection_per_class(ctx, n, degrees):
+    """Quillen's formula with each Gysin series [d]_F(u) built afresh as
+    sum_k (d^k e_k) log(u)^k, the products taken for every divisor."""
+    top = n - len(degrees) + 1
+    product = [dict(bpoly.ONE)]
+    for d in degrees:
+        series = bpoly.ser_zero(top)
+        for k in range(1, top + 1):
+            ek = bpoly.scale(ctx.exp_series[k], d ** k)
+            for j in range(k, top + 1):
+                bpoly.mul_into(series[j], ek, ctx.log_powers[k][j])
+        product = bpoly.ser_mul(product, series, n)
+    out = {}
+    for k in range(len(degrees), n + 1):
+        bpoly.mul_into(out, product[k], cpn_class(ctx, n - k).poly())
+    return MUClass.from_poly(n - len(degrees), out)
+
+
 # -- the formal group law of a context, written out with GradedPoly ---------
 
 
@@ -397,9 +511,9 @@ def b_weights(ctx, extra=()):
 def poly_from_bpoly(ctx, bp, weights, extra_mon=()):
     """A bpoly (times the monomial extra_mon) as a GradedPoly."""
     coeffs = {}
-    for part, c in bp.items():
+    for code, c in bp.items():
         mon = dict(extra_mon)
-        for i in part:
+        for i in decode(code):
             key = "b%d" % i
             mon[key] = mon.get(key, 0) + 1
         coeffs[tuple(sorted(mon.items()))] = Fraction(c)
@@ -415,10 +529,41 @@ def series_poly(ctx, series, var, weights):
     return out
 
 
+def ser_compose(f, g, top):
+    """f(g(x)) for bpoly series with g[0] = 0."""
+    assert not g[0]
+    out = bpoly.ser_zero(top)
+    gp = bpoly.ser_zero(top)
+    gp[0] = dict(bpoly.ONE)
+    for k in range(len(f)):
+        if k > top:
+            break
+        if k > 0:
+            gp = bpoly.ser_mul(gp, g, top)
+        if f[k]:
+            for d in range(top + 1):
+                if gp[d]:
+                    bpoly.mul_into(out[d], f[k], gp[d])
+    return out
+
+
+def ser_inverse(f, top):
+    """Compositional inverse of f = x + higher, solved degree by degree
+    from f(g(x)) = x; integral whenever f is."""
+    assert not f[0] and f[1] == bpoly.ONE
+    g = bpoly.ser_zero(top)
+    g[1] = dict(bpoly.ONE)
+    for d in range(2, top + 1):
+        err = ser_compose(f[: d + 1], g, d)[d]
+        if err:
+            g[d] = bpoly.scale(err, -1)
+    return g
+
+
 def chi_series(ctx):
     """chi(x) = exp(-log x) as a bpoly series."""
     neg_log = [bpoly.scale(c, -1) for c in ctx.log_series]
-    return bpoly.ser_compose(ctx.exp_series, neg_log, ctx.top)
+    return ser_compose(ctx.exp_series, neg_log, ctx.top)
 
 
 def formal_group(ctx):
@@ -588,9 +733,9 @@ def char_class(ctx, op, k, max_weight):
                 cmon = {}
                 for part in mu:
                     cmon["c%d" % part] = cmon.get("c%d" % part, 0) + 1
-                for bpart, c in coeff.items():
+                for bcode, c in coeff.items():
                     mon = dict(cmon)
-                    for i in bpart:
+                    for i in decode(bcode):
                         mon["b%d" % i] = mon.get("b%d" % i, 0) + 1
                     key = tuple(sorted(mon.items()))
                     out[key] = out.get(key, 0) + c * c_e
@@ -639,7 +784,7 @@ def apply_operation(ctx, op, x):
         for omega, coeff in vec.items():
             if omega in co:
                 out = bpoly.add(out, bpoly.mul(coeff, co[omega]))
-    return MUClass.from_dict(target, out)
+    return MUClass.from_poly(target, out)
 
 
 # -- abelian groups ---------------------------------------------------------

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
 
+import pytest
+
 from gradedpoly import GradedPoly
-from oracles import (c1_determinant_class, chi_series, formal_group,
-                     formal_inverse, formal_sum)
+from oracles import (by_partition, c1_determinant_class, chi_series,
+                     formal_group, formal_inverse, formal_sum, ser_compose,
+                     ser_inverse)
 from slcob import bpoly, mu
 from slcob.fgl import FGLContext
 
@@ -12,15 +18,15 @@ def mon(*pairs):
 
 
 def test_exp_log_are_mutually_inverse(ctx):
-    comp = bpoly.ser_compose(ctx.exp_series, ctx.log_series, ctx.top)
+    comp = ser_compose(ctx.exp_series, ctx.log_series, ctx.top)
     assert comp[1] == bpoly.ONE
     assert all(not comp[d] for d in range(2, ctx.top + 1))
 
 
 def test_log_coefficients():
     ctx = FGLContext(6)
-    assert ctx.log_coefficient(1) == {(1,): -1}
-    assert ctx.log_coefficient(2) == {(1, 1): 2, (2,): -1}
+    assert by_partition(ctx.log_coefficient(1)) == {(1,): -1}
+    assert by_partition(ctx.log_coefficient(2)) == {(1, 1): 2, (2,): -1}
 
 
 def test_log_powers_are_lazy_and_shared():
@@ -62,7 +68,7 @@ def test_formal_group_cross_coefficient_is_minus_cp1():
     F = formal_group(ctx)
     assert F.coefficient(mon(("b1", 1), ("x", 1), ("y", 1))) == 2
     cp1 = bpoly.scale(ctx.log_coefficient(1), 2)
-    assert bpoly.scale(cp1, -1) == {(1,): 2}
+    assert by_partition(bpoly.scale(cp1, -1)) == {(1,): 2}
 
 
 def test_associativity_via_formal_sum():
@@ -123,7 +129,7 @@ def test_formal_inverse():
     x = GradedPoly.gen(chi.weights, chi.bound, "x")
     assert chi.substitute("x", chi) == x
     # F(x, chi(x)) = 0: solve order by order independently
-    comp = bpoly.ser_compose(ctx.log_series, chi_series(ctx), ctx.top)
+    comp = ser_compose(ctx.log_series, chi_series(ctx), ctx.top)
     neg_log = [bpoly.scale(c, -1) for c in ctx.log_series]
     assert comp == neg_log  # log(chi(x)) = -log x is equivalent to F(x,chi)=0
 
@@ -188,3 +194,40 @@ def test_integrality_of_all_series():
     assert c1_determinant_class(ctx, 2).is_integral()
     assert c1_determinant_class(ctx, 2, dual=True).is_integral()
 
+
+
+@pytest.mark.parametrize("bound", [2, 6, 12, 16])
+def test_log_recurrence_against_series_inversion(bound):
+    """The log read off the exp powers is the compositional inverse of
+    exp found degree by degree."""
+    ctx = FGLContext(bound)
+    assert ctx.log_series == ser_inverse(ctx.exp_series, ctx.top)
+
+
+def test_context_bound_is_checked():
+    for bad in (1, 0, 17):
+        with pytest.raises(ValueError, match="between 2 and 16"):
+            FGLContext(bad)
+
+
+def test_input_checks_survive_optimized_mode():
+    """The checks are exceptions, not asserts, so `python -O` keeps them."""
+    code = (
+        "from slcob import mu, partitions\n"
+        "from slcob.fgl import FGLContext\n"
+        "def raises(f, *a):\n"
+        "    try:\n"
+        "        f(*a)\n"
+        "    except ValueError:\n"
+        "        return True\n"
+        "    return False\n"
+        "ctx = FGLContext(4)\n"
+        "print(raises(FGLContext, 17), raises(partitions.encode, (17,)),\n"
+        "      raises(mu.degree_catalog, ctx, 0),\n"
+        "      raises(mu.s_number, mu.MUClass.unit()),\n"
+        "      raises(mu.MUClass.from_dict, 2, {(1,): 1}))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["True"] * 5

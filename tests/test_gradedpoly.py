@@ -1,6 +1,6 @@
 """The GradedPoly reference engine of the test suite, and the series
-composition and inversion of `bpoly` (the package's only series
-arithmetic) against the same closed forms, among them Lagrange inversion.
+composition and inversion over `bpoly` of the test oracles against the
+same closed forms, among them Lagrange inversion.
 """
 
 import random
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gradedpoly import (GradedPoly, GradedPolyError, elementary_symmetric,
                         elementary_symmetric_rewrite, is_symmetric,
                         reciprocal)
+from oracles import ser_compose, ser_inverse
 from slcob import bpoly
 
 W1 = {"x": 1}
@@ -100,36 +101,36 @@ def test_ring_axioms(seed):
 def int_series(coeffs):
     """An integer series as a bpoly series: coeffs[d] is the coefficient
     of x^d."""
-    return [{(): c} if c else {} for c in coeffs]
+    return [bpoly.scale(bpoly.ONE, c) for c in coeffs]
 
 
 def test_compose_examples():
     x = int_series([0, 1, 0, 0, 0])
     f = int_series([0, 0, 1, 0, 0])
     g = int_series([0, 1, 1, 0, 0])
-    assert bpoly.ser_compose(x, g, 4) == g
-    assert bpoly.ser_compose(f, g, 4) == int_series([0, 0, 1, 2, 1])
-    assert bpoly.ser_compose(g, x, 4) == g
+    assert ser_compose(x, g, 4) == g
+    assert ser_compose(f, g, 4) == int_series([0, 0, 1, 2, 1])
+    assert ser_compose(g, x, 4) == g
 
 
 def test_inverse_against_lagrange_oracle():
-    g = bpoly.ser_inverse(int_series([0, 1, 1, 0, 0]), 4)
+    g = ser_inverse(int_series([0, 1, 1, 0, 0]), 4)
     oracle = lagrange_inverse({2: 1}, 4)
     assert [oracle[k] for k in (2, 3, 4)] == [-1, 2, -5]
     assert g == int_series([0, 1, -1, 2, -5])
-    g2 = bpoly.ser_inverse(int_series([0, 1, -1, 0, 0]), 4)
+    g2 = ser_inverse(int_series([0, 1, -1, 0, 0]), 4)
     assert g2 == int_series([0, 1, 1, 2, 5])
     f = int_series([0, 1, 3, 0, -2, 1])
     oracle = lagrange_inverse({2: 3, 4: -2, 5: 1}, 5)
-    assert bpoly.ser_inverse(f, 5) == int_series(
+    assert ser_inverse(f, 5) == int_series(
         [0] + [oracle[k] for k in range(1, 6)])
 
 
 def test_inverse_identity_and_involution():
     x = int_series([0, 1, 0, 0, 0, 0])
-    assert bpoly.ser_inverse(x, 5) == x
+    assert ser_inverse(x, 5) == x
     f = int_series([0, 1, 3, 0, -2, 0])
-    assert bpoly.ser_inverse(bpoly.ser_inverse(f, 5), 5) == f
+    assert ser_inverse(ser_inverse(f, 5), 5) == f
 
 
 def test_reciprocal_examples():

@@ -234,3 +234,26 @@ def test_solve_mod_against_brute_force(rows, cols, p, seed):
     if x is not None:
         assert all(0 <= a < p for a in x)
         assert all((u - v) % p == 0 for u, v in zip(m.apply(x), b))
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_product_skipping_zeros_against_sympy(rows, inner, cols, seed):
+    """The product that multiplies only nonzero entries, on matrices that
+    are mostly zeros, equals sympy's dense product."""
+    rng = random.Random(seed)
+
+    def sparse(r, c):
+        if r == 0:
+            return IntMatrix.zero(0, c)
+        return IntMatrix.from_rows(
+            [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(c)]
+             for _ in range(r)])
+
+    a, b = sparse(rows, inner), sparse(inner, cols)
+    ab = a * b
+    assert (ab.rows, ab.cols) == (rows, cols)
+    expected = Matrix(rows, inner, [x for r in a.entries for x in r]) * \
+        Matrix(inner, cols, [x for r in b.entries for x in r])
+    assert [list(r) for r in ab.entries] == expected.tolist()

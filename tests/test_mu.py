@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from oracles import (catalog_span_matches, cpn_tangent_numbers,
                      hermite_column_form)
 from slcob import mu, symfun
 from slcob.fgl import FGLContext
-from slcob.partitions import partition_count, partitions_of
+from slcob.partitions import decode, partition_count, partitions_of
 
 
 def test_cpn_examples(ctx):
@@ -356,3 +357,57 @@ def test_broken_basis_raises():
     x = broken.basis(2)[1][1]
     with pytest.raises(mu.BasisConstructionError):
         broken.to_coordinates(x)
+
+
+@lru_cache(maxsize=None)
+def bare_context(bound):
+    return FGLContext(bound)
+
+
+@pytest.mark.parametrize("bound", [6, 12, 16])
+def test_milnor_table_against_three_convolutions(bound):
+    """The table from C = log' equals the one from F, F C(u) and G C(v)
+    with C built from the projective spaces, key for key."""
+    ctx = bare_context(bound)
+    table = mu._milnor_table(ctx)
+    assert table == oracles.milnor_table_fgh(ctx)
+    assert len(table) == sum(1 for i in range(1, bound + 1)
+                             for j in range(i, bound + 2 - i))
+
+
+@pytest.mark.parametrize("bound", [12, 16])
+def test_complete_intersections_against_per_class_gysin_series(bound):
+    """The Gysin blocks shared by the context give every Calabi-Yau
+    candidate of the Wall generators and every hypersurface and pair of
+    divisors of degree <= 4 exactly as series built afresh do."""
+    ctx = bare_context(bound)
+    cases = [(n + 2, (d, n + 3 - d)) for n in range(3, bound + 1)
+             for d in range(1, (n + 3) // 2 + 1)]
+    cases += [(n, (d,)) for n in range(1, bound + 2) for d in range(1, 5)]
+    cases += [(n, (d, e)) for n in range(2, bound + 3)
+              for d in range(1, 5) for e in range(d, 5)]
+    for n, degrees in cases:
+        assert mu.complete_intersection_class(ctx, n, degrees) == \
+            oracles.complete_intersection_per_class(ctx, n, degrees), \
+            (n, degrees)
+
+
+def test_classes_keep_codes_and_read_partitions(ctx):
+    """A class stores code-sorted (code, int) terms; hb, coeffs,
+    coefficient and vector read them by partition."""
+    x = mu.cpn_class(ctx, 3)
+    codes = [code for code, _ in x.terms]
+    assert codes == sorted(codes)
+    assert x.hb == tuple(sorted((decode(k), v) for k, v in x.terms))
+    assert x.coeffs() == dict(x.hb) == oracles.by_partition(x.poly())
+    assert x.vector() == [x.coefficient(p) for p in partitions_of(3)]
+    assert mu.MUClass.from_dict(3, x.coeffs()) == x
+    with pytest.raises(ValueError, match="another weight"):
+        mu.MUClass.from_dict(3, {(1, 1): 1})
+
+
+def test_degree_checks_raise_value_errors(ctx):
+    with pytest.raises(ValueError, match="degree 1"):
+        mu.degree_catalog(ctx, 0)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        mu.s_number(mu.MUClass.unit())

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from slcob.partitions import merge, partition_count, partitions_of
+from slcob.partitions import (MAX_TRUNCATION, codes_of, decode, encode, merge,
+                              partition_count, partitions_of)
 
 
 def brute_force_partitions(n):
@@ -63,3 +65,45 @@ def test_all_entries_are_partitions(n):
 def test_merge():
     assert merge((2, 1), (3, 1)) == (3, 2, 1, 1)
     assert merge((), (5,)) == (5,)
+
+
+ALL_PARTITIONS = [p for n in range(17) for p in partitions_of(n)]
+
+
+def test_codes_round_trip_on_every_partition_up_to_16():
+    codes = [encode(p) for p in ALL_PARTITIONS]
+    assert [decode(c) for c in codes] == ALL_PARTITIONS
+    assert len(set(codes)) == len(codes)
+    assert max(codes) == 2 ** 16  # (1, ..., 1); weight w stays <= 2^w
+    for n in range(17):
+        assert codes_of(n) == tuple(encode(p) for p in partitions_of(n))
+        assert [decode(c) for c in codes_of(n)] == partitions_of(n)
+        assert len(set(codes_of(n))) == partition_count(n)
+
+
+def test_code_of_a_merge_is_the_product_of_codes():
+    """Every pair of total weight <= 16, the products the chain makes."""
+    by_weight = {n: partitions_of(n) for n in range(17)}
+    pairs = 0
+    for a in range(17):
+        for b in range(17 - a):
+            for p in by_weight[a]:
+                for q in by_weight[b]:
+                    assert encode(merge(p, q)) == encode(p) * encode(q)
+                    pairs += 1
+    assert pairs == sum(partition_count(a) * partition_count(s - a)
+                        for s in range(17) for a in range(s + 1))
+
+
+@given(st.sampled_from(ALL_PARTITIONS), st.sampled_from(ALL_PARTITIONS))
+def test_code_of_a_merge_beyond_the_truncation(p, q):
+    assert decode(encode(p) * encode(q)) == merge(p, q)
+
+
+def test_codes_reject_what_they_cannot_hold():
+    for bad in ((0,), (17,), (3, -1), (MAX_TRUNCATION + 1, 1)):
+        with pytest.raises(ValueError, match="parts between 1 and 16"):
+            encode(bad)
+    for bad in (0, -2, 59, 2 * 59):
+        with pytest.raises(ValueError, match="not the code of a partition"):
+            decode(bad)

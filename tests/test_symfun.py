@@ -96,3 +96,12 @@ def test_p_vec_to_m_vec_against_distribute_count():
                        for lam, c in vec.items())
                for mu in parts}
         assert p_vec_to_m_vec(vec) == {mu: c for mu, c in exp.items() if c}
+
+
+def test_e_to_m_by_pieri_against_zero_one_matrices():
+    """Rows built by the Pieri rule e_k m_nu equal the 0/1-matrix counts,
+    entry for entry and in the same order."""
+    for w in range(0, 14):
+        got = e_to_m_matrix(w)
+        expected = oracles.zero_one_e_to_m_matrix(w)
+        assert list(got.items()) == list(expected.items()), w

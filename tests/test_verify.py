@@ -4,7 +4,7 @@ from slcob import msl, verify
 from slcob.conner_floyd import ConnerFloyd
 from slcob.mu import MUClass
 from slcob.operations import apply_operation, boundary_partial, delta_op
-from slcob.partitions import partition_count, partitions_of
+from slcob.partitions import encode, partition_count
 
 
 def test_cf_pattern_runs_to_the_truncation(monkeypatch):
@@ -100,11 +100,11 @@ def test_leibniz_suite_applies_each_operation_once_per_class(monkeypatch, cf):
 
 
 def corrupt_column(cf, op, part):
-    """Add one to one entry of the cached column op(b^part)."""
+    """Add one to one entry of the cached column op(b^part), a dense
+    vector in partition order under the code of part."""
     apply_operation(cf.ctx, op, MUClass.from_dict(sum(part), {part: 1}))
-    column = cf.ctx._memo["operations.columns"][op][2][part]
-    mon = partitions_of(sum(part) - op.shift)[0]
-    column[mon] = column.get(mon, 0) + 1
+    column = cf.ctx._memo["operations.columns"][op][2][encode(part)]
+    column[0] += 1
 
 
 @pytest.mark.parametrize("corrupted", [("delta",), ("partial",),
