@@ -6,9 +6,8 @@ Z[1/e]; torsion at an inverted prime is stripped eagerly so that equality
 of normal forms is decidable.
 """
 
-from dataclasses import dataclass, field
-
 from .intmat import _divisor_chain, smith_normal_form
+from .record import Record
 
 
 def _factorint(n):
@@ -67,18 +66,21 @@ def _strip_primes(n, primes):
     return n
 
 
-@dataclass(frozen=True)
-class FGAbGroup:
-    free_rank: int = 0
-    invariant_factors: tuple = ()
-    inverted_primes: frozenset = field(default_factory=frozenset)
+class FGAbGroup(Record):
+    __slots__ = ("free_rank", "invariant_factors", "inverted_primes")
+    _defaults = {"free_rank": 0, "invariant_factors": (),
+                 "inverted_primes": frozenset()}
 
-    def __post_init__(self):
-        assert self.free_rank >= 0
-        fs = self.invariant_factors
-        assert all(f >= 2 for f in fs)
-        assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
-        assert all(f % p != 0 for f in fs for p in self.inverted_primes)
+    def _validate(self):
+        fs, primes = self.invariant_factors, self.inverted_primes
+        if self.free_rank < 0:
+            raise ValueError("negative free rank %d" % self.free_rank)
+        if any(f < 2 or f % d for d, f in zip((1,) + fs, fs)):
+            raise ValueError("invariant factors %r are not a chain "
+                             "2 <= d1 | d2 | ..." % (fs,))
+        if any(f % p == 0 for f in fs for p in primes):
+            raise ValueError("invariant factors %r have torsion at an "
+                             "inverted prime %r" % (fs, sorted(primes)))
 
     @classmethod
     def from_divisors(cls, divisors, inverted_primes=()):

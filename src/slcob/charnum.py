@@ -14,18 +14,14 @@ s-number is +-(odd prime p) * 2^j for n+1 a power of p, and +-2^j
 otherwise.
 """
 
-from dataclasses import dataclass
-
 from . import mu
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VarietyClass:
-    description: str
-    dimension: int
-    tangent_numbers: tuple  # sorted ((partition, int), ...)
-    mu_class: mu.MUClass
-    calabi_yau: bool = False
+class VarietyClass(Record):
+    __slots__ = ("description", "dimension", "tangent_numbers", "mu_class",
+                 "calabi_yau")  # tangent_numbers: sorted (omega, int) pairs
+    _defaults = {"calabi_yau": False}
 
     def tangent(self):
         return dict(self.tangent_numbers)

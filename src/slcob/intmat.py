@@ -25,19 +25,29 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 `solve_mod` is the same layout over F_p, for the Wall generators.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
+from .record import Record, _set
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
 
-    def __post_init__(self):
-        assert len(self.entries) == self.rows
-        assert all(len(r) == self.cols for r in self.entries)
+class IntMatrix(Record):
+    __slots__ = ("rows", "cols", "entries")  # entries: tuple of row tuples
+
+    def __init__(self, rows, cols, entries):  # hot, so no generic methods
+        assert len(entries) == rows
+        assert all(len(r) == cols for r in entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) \
+                == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows_list):

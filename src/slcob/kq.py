@@ -18,22 +18,19 @@ so elements are (degree, coefficient) pairs with the coefficient reduced
 modulo the annihilator of the degree's generator.
 """
 
-from dataclasses import dataclass
-
 from .abelian import FGAbGroup
+from .record import Record
 from .witt import (FINITE_Q1, FINITE_Q3, QUADRATICALLY_CLOSED, REAL_CLOSED,
                    witt_data)
 
 
-@dataclass(frozen=True)
-class KQElement:
+class KQElement(Record):
     """Element of one diagonal degree in normalized coordinates.
 
     coeff is a GW coordinate pair for degree 0 mod 4, an integer mod 2 for
     degree 1 mod 4, an integer for degree 2 mod 4, and must be None for
     degree 3 mod 4."""
-    degree: int
-    coeff: object
+    __slots__ = ("degree", "coeff")
 
 
 class KQPresentation:

@@ -15,22 +15,15 @@ is the Witt polynomial ring on generators y_4, y_8, ... (degree |y_i| = i),
 which also gives every off-diagonal group.
 """
 
-from dataclasses import dataclass
-
 from .abelian import FGAbGroup
 from .partitions import partition_count, partitions_of
+from .record import Record
 from .witt import witt_data
 
 
-@dataclass(frozen=True)
-class MSLAnswer:
-    field: object
-    n: int
-    group: FGAbGroup
-    ideal_part: FGAbGroup
-    msu_free: FGAbGroup
-    msu_torsion: FGAbGroup
-    provenance: tuple
+class MSLAnswer(Record):
+    __slots__ = ("field", "n", "group", "ideal_part", "msu_free",
+                 "msu_torsion", "provenance")
 
     def decomposition_json(self):
         return {

@@ -37,7 +37,6 @@ nonzero diagonal, which is column echelon form.  Chern monomials are
 partitions too, so the reciprocal-class matrix is computed in bpoly.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -46,6 +45,7 @@ from .abelian import _factorint
 from .fgl import _memoized
 from .intmat import HNFSolver, IntMatrix
 from .partitions import codes_of, decode, encode, partitions_of
+from .record import Record, _set
 
 
 class NotInLattice(ValueError):
@@ -56,13 +56,23 @@ class BasisConstructionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MUClass:
+class MUClass(Record):
     """Element of the degree-n coefficient group, as its Hurewicz image:
     (code, int) terms sorted by code, which the arithmetic runs on; `hb`,
     `coeffs`, `coefficient` and `vector` read them by partition."""
-    degree: int
-    terms: tuple
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree, terms):  # hot, so no generic methods
+        _set(self, "degree", degree)
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.degree, self.terms) == (other.degree, other.terms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.degree, self.terms))
 
     @classmethod
     def from_poly(cls, degree, poly):
@@ -107,8 +117,9 @@ class MUClass:
         return [poly.get(c, 0) for c in codes_of(self.degree)]
 
     def __add__(self, other):
-        assert self.degree == other.degree or self.is_zero() or other.is_zero()
         deg = other.degree if self.is_zero() else self.degree
+        if deg != other.degree and other.terms:
+            raise ValueError("unequal degrees %d and %d" % (deg, other.degree))
         return MUClass.from_poly(deg, bpoly.add(self.poly(), other.poly()))
 
     def __sub__(self, other):

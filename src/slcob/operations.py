@@ -38,7 +38,6 @@ The test suite keeps, as its oracle, the m-coefficients of every class and
 the pairing against the coaction of a whole class.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -46,16 +45,15 @@ from . import bpoly
 from .fgl import _memoized
 from .mu import MUClass
 from .partitions import codes_of, decode, encode
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CohOperation:
-    """Degree shift and the class: its m-basis coefficients by weight, or,
-    for a class sum_k g_k L^k, the coefficients g_0, g_1, ..."""
-    name: str
-    shift: int
-    m_coeffs: tuple = ()  # tuple of (weight, tuple of (partition, bpoly-items))
-    log_coeffs: tuple = ()  # tuple of bpoly-items, g_k at index k
+class CohOperation(Record):
+    """Degree shift and the class: its m-basis coefficients by weight
+    (m_coeffs: (weight, ((partition, bpoly-items), ...)) pairs), or for a
+    class sum_k g_k L^k its bpoly coefficients g_0, g_1, ... (log_coeffs)."""
+    __slots__ = ("name", "shift", "m_coeffs", "log_coeffs", "__dict__")
+    _defaults = {"m_coeffs": (), "log_coeffs": ()}
 
     @classmethod
     def from_dict(cls, name, shift, by_weight):

@@ -20,9 +20,8 @@ of diagonal forms in wittforms.py; that oracle is part of the test and
 verification surface, not of this table module.
 """
 
-from dataclasses import dataclass
-
 from .abelian import FGAbGroup, _is_prime
+from .record import Record
 
 QUADRATICALLY_CLOSED = "quadratically_closed"
 REAL_CLOSED = "real_closed"
@@ -43,12 +42,11 @@ KIND_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    kind: str
-    exponential_characteristic: int = 1
+class FieldDescriptor(Record):
+    __slots__ = ("kind", "exponential_characteristic")
+    _defaults = {"exponential_characteristic": 1}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in KINDS:
             raise ValueError("unknown field kind %r" % (self.kind,))
         e = self.exponential_characteristic
@@ -112,12 +110,9 @@ def _iroot(n, k):
         r = s
 
 
-@dataclass(frozen=True)
-class WittRing:
+class WittRing(Record):
     """Normal forms and structure maps of GW/W/I for one catalog field."""
-    field: FieldDescriptor
-    gw: FGAbGroup
-    w: FGAbGroup
+    __slots__ = ("field", "gw", "w")  # a FieldDescriptor and two FGAbGroups
 
     # -- GW element calculus: coordinates (a, b) over <1>, <u> ------------
 
