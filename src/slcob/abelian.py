@@ -123,7 +123,8 @@ class FGAbGroup(Record):
 
     def power(self, k):
         """Direct sum of k copies."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError("a sum of k copies needs k >= 0, not %r" % k)
         return FGAbGroup.from_divisors(self._divisors() * k,
                                        self.inverted_primes)
 

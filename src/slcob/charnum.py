@@ -64,7 +64,8 @@ def generator_check_msu(x, cf):
     away from 2).  A vanishing s-number fails outright; otherwise the
     class must lie in the cycle lattice (NotACycle if it does not)."""
     n = x.degree
-    assert n >= 2
+    if n < 2:
+        raise ValueError("generator verdicts start in degree 2, not %d" % n)
     s = mu.s_number(x)
     if s == 0:
         return False

@@ -23,7 +23,7 @@ from .operations import (apply_operation, boundary_partial, delta_op,
                          landweber_novikov)
 from .partitions import MAX_TRUNCATION, partitions_of
 from .verify import CHAIN_SUITES, run_suite
-from .witt import field_descriptor, witt_data
+from .witt import SHORT_NAMES, field_descriptor, witt_data
 
 FORMATS = ("text", "json", "csv")
 
@@ -77,9 +77,7 @@ def emit(data, fmt, csv_rows=None):
     if fmt == "json":
         print(json.dumps(data, sort_keys=True, indent=2))
     elif fmt == "csv" and csv_rows is not None:
-        writer = csv.writer(sys.stdout)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(csv_rows)
     else:
         _emit_text(data)
 
@@ -368,7 +366,7 @@ def cmd_dump(args):
                     writer.writerow([n, "+".join(map(str, omega)),
                                      "+".join(map(str, p)), tangent.get(p, 0)])
     dump_cf(outdir, cf, trunc - 1)
-    for kind in ("c", "r", "fq1", "fq3"):
+    for kind in SHORT_NAMES:
         fd = field_descriptor(kind)
         wr = witt_data(fd)
         with open(os.path.join(outdir, "witt_%s.json" % kind), "w") as fh:
@@ -377,6 +375,17 @@ def cmd_dump(args):
                       fh, sort_keys=True, indent=2)
     print("wrote tables to %s" % outdir)
     return 0
+
+
+def _json_flag(parser):
+    """--json: the same as --format json, for this command only."""
+    parser.add_argument("--json", dest="format", action="store_const",
+                        const="json", default=argparse.SUPPRESS)
+
+
+def _field_flags(parser):
+    parser.add_argument("--field", required=True)
+    parser.add_argument("--q", type=int)
 
 
 def build_parser():
@@ -390,33 +399,26 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_msl = sub.add_parser("msl", help="diagonal and off-diagonal groups")
+    p_msl.set_defaults(func=cmd_msl)
     msl_sub = p_msl.add_subparsers(dest="msl_cmd", required=True)
     p_group = msl_sub.add_parser("group")
-    p_group.add_argument("--field", required=True)
-    p_group.add_argument("--q", type=int)
+    _field_flags(p_group)
     p_group.add_argument("--n", type=int, required=True)
     p_group.add_argument("--m", type=int, default=0)
-    p_group.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
-    p_group.set_defaults(func=cmd_msl)
+    _json_flag(p_group)
     p_table = msl_sub.add_parser("table")
-    p_table.add_argument("--field", required=True)
-    p_table.add_argument("--q", type=int)
-    p_table.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
-    p_table.set_defaults(func=cmd_msl)
+    _field_flags(p_table)
+    _json_flag(p_table)
 
     p_cf = sub.add_parser("cf", help="Conner-Floyd complex")
+    p_cf.set_defaults(func=cmd_cf)
     cf_sub = p_cf.add_subparsers(dest="cf_cmd", required=True)
     p_hom = cf_sub.add_parser("homology")
     p_hom.add_argument("--max-degree", type=int)
-    p_hom.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
-    p_hom.set_defaults(func=cmd_cf)
+    _json_flag(p_hom)
     p_cfd = cf_sub.add_parser("dump")
     p_cfd.add_argument("--max-degree", type=int)
     p_cfd.add_argument("--out", required=True)
-    p_cfd.set_defaults(func=cmd_cf)
 
     p_op = sub.add_parser("op", help="apply a cohomological operation")
     op_sub = p_op.add_subparsers(dest="op_cmd", required=True)
@@ -424,27 +426,22 @@ def build_parser():
     p_apply.add_argument("--name", required=True,
                          help="partial | delta | s<i[,j,...]>")
     p_apply.add_argument("--class", dest="cls", required=True)
-    p_apply.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
+    _json_flag(p_apply)
     p_apply.set_defaults(func=cmd_op)
 
     p_witt = sub.add_parser("witt", help="Witt ring tables")
     witt_sub = p_witt.add_subparsers(dest="witt_cmd", required=True)
     p_wt = witt_sub.add_parser("table")
-    p_wt.add_argument("--field", required=True)
-    p_wt.add_argument("--q", type=int)
-    p_wt.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
+    _field_flags(p_wt)
+    _json_flag(p_wt)
     p_wt.set_defaults(func=cmd_witt)
 
     p_kq = sub.add_parser("kq", help="Hermitian K-theory diagonal")
     kq_sub = p_kq.add_subparsers(dest="kq_cmd", required=True)
     p_kt = kq_sub.add_parser("table")
-    p_kt.add_argument("--field", required=True)
-    p_kt.add_argument("--q", type=int)
+    _field_flags(p_kt)
     p_kt.add_argument("--max-degree", type=int, default=MAX_TRUNCATION)
-    p_kt.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
+    _json_flag(p_kt)
     p_kt.set_defaults(func=cmd_kq)
 
     p_cn = sub.add_parser("charnum", help="characteristic numbers")
@@ -452,8 +449,7 @@ def build_parser():
     p_hy = cn_sub.add_parser("hypersurface")
     p_hy.add_argument("--ambient", type=int, required=True)
     p_hy.add_argument("--degree", type=int, required=True)
-    p_hy.add_argument("--json", dest="format", action="store_const", const="json",
-                         default=argparse.SUPPRESS)
+    _json_flag(p_hy)
     p_hy.set_defaults(func=cmd_charnum)
 
     p_ver = sub.add_parser("verify", help="verification suites")
@@ -476,12 +472,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, AssertionError) as exc:
+    except (ValueError, KeyError, AssertionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,12 @@ from .operations import apply_operation, boundary_partial, delta_op
 from .partitions import codes_of, encode, partition_count, partitions_of
 
 
+def homology_rank(n):
+    """The rank of the 2-group H_n of the pattern: p(n/4) for n = 0 mod 4,
+    p((n-2)/4) for n = 2 mod 4 (both p(n // 4)), 0 for odd n."""
+    return partition_count(n // 4) if n % 2 == 0 else 0
+
+
 class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
 
@@ -252,15 +258,10 @@ class ConnerFloyd:
             "boundary is not a cycle in degree %d (differential squared "
             "nonzero)" % n))
 
-    def expected_homology(self, n):
+    @staticmethod
+    def expected_homology(n):
         """The partition-counted pattern for the homology groups."""
-        if n % 4 == 0:
-            rank = partition_count(n // 4)
-        elif n % 4 == 2:
-            rank = partition_count((n - 2) // 4)
-        else:
-            rank = 0
-        return FGAbGroup.cyclic(2).power(rank)
+        return FGAbGroup.cyclic(2).power(homology_rank(n))
 
     # -- downstream groups ---------------------------------------------------
 

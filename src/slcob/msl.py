@@ -16,6 +16,7 @@ which also gives every off-diagonal group.
 """
 
 from .abelian import FGAbGroup
+from .conner_floyd import homology_rank
 from .partitions import partition_count, partitions_of
 from .record import Record
 from .witt import witt_data
@@ -46,15 +47,15 @@ class MSLAnswer(Record):
 def _counts(n):
     """The three partition counts of the diagonal in degree n: the free
     rank p(n) - p(n-1) of the special unitary part, the exponent
-    p((n-1)/4) of its torsion (Z/2)^p((n-1)/4) in degrees 1 mod 4, and the
-    multiplicity p(n/4) of the ideal part I(k)^p(n/4) in degrees 0 mod 4.
-    Every view of the diagonal reads them here; `verify.suite_table`
-    checks them against the computed Conner-Floyd chain."""
+    p((n-1)/4) = rank H_(n-1) of its torsion (Z/2)^p((n-1)/4) in degrees
+    1 mod 4, and the multiplicity p(n/4) = rank H_n of the ideal part
+    I(k)^p(n/4) in degrees 0 mod 4, H the Conner-Floyd homology.  Every
+    view reads them here; `verify.suite_table` checks them on the chain."""
     if n < 0:
         raise ValueError("the diagonal starts in degree 0, not %d" % n)
     return (partition_count(n) - partition_count(n - 1),
-            partition_count((n - 1) // 4) if n % 4 == 1 else 0,
-            partition_count(n // 4) if n % 4 == 0 else 0)
+            homology_rank(n - 1) if n % 4 == 1 else 0,
+            homology_rank(n) if n % 4 == 0 else 0)
 
 
 def msl_diagonal(field, n):

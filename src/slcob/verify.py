@@ -5,6 +5,8 @@ Leibniz laws on the Wall lattice, the homology pattern, the introduction
 table, the Hermitian K-theory relations, and the brute-force Witt oracle.
 """
 
+from functools import partial
+
 from . import msl, mu
 from .conner_floyd import ConventionError
 from .abelian import FGAbGroup
@@ -12,7 +14,7 @@ from .intmat import HNFSolver, IntMatrix, smith_normal_form
 from .mu import BasisConstructionError
 from .operations import apply_operation, boundary_partial, delta_op
 from .partitions import partition_count
-from .witt import field_descriptor, witt_data
+from .witt import SHORT_NAMES, field_descriptor, witt_data
 from .wittforms import FormCalculus
 
 
@@ -253,40 +255,27 @@ CHAIN_SUITES = ("leibniz", "cf-pattern", "subring", "table", "all")
 
 
 def run_suite(name, cf, kind=None, q=None, max_degree=12):
-    """Dispatch a named suite.  The suites in CHAIN_SUITES read `cf`, the
-    chain at truncation max_degree; the others ignore it."""
-    kinds = [kind] if kind else ["c", "r", "fq1", "fq3"]
-    if name == "leibniz":
-        return suite_leibniz(cf, max_degree)
-    if name == "cf-pattern":
-        return suite_cf_pattern(cf, max_degree - 1)
-    if name == "subring":
-        return suite_subring(cf, max_degree)
-    if name == "table":
-        out = []
-        for k in kinds:
-            out += [("[%s] %s" % (k, n), ok, d)
-                    for n, ok, d in suite_table(k, q, cf, max_degree)]
-        return out
-    if name == "kq":
-        out = []
-        for k in kinds:
-            out += [("[%s] %s" % (k, n), ok, d) for n, ok, d in suite_kq(k, q)]
-        return out
-    if name == "witt-oracle":
-        return suite_witt_oracle()
-    if name == "all":
-        out = []
-        out += [("leibniz: %s" % n, ok, d)
-                for n, ok, d in suite_leibniz(cf, max_degree)]
-        out += [("cf: %s" % n, ok, d)
-                for n, ok, d in suite_cf_pattern(cf, max_degree - 1)]
-        out += [("subring: %s" % n, ok, d)
-                for n, ok, d in suite_subring(cf, max_degree)]
-        for k in kinds:
-            out += [("table[%s]: %s" % (k, n), ok, d)
-                    for n, ok, d in suite_table(k, q, cf, max_degree)]
-            out += [("kq[%s]: %s" % (k, n), ok, d) for n, ok, d in suite_kq(k, q)]
-        out += [("witt: %s" % n, ok, d) for n, ok, d in suite_witt_oracle()]
-        return out
-    raise ValueError("unknown suite %r" % name)
+    """Run a named suite, or all of them in the order listed below.  The
+    suites in CHAIN_SUITES read `cf`, the chain at truncation max_degree;
+    the others ignore it.  A check's name gets the prefix "label: " or
+    "label[kind]: " in `all`, and "[kind] " in a suite run per kind."""
+    t = max_degree
+    runs = [("leibniz", "leibniz", None, partial(suite_leibniz, cf, t)),
+            ("cf-pattern", "cf", None, partial(suite_cf_pattern, cf, t - 1)),
+            ("subring", "subring", None, partial(suite_subring, cf, t))]
+    for k in [kind] if kind else SHORT_NAMES:
+        runs += [("table", "table", k, partial(suite_table, k, q, cf, t)),
+                 ("kq", "kq", k, partial(suite_kq, k, q))]
+    runs.append(("witt-oracle", "witt", None, suite_witt_oracle))
+    if name != "all" and name not in [run[0] for run in runs]:
+        raise ValueError("unknown suite %r" % name)
+    out = []
+    for suite, label, k, call in runs:
+        if name == "all":
+            prefix = "%s%s: " % (label, "[%s]" % k if k else "")
+        elif name == suite:
+            prefix = "[%s] " % k if k else ""
+        else:
+            continue
+        out += [(prefix + n, ok, d) for n, ok, d in call()]
+    return out

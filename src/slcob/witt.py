@@ -20,6 +20,8 @@ of diagonal forms in wittforms.py; that oracle is part of the test and
 verification surface, not of this table module.
 """
 
+from functools import lru_cache
+
 from .abelian import FGAbGroup, _is_prime
 from .record import Record
 
@@ -28,18 +30,26 @@ REAL_CLOSED = "real_closed"
 FINITE_Q1 = "finite_q1"
 FINITE_Q3 = "finite_q3"
 
-KINDS = (QUADRATICALLY_CLOSED, REAL_CLOSED, FINITE_Q1, FINITE_Q3)
 
-KIND_ALIASES = {
-    "c": QUADRATICALLY_CLOSED,
-    "r": REAL_CLOSED,
-    "fq1": FINITE_Q1,
-    "fq3": FINITE_Q3,
-    QUADRATICALLY_CLOSED: QUADRATICALLY_CLOSED,
-    REAL_CLOSED: REAL_CLOSED,
-    FINITE_Q1: FINITE_Q1,
-    FINITE_Q3: FINITE_Q3,
+class _Kind(Record):
+    """One row of the catalog: the short name, the default field size q
+    (None for the kinds without a size; otherwise q mod 4 is the kind's),
+    the divisors (0 for each Z) of GW, W, I and I^m for m >= 2, and the
+    hyperbolic form <1> + <-1> over <1>, <u> (<1> + <u> where -1 is a
+    non-square)."""
+    __slots__ = ("name", "size", "gw", "w", "ideal", "ideal_power",
+                 "hyperbolic")
+
+
+KINDS = {
+    QUADRATICALLY_CLOSED: _Kind("c", None, (0,), (2,), (), (), (2, 0)),
+    REAL_CLOSED: _Kind("r", None, (0, 0), (0,), (0,), (0,), (1, 1)),
+    FINITE_Q1: _Kind("fq1", 5, (0, 2), (2, 2), (2,), (), (2, 0)),
+    FINITE_Q3: _Kind("fq3", 3, (0, 2), (4,), (2,), (), (1, 1)),
 }
+SHORT_NAMES = tuple(row.name for row in KINDS.values())
+KIND_ALIASES = dict({row.name: kind for kind, row in KINDS.items()},
+                    **{kind: kind for kind in KINDS})
 
 
 class FieldDescriptor(Record):
@@ -50,7 +60,7 @@ class FieldDescriptor(Record):
         if self.kind not in KINDS:
             raise ValueError("unknown field kind %r" % (self.kind,))
         e = self.exponential_characteristic
-        if self.kind in (QUADRATICALLY_CLOSED, REAL_CLOSED):
+        if KINDS[self.kind].size is None:
             if e != 1:
                 raise ValueError("%s fields have exponential characteristic "
                                  "1, not %r" % (self.kind, e))
@@ -73,17 +83,17 @@ def field_descriptor(kind, q=None):
         raise ValueError("unknown field kind %r: expected c, r, fq1 or fq3"
                          % (kind,))
     full = KIND_ALIASES[kind]
-    if full not in (FINITE_Q1, FINITE_Q3):
+    size = KINDS[full].size
+    if size is None:
         if q is not None:
             raise ValueError("field %s takes no field size q (only fq1 and "
                              "fq3 do)" % kind)
         return FieldDescriptor(full, 1)
-    residue = 1 if full == FINITE_Q1 else 3
-    q = (5 if residue == 1 else 3) if q is None else q
-    p = _char_of(q) if q % 4 == residue else None
+    q = size if q is None else q
+    p = _char_of(q) if q % 4 == size % 4 else None
     if p is None:
         raise ValueError("%s needs a field size q = %d mod 4 that is a power "
-                         "of an odd prime, not %r" % (kind, residue, q))
+                         "of an odd prime, not %r" % (kind, size % 4, q))
     return FieldDescriptor(full, p)
 
 
@@ -117,15 +127,13 @@ class WittRing(Record):
     # -- GW element calculus: coordinates (a, b) over <1>, <u> ------------
 
     def gw_normalize(self, elt):
-        """Canonical coordinates of a GW element.  For finite kinds the
-        relation 2<1> = 2<u> (hyperbolic comparison) gives the normal form
-        (a + b - (b mod 2), b mod 2); the infinite kinds are free."""
+        """Canonical coordinates of a GW element.  I is cyclic on <u> - <1>,
+        of order 1, 0 (free) or 2 by the kind's divisor of I, so b is
+        reduced mod that order and the rank a + b is kept."""
         a, b = elt
-        if self.field.kind in (FINITE_Q1, FINITE_Q3):
-            return (a + b - (b % 2), b % 2)
-        if self.field.kind == QUADRATICALLY_CLOSED:
-            return (a + b, 0)  # <u> = <1>
-        return (a, b)
+        order = (KINDS[self.field.kind].ideal or (1,))[0]
+        r = b % order if order else b
+        return (a + b - r, r)
 
     def gw_mul(self, x, y):
         # <1>, <u> multiply with <u>^2 = <1>
@@ -141,49 +149,30 @@ class WittRing(Record):
 
     def hyperbolic(self):
         """The hyperbolic form <1> + <-1> as a GW element."""
-        if self.field.kind == QUADRATICALLY_CLOSED:
-            return self.gw_normalize((2, 0))
-        if self.field.kind == REAL_CLOSED:
-            return (1, 1)  # <-1> is the non-square generator
-        if self.field.kind == FINITE_Q3:
-            return (1, 1)  # -1 is a non-square
-        return self.gw_normalize((2, 0))  # q = 1 mod 4: -1 is a square
+        return KINDS[self.field.kind].hyperbolic
 
     # -- groups -----------------------------------------------------------
 
     def fundamental_ideal_power(self, m):
         """I(k)^m as an abstract group (I^0 = W)."""
-        assert m >= 0
-        inv = self.field.inverted_primes
+        if m < 0:
+            raise ValueError("the ideal power I^m needs m >= 0, not %r" % m)
         if m == 0:
             return self.w
-        kind = self.field.kind
-        if kind == QUADRATICALLY_CLOSED:
-            return FGAbGroup.trivial(inv)
-        if kind == REAL_CLOSED:
-            return FGAbGroup.free(1, inv)  # 2^m Z inside W = Z
-        return FGAbGroup.cyclic(2, inv) if m == 1 else FGAbGroup.trivial(inv)
+        row = KINDS[self.field.kind]
+        divisors = row.ideal if m == 1 else row.ideal_power
+        return FGAbGroup.from_divisors(divisors, self.field.inverted_primes)
 
     def two_primary_torsion_of_ideal(self, m):
         """The 2-primary torsion subgroup of I^m (m >= 1)."""
-        assert m >= 1
+        if m < 1:
+            raise ValueError("the torsion of I^m needs m >= 1, not %r" % m)
         return self.fundamental_ideal_power(m).primary_part(2)
 
 
+@lru_cache(maxsize=None)
 def witt_data(field):
-    """The WittRing record of a catalog field."""
-    inv = field.inverted_primes
-    kind = field.kind
-    if kind == QUADRATICALLY_CLOSED:
-        return WittRing(field, gw=FGAbGroup.free(1, inv),
-                        w=FGAbGroup.cyclic(2, inv))
-    if kind == REAL_CLOSED:
-        return WittRing(field, gw=FGAbGroup.free(2, inv),
-                        w=FGAbGroup.free(1, inv))
-    if kind == FINITE_Q1:
-        return WittRing(field, gw=FGAbGroup.from_divisors([0, 2], inv),
-                        w=FGAbGroup.from_divisors([2, 2], inv))
-    if kind == FINITE_Q3:
-        return WittRing(field, gw=FGAbGroup.from_divisors([0, 2], inv),
-                        w=FGAbGroup.cyclic(4, inv))
-    raise ValueError(kind)
+    """The WittRing record of a catalog field, one per descriptor."""
+    row, inv = KINDS[field.kind], field.inverted_primes
+    return WittRing(field, FGAbGroup.from_divisors(row.gw, inv),
+                    FGAbGroup.from_divisors(row.w, inv))

@@ -18,7 +18,6 @@ class GF:
     """GF(q) for prime q, or GF(9) = GF(3)[i] with i^2 = -1."""
 
     def __init__(self, q):
-        assert q in (3, 5, 7, 9, 11, 13) or _is_prime(q)
         self.q = q
         if q == 9:
             self.p = 3
@@ -71,15 +70,6 @@ class FormCalculus:
 
     # -- linear algebra over GF(q) ----------------------------------------
 
-    def eval_form(self, gram, vec):
-        F = self.F
-        total = F.zero
-        n = len(gram)
-        for i in range(n):
-            for j in range(n):
-                total = F.add(total, F.mul(F.mul(gram[i][j], vec[i]), vec[j]))
-        return total
-
     def bilinear(self, gram, v, w):
         F = self.F
         total = F.zero
@@ -94,15 +84,12 @@ class FormCalculus:
         return [[diag[i] if i == j else self.F.zero for j in range(n)]
                 for i in range(n)]
 
-    def isotropic_vector(self, gram):
+    def _first_vector(self, n, holds):
+        """The first nonzero vector of F^n in enumeration order for which
+        holds(vector) is true, as a list; None if there is none."""
         F = self.F
-        n = len(gram)
-        for vec in product(F.elements, repeat=n):
-            if all(v == F.zero for v in vec):
-                continue
-            if self.eval_form(gram, vec) == F.zero:
-                return list(vec)
-        return None
+        return next((list(v) for v in product(F.elements, repeat=n)
+                     if any(x != F.zero for x in v) and holds(list(v))), None)
 
     def restrict(self, gram, basis):
         return [[self.bilinear(gram, v, w) for w in basis] for v in basis]
@@ -116,7 +103,6 @@ class FormCalculus:
                                          for k in range(n)])
                  for j in range(n)] for v in vectors]
         # kernel of the small matrix over GF(q) by elimination
-        rows = [r[:] for r in rows]
         pivots = {}
         r = 0
         for c in range(n):
@@ -152,15 +138,10 @@ class FormCalculus:
         n = len(gram)
         if n == 0:
             return []
-        vec = None
-        for cand in product(F.elements, repeat=n):
-            if all(v == F.zero for v in cand):
-                continue
-            if self.eval_form(gram, cand) != F.zero:
-                vec = list(cand)
-                break
+        vec = self._first_vector(
+            n, lambda v: self.bilinear(gram, v, v) != F.zero)
         assert vec is not None, "nondegenerate form represents a unit"
-        value = self.eval_form(gram, vec)
+        value = self.bilinear(gram, vec, vec)
         comp = self.orthogonal_complement(gram, [vec])
         rest = self.restrict(gram, comp)
         return [value] + self.diagonalize(rest)
@@ -177,16 +158,13 @@ class FormCalculus:
         diag = list(diag)
         while diag:
             gram = self.gram_of_diagonal(diag)
-            v = self.isotropic_vector(gram)
+            v = self._first_vector(
+                len(diag), lambda x: self.bilinear(gram, x, x) == F.zero)
             if v is None:
                 break
             # hyperbolic pair through v: any w with b(v, w) != 0
-            n = len(diag)
-            w = None
-            for cand in product(F.elements, repeat=n):
-                if self.bilinear(gram, v, list(cand)) != F.zero:
-                    w = list(cand)
-                    break
+            w = self._first_vector(
+                len(diag), lambda x: self.bilinear(gram, v, x) != F.zero)
             assert w is not None, "degenerate form"
             comp = self.orthogonal_complement(gram, [v, w])
             diag = self.diagonalize(self.restrict(gram, comp))
@@ -236,15 +214,7 @@ class FormCalculus:
             gram = self.gram_of_diagonal(diag)
             best = None
             for g in self._gl(n):
-                gt_g = [[F.zero] * n for _ in range(n)]
-                for i in range(n):
-                    for j in range(n):
-                        s = F.zero
-                        for k in range(n):
-                            for l in range(n):
-                                s = F.add(s, F.mul(F.mul(g[k][i], gram[k][l]),
-                                                   g[l][j]))
-                        gt_g[i][j] = s
+                gt_g = self.restrict(gram, list(zip(*g)))  # G^T A G
                 if any(gt_g[i][j] != F.zero
                        for i in range(n) for j in range(n) if i != j):
                     continue

@@ -91,18 +91,17 @@ def test_charnum_hypersurface():
     assert data["generator_verdict"] is True
 
 
-def test_hypersurface_answers_match_benchmark_reference(monkeypatch):
-    """Every `charnum` command of the benchmark's CLI mix, and every
-    operation it applies to a `hyp` class, passes the benchmark's own gate
-    against its reference answers (perfbench/expected_cli.json)."""
+def _gate_failures(monkeypatch, selected):
+    """The commands of the benchmark's CLI mix that `selected` picks, each
+    run in-process, and the messages of the benchmark's own gate against
+    its reference answers (perfbench/expected_cli.json)."""
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "perfbench"))
     import workloads
 
     expected = workloads.load_expected()
-    commands = [cmd for cmd in workloads.all_cli_commands()
-                if cmd.kind == "charnum" or "hyp" in cmd.key]
+    commands = [cmd for cmd in workloads.all_cli_commands() if selected(cmd)]
     failures = []
     for cmd in commands:
         out = io.StringIO()
@@ -110,7 +109,23 @@ def test_hypersurface_answers_match_benchmark_reference(monkeypatch):
             rc = cli.main(cmd.argv)
         failures += workloads.gate_command(cmd, rc, out.getvalue(),
                                            expected)[2]
+    return commands, failures
+
+
+def test_hypersurface_answers_match_benchmark_reference(monkeypatch):
+    """Every `charnum` command of the benchmark's CLI mix, and every
+    operation it applies to a `hyp` class, passes the benchmark's gate."""
+    commands, failures = _gate_failures(
+        monkeypatch, lambda cmd: cmd.kind == "charnum" or "hyp" in cmd.key)
     assert len(commands) == 45
+    assert failures == []
+
+
+def test_light_answers_match_benchmark_reference(monkeypatch):
+    """Every light command of the mix (msl table, group and off-diagonal,
+    witt table, kq table, each field) passes the benchmark's gate."""
+    commands, failures = _gate_failures(monkeypatch, lambda cmd: not cmd.heavy)
+    assert len(commands) == 408
     assert failures == []
 
 

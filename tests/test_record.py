@@ -173,7 +173,10 @@ def test_record_checks_survive_optimized_mode():
     """The checks are exceptions, not asserts, so `python -O` keeps them."""
     code = (
         "from slcob.abelian import FGAbGroup\n"
+        "from slcob.charnum import generator_check_msu\n"
         "from slcob.mu import MUClass\n"
+        "from slcob.witt import field_descriptor, witt_data\n"
+        "wr = witt_data(field_descriptor('r'))\n"
         "def raises(f, *a):\n"
         "    try:\n"
         "        f(*a)\n"
@@ -183,8 +186,12 @@ def test_record_checks_survive_optimized_mode():
         "print(raises(FGAbGroup, -1), raises(FGAbGroup, 0, (1,)),\n"
         "      raises(FGAbGroup, 0, (4, 2)),\n"
         "      raises(FGAbGroup, 0, (3,), frozenset([3])),\n"
-        "      raises(MUClass(1, ((2, 1),)).__add__, MUClass(2, ((3, 1),))))\n")
-    assert _run("-O", "-c", code).split() == ["True"] * 5
+        "      raises(MUClass(1, ((2, 1),)).__add__, MUClass(2, ((3, 1),))),\n"
+        "      raises(FGAbGroup(1).power, -1),\n"
+        "      raises(wr.fundamental_ideal_power, -1),\n"
+        "      raises(wr.two_primary_torsion_of_ideal, 0),\n"
+        "      raises(generator_check_msu, MUClass(1, ((2, 1),)), None))\n")
+    assert _run("-O", "-c", code).split() == ["True"] * 9
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -101,6 +101,14 @@ def test_tables():
         assert wd.fundamental_ideal_power(2).is_trivial()
 
 
+def test_witt_data_is_built_once_per_field():
+    """Equal descriptors, built apart, give the one record."""
+    for kind in ("c", "r", "fq1", "fq3"):
+        fd = field_descriptor(kind)
+        twin = FieldDescriptor(fd.kind, fd.exponential_characteristic)
+        assert twin is not fd and witt_data(twin) is witt_data(fd)
+
+
 def test_ideal_power_examples():
     assert witt_data(field_descriptor("c")).fundamental_ideal_power(1).is_trivial()
     r = witt_data(field_descriptor("r"))
@@ -140,6 +148,18 @@ def test_gw_calculus():
     assert wd.gw_rank(h) == 2
     # 2<1> = 2<u> under the hyperbolic relation
     assert wd.gw_normalize((2, 0)) == wd.gw_normalize((0, 2))
+
+
+@pytest.mark.parametrize("kind,normal,hyperbolic", [
+    ("c", (5, 0), (2, 0)), ("r", (2, 3), (1, 1)), ("fq1", (4, 1), (2, 0)),
+    ("fq3", (4, 1), (1, 1))])
+def test_gw_normal_form_and_hyperbolic_form_per_kind(kind, normal,
+                                                     hyperbolic):
+    """2<1> + 3<u>: <u> = <1> over C, free over R, 2<u> = 2<1> over F_q.
+    The hyperbolic form is 2<1> where -1 is a square, else <1> + <u>."""
+    wd = witt_data(field_descriptor(kind))
+    assert wd.gw_normalize((2, 3)) == normal
+    assert wd.hyperbolic() == hyperbolic
 
 
 def witt_group_from_oracle(q):
