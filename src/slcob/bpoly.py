@@ -42,9 +42,10 @@ def mul(a, b):
     return mul_into({}, a, b)
 
 
-def mul_into(out, a, b):
-    """out += a * b in place; returns out."""
+def mul_into(out, a, b, c=1):
+    """out += c * a * b in place, for an integer c; returns out."""
     for k1, v1 in a.items():
+        v1 *= c
         for k2, v2 in b.items():
             k = k1 * k2
             s = out.get(k, 0) + v1 * v2

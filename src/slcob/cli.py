@@ -11,6 +11,7 @@ win over file values.  Recognized keys: truncation, field, q, format.
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -63,7 +64,11 @@ def effective_settings(args, csv_form=True):
                          % (", ".join(FORMATS), fmt))
     if fmt == "csv" and not csv_form:
         raise ValueError("this command has no CSV form; use text or json")
-    return trunc, setting("field"), setting("q", None, int), fmt
+    field = setting("field")
+    if field == "":
+        raise ValueError("the field is empty: give one of %s"
+                         % ", ".join(SHORT_NAMES))
+    return trunc, field, setting("q", None, int), fmt
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +187,6 @@ def class_report(cls):
 def cmd_msl(args):
     trunc, field, q, fmt = effective_settings(
         args, csv_form=args.msl_cmd == "table")
-    if not field:
-        raise ValueError("msl requires --field")
     fd = field_descriptor(field, q)
     if args.msl_cmd == "group":
         n = args.n
@@ -276,7 +279,7 @@ def cmd_op(args):
 
 def cmd_witt(args):
     _, field, q, fmt = effective_settings(args, csv_form=False)
-    fd = field_descriptor(field or "c", q)
+    fd = field_descriptor(field, q)
     wr = witt_data(fd)
     data = {
         "field": fd.kind,
@@ -295,7 +298,7 @@ def cmd_kq(args):
     if not 0 <= args.max_degree <= MAX_TRUNCATION:
         raise ValueError("--max-degree must be between 0 and %d"
                          % MAX_TRUNCATION)
-    fd = field_descriptor(field or "c", q)
+    fd = field_descriptor(field, q)
     pres = KQPresentation(fd)
     rows = [{"n": n, "group": str(pres.kq_diagonal(n)),
              "witt_theory": str(pres.kw_diagonal(n))}
@@ -477,5 +480,15 @@ def main(argv=None):
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1
 
 
+def run():
+    """The console entry point: main(), then the exit.  The heap is frozen
+    first, so that the collections interpreter shutdown sets off do not
+    walk the tables the command built (a freeze in main would leak into
+    in-process callers)."""
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -26,7 +26,7 @@ built for it.
 from . import bpoly
 from .abelian import FGAbGroup, _factorint, cokernel
 from .fgl import FGLContext, _memoized
-from .intmat import HNFSolver, IntMatrix, kernel_basis, solve_mod
+from .intmat import HNFSolver, IntMatrix, ModSolver, kernel_basis
 from .mu import (BasisConstructionError, MUBasis, complete_intersection_class,
                  cpn_class, generator_target, min_s_combination, s_number)
 from .operations import apply_operation, boundary_partial, delta_op
@@ -146,8 +146,9 @@ class ConnerFloyd:
         dmat = IntMatrix.from_columns(len(x), decomposables)
         combo, scale = [0] * dmat.cols, 1
         for p, e in _factorint(s // target).items():
+            solver = ModSolver(dmat, p)
             for _ in range(e):
-                c = solve_mod(dmat, x, p)
+                c = solver.solve(x)
                 if c is None:
                     raise BasisConstructionError("degree %d: no decomposable "
                                                  "is x mod %d" % (n, p))

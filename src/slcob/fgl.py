@@ -78,8 +78,21 @@ class FGLContext:
 
     @cached_property
     def log_powers(self):
-        """[log^0, log^1, ..., log^top] truncated at degree top; built on
-        first use, as only the Milnor classes and the operations read it."""
-        one = bpoly.ser_zero(self.top)
-        one[0] = dict(bpoly.ONE)
-        return [one] + bpoly.ser_powers(self.log_series, self.top, self.top)
+        """[log^0, log^1, ..., log^(top+2)] up to u^(top+2), built on first
+        use, as only the catalog and the operations read it.  The u^d
+        coefficient of log^k has weight d - k; it is kept up to weight
+        `bound`, the truncation of every series here, and left 0 above.
+        The two u-degrees past `top` serve the complete intersections of
+        two divisors in P^(bound+2) (`mu`)."""
+        deg, log = self.top + 2, self.log_series
+        power = bpoly.ser_zero(deg)
+        power[0] = dict(bpoly.ONE)
+        powers = [power]
+        for k in range(1, deg + 1):
+            prev, power = power, bpoly.ser_zero(deg)
+            for i, p in enumerate(prev):
+                if p:  # i >= k - 1, so j <= bound + 1 = top
+                    for j in range(1, min(deg - i, self.bound + k - i) + 1):
+                        bpoly.mul_into(power[i + j], p, log[j])
+            powers.append(power)
+        return powers

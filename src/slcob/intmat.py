@@ -16,16 +16,19 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
                        substitution per target; columns already in
                        echelon form (leading rows strictly increasing,
                        as the lower triangular basis matrices B_n and
-                       Hermite kernels are) skip the pass, since
-                       substitution needs echelon form, not reduction;
+                       Hermite kernels are) skip the pass and the
+                       identity, since substitution needs echelon form,
+                       not reduction;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs, the
                        pass that `abelian` also normalizes groups with.
 
-`solve_mod` is the same layout over F_p, for the Wall generators.
+`ModSolver` is the same layout over F_p, for the Wall generators: one
+reduction per matrix and prime, then any number of targets.
 """
 
 from math import gcd
+from operator import mul
 
 from .record import Record, _set
 
@@ -60,7 +63,7 @@ class IntMatrix(Record):
         """The rows x len(columns) matrix with the given columns."""
         if not rows or not columns:
             return cls.zero(rows, len(columns))
-        return cls.from_rows(zip(*columns))
+        return cls(rows, len(columns), tuple(zip(*columns)))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -71,7 +74,7 @@ class IntMatrix(Record):
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def __mul__(self, other):
         # Only nonzero entries are multiplied: differentials are mostly 0.
@@ -85,14 +88,11 @@ class IntMatrix(Record):
                     for j, x in b_row:
                         acc[j] += a * x
             out.append(acc)
-        if not out:
-            return IntMatrix.zero(0, other.cols)
-        return IntMatrix.from_rows(out)
+        return IntMatrix(len(out), other.cols, tuple(map(tuple, out)))
 
     def apply(self, vec):
         assert len(vec) == self.cols
-        return [sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-                for i in range(self.rows)]
+        return [sum(map(mul, row, vec)) for row in self.entries]
 
 
 def _column_echelon(rows, ncols, columns):
@@ -155,7 +155,7 @@ def smith_normal_form(mat):
     [1, 6]
     """
     rows = mat.rows
-    columns = [list(mat.column(j)) for j in range(mat.cols)]
+    columns = _columns(mat)
     for _ in range(200):
         columns = _hermite_columns(rows, columns)
         if all(x == 0 for k, c in enumerate(columns)
@@ -196,18 +196,23 @@ class HNFSolver:
     once, then solve M x = b for many right-hand sides by forward
     substitution.  Columns whose leading rows already strictly increase
     are taken as they stand: they are independent, so the solution is
-    the unique one the reduction would also find."""
+    the unique one the reduction would also find, and the multiple of
+    column k taken off is x_k itself.  Otherwise the columns are reduced
+    stacked over an identity, which records x."""
 
     def __init__(self, mat):
         self.mat = mat
-        columns = [list(mat.column(j)) + [int(i == j) for i in range(mat.cols)]
-                   for j in range(mat.cols)]
-        leads = [next((i for i in range(mat.rows) if c[i]), mat.rows)
+        columns = _columns(mat)
+        leads = [next((i for i, a in enumerate(c) if a), mat.rows)
                  for c in columns]
-        if all(a < b for a, b in zip(leads, leads[1:] + [mat.rows])):
-            self.pivot_rows = leads
-        else:
+        self.reduced = not all(
+            a < b for a, b in zip(leads, leads[1:] + [mat.rows]))
+        if self.reduced:
+            columns = [c + [int(i == j) for i in range(mat.cols)]
+                       for j, c in enumerate(columns)]
             self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
+        else:
+            self.pivot_rows = leads
         self.columns = columns
 
     def solve(self, target):
@@ -217,36 +222,56 @@ class HNFSolver:
         resid = list(target)
         x = [0] * self.mat.cols
         for k, r in enumerate(self.pivot_rows):
-            piv = self.columns[k][r]
-            if resid[r] % piv != 0:
+            col = self.columns[k]  # zero above its pivot row r
+            q, rem = divmod(resid[r], col[r])
+            if rem:
                 return None
-            q = resid[r] // piv
             if q:
-                col = self.columns[k]
-                for i in range(rows):
-                    resid[i] -= q * col[i]
-                for i in range(self.mat.cols):
-                    x[i] += q * col[rows + i]
+                resid[r:] = [a - q * b for a, b in zip(resid[r:], col[r:])]
+                if self.reduced:
+                    x = [a + q * b for a, b in zip(x, col[rows:])]
+                else:
+                    x[k] = q
         if any(resid):
             return None
         return x
 
 
-def solve_mod(mat, target, p):
-    """x with entries in 0..p-1 and M x = target mod the prime p, or None:
-    the columns mod p over an identity, then the target, are reduced in
-    turn by the pivots before them, each new pivot scaled to 1."""
-    pivots = []  # (row, column)
-    for j in range(mat.cols + 1):
-        top = mat.column(j) if j < mat.cols else target
-        col = [a % p for a in top] + [int(i == j) for i in range(mat.cols)]
-        for r, piv in pivots:
+class ModSolver:
+    """x with entries in 0..p-1 and M x = target mod the prime p, or None,
+    for many targets: the columns mod p over an identity are reduced once,
+    each by the pivots before it and each new pivot scaled to 1; a target
+    is then reduced by the pivots in turn."""
+
+    def __init__(self, mat, p):
+        self.mat, self.p = mat, p
+        self.pivots = []  # (row, column)
+        for j, c in enumerate(_columns(mat)):
+            col = self._reduce([a % p for a in c]
+                               + [int(i == j) for i in range(mat.cols)])
+            r = next((i for i in range(mat.rows) if col[i]), None)
+            if r is not None:
+                inv = pow(col[r], -1, p)
+                self.pivots.append((r, [a * inv % p for a in col]))
+
+    def _reduce(self, col):
+        p = self.p
+        for r, piv in self.pivots:
             f = col[r]
             if f:
                 col = [(a - f * b) % p for a, b in zip(col, piv)]
-        r = next((i for i in range(mat.rows) if col[i]), None)
-        if j == mat.cols:
-            return None if r is not None else [-a % p for a in col[mat.rows:]]
-        if r is not None:
-            inv = pow(col[r], -1, p)
-            pivots.append((r, [a * inv % p for a in col]))
+        return col
+
+    def solve(self, target):
+        rows, p = self.mat.rows, self.p
+        col = self._reduce([a % p for a in target] + [0] * self.mat.cols)
+        if any(col[:rows]):
+            return None
+        return [-a % p for a in col[rows:]]
+
+
+def _columns(mat):
+    """The columns of mat as lists."""
+    if not mat.rows:
+        return [[] for _ in range(mat.cols)]
+    return [list(c) for c in zip(*mat.entries)]

@@ -21,7 +21,18 @@ exp(x) = sum e_k x^k, turns it into
     P_a[i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1),
 
 and a complete intersection in P^n (a hypersurface is the one-divisor
-case) from Quillen's Gysin formula.  The one map from classes to numbers is
+case) from Quillen's Gysin formula (Elementary proofs of some results of
+cobordism theory using Steenrod operations, 1971).  The divisor of a
+section of O(d) has Gysin class [d]_F(u) = exp(d log u) =
+sum_(k>=1) d^k b_(k-1) log(u)^k (b_0 = 1), and u^j pushes forward to
+[CP^(n-j)] = [u^(n-j)] log', so the class is [u^n] prod_i [d_i]_F(u) log',
+in closed form
+
+    sum over k_i >= 1 of  prod_i d_i^(k_i) b_(k_i - 1)  Q_K(n),
+    K = sum k_i,  Q_K(n) = [u^n] log^K log' = P_K[n].
+
+One table of these log-derivative powers, P_a[i] = Q_a(i), serves both
+formulas.  The one map from classes to numbers is
 `hurewicz_to_chern_numbers`, which serves `charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
@@ -240,64 +251,66 @@ def hypersurface_class(ctx, n, d):
 
 def complete_intersection_class(ctx, n, degrees):
     """A smooth complete intersection of r hypersurfaces of the given
-    degrees in P^n, of dimension n - r.
-
-    The divisor of a section of O(d) has Gysin class [d]_F(u) =
-    exp(d log u) = sum_k d^k S_k(u), S_k = e_k log(u)^k (e_k the exp
-    coefficients, `_gysin_blocks`), and u^k pushes forward to
-    [CP^(n-k)], so the class is sum_k [u^k] prod_i [d_i]_F(u) [CP^(n-k)]
-    (Quillen, Elementary proofs of some results of cobordism theory using
-    Steenrod operations, 1971); each factor starts at u^1, so it is needed
-    only up to u^(n-r+1)."""
+    degrees in P^n, of dimension n - r, by the closed form of the module
+    docstring: the sum over k_i >= 1 of prod_i d_i^(k_i) b_(k_i - 1)
+    Q_K(n), K = sum k_i.  The terms have weight n - r, so the b's are
+    summed one divisor at a time as the u^K coefficients of
+    prod_i sum_k d_i^k b_(k-1) u^k, keeping only weights up to n - r."""
     dim = n - len(degrees)
     if dim > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (dim, ctx.bound))
-    top = dim + 1
-    blocks = _gysin_blocks(ctx)
-    product = [dict(bpoly.ONE)]
-    for d in degrees:
-        series = bpoly.ser_zero(top)
-        for k in range(1, top + 1):
-            for j in range(k, top + 1):
-                bpoly.mul_into(series[j], {1: d ** k}, blocks[k][j])
-        product = bpoly.ser_mul(product, series, n)
+    if n > ctx.top + 1:
+        raise ValueError("the ambient P^%d is above P^%d, two past the "
+                         "truncation %d" % (n, ctx.top + 1, ctx.bound))
+    series = [dict(bpoly.ONE)]  # series[K] has weight K - (divisors so far)
+    for i, d in enumerate(degrees):
+        grown = [{} for _ in range(n + 1)]
+        for K, a in enumerate(series):
+            if a:
+                for k in range(1, dim + 2 - (K - i)):
+                    bpoly.mul_into(grown[K + k], a, ctx.exp_series[k], d ** k)
+        series = grown
+    q = _log_derivative_powers(ctx)
     out = {}
-    for k in range(len(degrees), n + 1):
-        bpoly.mul_into(out, product[k], cpn_class(ctx, n - k).poly())
+    for K, a in enumerate(series):
+        if a:
+            bpoly.mul_into(out, a, q[K][n])
     return MUClass.from_poly(dim, out)
 
 
 @_memoized
-def _gysin_blocks(ctx):
-    """S_k = e_k log^k for 1 <= k <= top, the d-free blocks of every
-    Gysin series [d]_F(u) = sum_k d^k S_k(u), built once per context."""
-    return [None] + [[bpoly.mul(ctx.exp_series[k], lk) for lk in
-                      ctx.log_powers[k]] for k in range(1, ctx.top + 1)]
+def _log_derivative_powers(ctx):
+    """Q[a][i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1) for
+    0 <= a, i <= top + 1, kept once per context: the P_a[i] of the Milnor
+    hypersurfaces and the Q_K(N) of the complete intersections.  Integral,
+    as log is, so the division is exact."""
+    table = []
+    for a, power in enumerate(ctx.log_powers[1:]):
+        row = [bpoly.scale(power[i + 1], i + 1) for i in range(len(power) - 1)]
+        if any(v % (a + 1) for p in row for v in p.values()):
+            raise ArithmeticError("log^%d log' is not integral" % a)
+        table.append([{k: v // (a + 1) for k, v in p.items()} for p in row])
+    return table
 
 
 @_memoized
 def _milnor_table(ctx):
     """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, by the
     module's formula, summed as sum_a P_a[i] R_a[j] with
-    R_a[j] = sum_c e_(a+c) C(a+c, a) P_c[j]; P_a is integral, as log is,
-    so its division is exact.  The coefficient of u^i v^j has weight
+    R_a[j] = sum_c e_(a+c) C(a+c, a) P_c[j], P from
+    `_log_derivative_powers`.  The coefficient of u^i v^j has weight
     i + j - 1, so nothing is truncated inside the table."""
     top = ctx.top
     rows = top // 2 + 1  # i <= j and i + j <= top leave i <= top // 2
-    P = []  # P[a][i] for a, i < top
-    for a, power in enumerate(ctx.log_powers[1:]):
-        row = [bpoly.scale(power[i + 1], i + 1) for i in range(top)]
-        if any(v % (a + 1) for p in row for v in p.values()):
-            raise ArithmeticError("log^%d log' is not integral" % a)
-        P.append([{k: v // (a + 1) for k, v in p.items()} for p in row])
+    P = _log_derivative_powers(ctx)
     H = {}
     for a in range(rows):
         jmax = top - max(a, 1)  # j <= top - i, i >= max(a, 1)
         R = [{} for _ in range(jmax + 1)]
         for c in range(jmax + 1):
-            e = bpoly.scale(ctx.exp_series[a + c], comb(a + c, a))
             for j in range(c, jmax + 1):
-                bpoly.mul_into(R[j], P[c][j], e)
+                bpoly.mul_into(R[j], P[c][j], ctx.exp_series[a + c],
+                               comb(a + c, a))
         for i in range(max(a, 1), rows):
             for j in range(i, top + 1 - i):
                 bpoly.mul_into(H.setdefault((i, j), {}), P[a][i], R[j])

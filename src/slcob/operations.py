@@ -15,9 +15,16 @@ fails all three.
 An operation is linear, so it is applied as an integer matrix on the
 b-monomial basis: column omega is op(b^omega), built on first use and kept
 per context and operation in the context's memo under the code of omega,
-as its dense vector in partition order (most entries are nonzero); a class
-is the sum of its coefficients times these columns.  There are two routes
-to a column, chosen by the form of the class:
+and a class is the sum of its coefficients times these columns.  The
+columns are kept packed (`PackedColumns`): the entry at the k-th
+b-monomial of the target degree, in increasing order of codes, times
+2^(w k), negative entries allowed, so the sum is one big-integer
+multiply-add per term of the class, unpacked once into the class's
+code-sorted terms.  The slot width w = bits(largest column entry) +
+bits(sum of |c| over the class) + 1, rounded up to a multiple of 32,
+bounds every entry of the sum, so no slot carries into the next; each
+column is kept once, at the widest w asked for so far.  There are two
+routes to a column, chosen by the form of the class:
 
   * m-pairing.  A Landweber-Novikov operation s_omega has the single
     monomial symmetric function m_omega as its class, so pairing its
@@ -40,11 +47,12 @@ the pairing against the coaction of a whole class.
 
 from functools import cached_property
 from math import comb
+from operator import mul
 
 from . import bpoly
 from .fgl import _memoized
 from .mu import MUClass
-from .partitions import codes_of, decode, encode
+from .partitions import decode, encode, sorted_codes
 from .record import Record
 
 
@@ -107,7 +115,7 @@ def delta_op(ctx):
     g = [{} for _ in range(ctx.top)]
     for a in range(1, ctx.top):
         for c in range(1, ctx.top - a):
-            bpoly.mul_into(g[a + c], b[a], bpoly.scale(b[c], (-1) ** c))
+            bpoly.mul_into(g[a + c], b[a], b[c], (-1) ** c)
     return CohOperation.from_log_series("delta", 2, g)
 
 
@@ -180,7 +188,7 @@ def _log_ops(ctx, part):
         for i, h in enumerate(head):
             for j, r in enumerate(rest):
                 if h and r:
-                    bpoly.mul_into(out[i + j], bpoly.scale(h, comb(i + j, i)), r)
+                    bpoly.mul_into(out[i + j], h, r, comb(i + j, i))
     return out
 
 
@@ -192,9 +200,62 @@ def _log_column(ctx, g, part):
     return out
 
 
+class PackedColumns(dict):
+    """{code: [bits of the largest entry, slot width w, packed integer]}:
+    the columns of one operation, each built on first use and packed as in
+    the module docstring."""
+
+    def combine(self, terms, count, build):
+        """The count entries of sum c * column(code) over the (code, c) of
+        terms, c nonzero; build(code) gives the entries of a column not
+        kept yet, which is kept unpacked (width 0) until packed here."""
+        used = [self.get(code) or self.setdefault(code, _unpacked(build(code)))
+                for code, _ in terms]
+        coeffs = [c for _, c in terms]
+        need = max(column[0] for column in used) + 1 \
+            + sum(map(abs, coeffs)).bit_length()
+        width = max(-(-need // 32) * 32, max(column[1] for column in used))
+        for column in used:
+            if column[1] != width:
+                values = column[2] if not column[1] else \
+                    _unpack(column[2], count, column[1])
+                column[1:] = width, _pack(values, width)
+        return _unpack(sum(map(mul, coeffs, [column[2] for column in used])),
+                       count, width)
+
+
+def _unpacked(values):
+    """A column not packed yet: width 0 and its entries."""
+    return [max(map(abs, values)).bit_length(), 0, values]
+
+
+def _bias(count, width):
+    """2^(width-1) in each of count slots of the given width."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little")
+                          * count, "little")
+
+
+def _pack(values, width):
+    """sum_k values[k] 2^(width k), every |values[k]| < 2^(width-1)."""
+    half, size = 1 << width - 1, width // 8
+    return int.from_bytes(b"".join([(v + half).to_bytes(size, "little")
+                                    for v in values]), "little") \
+        - _bias(len(values), width)
+
+
+def _unpack(packed, count, width):
+    """The count slot values of a packed integer: with the bias added,
+    every slot holds its value plus 2^(width-1), which lies in
+    [0, 2^width)."""
+    half, size, read = 1 << width - 1, width // 8, int.from_bytes
+    buf = (packed + _bias(count, width)).to_bytes(count * size, "little")
+    return [read(buf[i:i + size], "little") - half
+            for i in range(0, count * size, size)]
+
+
 def apply_operation(ctx, op, x):
     """The action of an operation on a coefficient-ring class: the sum of
-    its b-monomial coefficients times the operation's columns.
+    its b-monomial coefficients times the operation's packed columns.
 
     Lands in degree x.degree - op.shift; negative degree gives zero."""
     target = x.degree - op.shift
@@ -204,18 +265,17 @@ def apply_operation(ctx, op, x):
     entry = tables.get(op)
     if entry is None:
         if op.log_coeffs:
-            entry = (_log_column, [dict(c) for c in op.log_coeffs], {})
+            build, data = _log_column, [dict(c) for c in op.log_coeffs]
         else:
-            entry = (_column, {encode(omega): dict(coeff) for _, vec in
-                               op.m_coeffs for omega, coeff in vec}, {})
-        tables[op] = entry
+            build, data = _column, {encode(omega): dict(coeff) for _, vec in
+                                    op.m_coeffs for omega, coeff in vec}
+        entry = tables[op] = (build, data, PackedColumns())
     build, data, columns = entry
-    codes = codes_of(target)
-    out = [0] * len(codes)
-    for code, c in x.terms:
-        column = columns.get(code)
-        if column is None:
-            poly = build(ctx, data, decode(code))
-            column = columns[code] = [poly.get(k, 0) for k in codes]
-        out = [a + c * v for a, v in zip(out, column)]
-    return MUClass.from_poly(target, dict(zip(codes, out)))
+    codes = sorted_codes(target)
+
+    def column(code):
+        poly = build(ctx, data, decode(code))
+        return [poly.get(k, 0) for k in codes]
+
+    return MUClass(target, tuple((k, v) for k, v in zip(
+        codes, columns.combine(x.terms, len(codes), column)) if v))

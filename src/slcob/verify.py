@@ -7,7 +7,7 @@ table, the Hermitian K-theory relations, and the brute-force Witt oracle.
 
 from functools import partial
 
-from . import msl, mu
+from . import bpoly, msl, mu
 from .conner_floyd import ConventionError
 from .abelian import FGAbGroup
 from .intmat import HNFSolver, IntMatrix, smith_normal_form
@@ -34,31 +34,35 @@ def suite_leibniz(cf, max_degree):
     pair serves both laws."""
     ctx = cf.ctx
     pd, dl = boundary_partial(ctx), delta_op(ctx)
-    a11 = mu.cpn_class(ctx, 1).scale(-1)
-    wall = {n: cf.wall_classes(n) for n in range(1, max_degree)}
+    a11 = mu.cpn_class(ctx, 1).scale(-1).poly()
     applied = {}
 
     def apply(op, cls):
+        """op(cls) as a bpoly, once per operation and class."""
         if (op, cls) not in applied:
-            applied[op, cls] = apply_operation(ctx, op, cls)
+            applied[op, cls] = apply_operation(ctx, op, cls).poly()
         return applied[op, cls]
 
+    wall = {n: [(cls, cls.poly(), apply(pd, cls)) for cls in cf.wall_classes(n)]
+            for n in range(1, max_degree)}
     pairs = 0
     first_bad = {}
     for na in range(1, max_degree):
         for nb in range(na, max_degree - na + 1):
-            for i, a in enumerate(wall[na]):
-                for j, b in enumerate(wall[nb]):
+            for i, (a, pa, da) in enumerate(wall[na]):
+                for j, (b, pb, db) in enumerate(wall[nb]):
                     if na == nb and j < i:
                         continue
                     pairs += 1 if na == nb and i == j else 2
                     ab = a * b
-                    da, db = apply(pd, a), apply(pd, b)
-                    dadb = da * db
-                    if apply(pd, ab) != da * b + a * db + a11 * dadb:
+                    dadb = bpoly.mul(da, db)
+                    # da * b + a * db + a11 * da * db in one sum
+                    law = bpoly.mul_into(bpoly.mul_into(
+                        bpoly.mul(da, pb), pa, db), a11, dadb)
+                    if apply(pd, ab) != law:
                         first_bad.setdefault(
                             "partial", "partial law at (%d,%d)" % (na, nb))
-                    if apply(dl, ab) != dadb.scale(-2):
+                    if apply(dl, ab) != bpoly.scale(dadb, -2):
                         first_bad.setdefault(
                             "product", "product law at (%d,%d)" % (na, nb))
     return [("twisted Leibniz for the boundary operation (%d Wall pairs)"

@@ -245,6 +245,11 @@ BAD_INPUTS = [
     ("--format", "csv", "charnum", "hypersurface", "--ambient", "4",
      "--degree", "2"),
     ("--config", "CFG:format = xml", "msl", "table", "--field", "c"),
+    ("msl", "table", "--field", ""),
+    ("witt", "table", "--field", ""),
+    ("kq", "table", "--field", ""),
+    ("verify", "--suite", "kq", "--field", ""),
+    ("--config", "CFG:field =", "verify", "--suite", "kq"),
 ]
 
 
@@ -297,6 +302,25 @@ def test_fixtures_build_the_chain_once():
     assert cf.ctx.bound == 4 and cf.basis.ctx is cf.ctx
 
 
+def test_main_leaves_the_heap_unfrozen():
+    """main, which in-process callers use, freezes nothing; only the
+    console entry point `run` freezes the heap, after main returns, and
+    exits with main's code."""
+    import gc
+    before = gc.get_freeze_count()
+    assert exit_code(["--truncation", "4", "cf", "homology"]) == 0
+    assert exit_code(["witt", "table", "--field", ""]) == 2
+    assert gc.get_freeze_count() == before
+    code = ("import gc, sys; from slcob import cli; sys.argv[1:] = %r; "
+            "sys.exit = lambda rc: print(rc, gc.get_freeze_count() > 0); "
+            "cli.run()")
+    for argv, rc in ((["witt", "table", "--field", "c"], 0),
+                     (["witt", "table", "--field", ""], 2)):
+        out = subprocess.run([sys.executable, "-c", code % argv],
+                             capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == "%d True" % rc, out.stderr
+
+
 def test_cli_imports_no_rational_engine():
     """The package computes with integers only: importing the command line
     loads neither `fractions` nor a GradedPoly module."""
@@ -324,7 +348,7 @@ FUZZ_COMMANDS = [
     ["dump", "--out", "DIR"],
 ]
 FUZZ_SLOTS = {
-    "FIELD": ["c", "r", "fq1", "fq3", "zz"],
+    "FIELD": ["c", "r", "fq1", "fq3", "zz", ""],
     "Q": ["3", "5", "7", "9", "13", "25", "27", "4", "-3"],
     "V": FUZZ_VALUES,
     "OP": ["partial", "delta", "s1", "s2", "s1,1", "s2,1", "s0", "s1,"],

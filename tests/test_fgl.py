@@ -31,14 +31,19 @@ def test_log_coefficients():
 
 def test_log_powers_are_lazy_and_shared():
     """The powers of log are built on first use, once per context, and the
-    Milnor classes read that one copy."""
+    Milnor classes read that one copy.  log^0 .. log^(top+2) run to
+    u^(top+2), with the coefficients above weight `bound` left 0."""
     ctx = FGLContext(6)
     assert "log_powers" not in vars(ctx)
     powers = ctx.log_powers
-    assert powers[0] == [bpoly.ONE] + [{}] * ctx.top
-    assert powers[1] == ctx.log_series
-    for k in range(2, ctx.top + 1):
-        assert powers[k] == bpoly.ser_mul(powers[k - 1], ctx.log_series, ctx.top)
+    deg = ctx.top + 2
+    assert len(powers) == deg + 1
+    assert powers[0] == [bpoly.ONE] + [{}] * deg
+    assert powers[1] == ctx.log_series + [{}, {}]
+    for k in range(2, deg + 1):
+        full = bpoly.ser_mul(powers[k - 1], ctx.log_series, deg)
+        assert powers[k] == [c if d - k <= ctx.bound else {}
+                             for d, c in enumerate(full)]
     mu.milnor_hypersurface_class(ctx, 2, 3)
     assert ctx.log_powers is powers
 

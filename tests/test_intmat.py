@@ -6,8 +6,8 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from oracles import hermite_column_form, kernel_basis_one_shot, same_column_span
-from slcob.intmat import (HNFSolver, IntMatrix, kernel_basis,
-                          smith_normal_form, solve_mod)
+from slcob.intmat import (HNFSolver, IntMatrix, ModSolver, kernel_basis,
+                          smith_normal_form)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -219,21 +219,26 @@ def test_hermite_form_properties(rows, cols, seed):
 @given(st.integers(1, 5), st.integers(0, 4), st.sampled_from([2, 3, 5, 7]),
        st.integers(0, 10 ** 6))
 def test_solve_mod_against_brute_force(rows, cols, p, seed):
-    """solve_mod finds x with M x = b mod p exactly when some x in
-    (Z/p)^cols does, checked by trying them all."""
+    """ModSolver finds x with M x = b mod p exactly when some x in
+    (Z/p)^cols does, checked by trying them all, for several targets
+    against one factorization."""
     from itertools import product
     rng = random.Random(seed)
     m = random_matrix(rng, rows, cols, -30, 30)
-    b = [rng.randint(-30, 30) for _ in range(rows)]
-    if rng.random() < 0.5 and cols:  # a target in the span mod p
-        b = m.apply([rng.randint(-30, 30) for _ in range(cols)])
-    solvable = any(all((u - v) % p == 0 for u, v in zip(m.apply(list(x)), b))
-                   for x in product(range(p), repeat=cols))
-    x = solve_mod(m, b, p)
-    assert (x is not None) == solvable
-    if x is not None:
-        assert all(0 <= a < p for a in x)
-        assert all((u - v) % p == 0 for u, v in zip(m.apply(x), b))
+    solver = ModSolver(m, p)
+    for _ in range(4):
+        b = [rng.randint(-30, 30) for _ in range(rows)]
+        if rng.random() < 0.5 and cols:  # a target in the span mod p
+            b = m.apply([rng.randint(-30, 30) for _ in range(cols)])
+        solvable = any(
+            all((u - v) % p == 0 for u, v in zip(m.apply(list(x)), b))
+            for x in product(range(p), repeat=cols))
+        x = solver.solve(b)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert all(0 <= a < p for a in x)
+            assert all((u - v) % p == 0 for u, v in zip(m.apply(x), b))
+        assert x == ModSolver(m, p).solve(b)  # a fresh factorization agrees
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),

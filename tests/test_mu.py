@@ -377,9 +377,10 @@ def test_milnor_table_against_three_convolutions(bound):
 
 @pytest.mark.parametrize("bound", [12, 16])
 def test_complete_intersections_against_per_class_gysin_series(bound):
-    """The Gysin blocks shared by the context give every Calabi-Yau
-    candidate of the Wall generators and every hypersurface and pair of
-    divisors of degree <= 4 exactly as series built afresh do."""
+    """The closed form, read off the context's table of log-derivative
+    powers, gives every Calabi-Yau candidate of the Wall generators and
+    every hypersurface and pair of divisors of degree <= 4 exactly as
+    Quillen's formula with each Gysin series built afresh does."""
     ctx = bare_context(bound)
     cases = [(n + 2, (d, n + 3 - d)) for n in range(3, bound + 1)
              for d in range(1, (n + 3) // 2 + 1)]

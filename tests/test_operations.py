@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import by_code, by_partition, c1_determinant_class, char_class
 from slcob import mu
+from slcob.conner_floyd import ConnerFloyd
 from slcob.fgl import FGLContext
 from slcob.operations import (CohOperation, apply_operation, boundary_partial,
                               delta_op, landweber_novikov)
@@ -214,3 +215,84 @@ def test_column_tables_are_keyed_by_value(ctx):
     again = CohOperation.from_dict("s", 1, {1: {(1,): by_code({(): 1})}})
     assert again == once and hash(again) == hash(once)
     assert apply_operation(ctx, again, cp1).coeffs() == {(): -2}
+
+
+EDGES = [s * (2 ** k + e) for k in (31, 32, 63, 64, 95, 96) for e in (1, -1)
+         for s in (1, -1)]
+
+
+def test_packed_columns_on_slot_boundaries():
+    """Coefficients +-(2^k +- 1) next to the 32-bit slot edges, in mixed
+    signs, against the per-class oracle: first unit classes, which pack
+    every column of the context narrow, then the edge coefficients, which
+    widen them, then unit classes again on the widened columns.  Target
+    degree 0 (a single slot) and images that vanish (the shift-2
+    operation on the Wall lattice) are among them."""
+    cf = ConnerFloyd(6)  # a fresh chain, so no column is packed yet
+    ctx, rng = cf.ctx, random.Random(20)
+    ops = [boundary_partial(ctx), delta_op(ctx), landweber_novikov((2, 1))]
+
+    def check(x):
+        for op in ops:
+            assert apply_operation(ctx, op, x) == \
+                oracles.apply_operation(ctx, op, x), (op.name, x)
+
+    def units(n):
+        return mu.MUClass.from_dict(n, {p: 1 for p in partitions_of(n)})
+
+    def widths():
+        return {(op.name, code): column[1] for op, (_, _, columns) in
+                ctx._memo["operations.columns"].items()
+                for code, column in columns.items()}
+
+    for n in range(1, 7):
+        check(units(n))
+    narrow = widths()
+    assert set(narrow.values()) == {32}
+    seen = set()
+    for n in range(1, 7):
+        for edge in EDGES:  # one column, widened step by step
+            check(mu.MUClass.from_dict(n, {partitions_of(n)[-1]: edge}))
+            seen |= {w for (_, code), w in widths().items()
+                     if code == 2 ** n}
+        for _ in range(4):
+            check(mu.MUClass.from_dict(n, {p: rng.choice(EDGES)
+                                           for p in partitions_of(n)}))
+    assert seen >= {64, 96, 128}
+    wide = widths()
+    assert all(wide[key] > w for key, w in narrow.items())
+    for n in range(1, 7):
+        check(units(n))
+    dl = delta_op(ctx)
+    for n in range(2, 7):
+        for w in cf.wall_classes(n):
+            x = w.scale(rng.choice(EDGES))
+            check(x)
+            assert apply_operation(ctx, dl, x).is_zero()
+    assert apply_operation(ctx, dl, units(2)).degree == 0
+
+
+def test_slot_width_counts_the_sum_of_coefficients():
+    """A sum that fills its slot: every column with an entry at one
+    b-monomial, times a coefficient of j bits whose sign makes that entry
+    positive, with j chosen so that bits(largest entry) + j + 1 is a
+    multiple of 32.  The entry of the sum then needs more than that many
+    bits, which only the sum of the coefficients in the width bound
+    provides."""
+    ctx = FGLContext(6)
+    for op in (boundary_partial(ctx), delta_op(ctx)):
+        n = 6
+        cols = {p: oracles.apply_operation(
+            ctx, op, mu.MUClass.from_dict(n, {p: 1})).coeffs()
+            for p in partitions_of(n)}
+        slot = max(partitions_of(n - op.shift), key=lambda q: sum(
+            abs(c.get(q, 0)) for c in cols.values()))
+        used = {p: c[slot] for p, c in cols.items() if c.get(slot)}
+        bits = max(abs(v) for p in used for v in cols[p].values()).bit_length()
+        j = 64 - 1 - bits
+        x = mu.MUClass.from_dict(n, {p: (2 ** j - 1) * (1 if v > 0 else -1)
+                                     for p, v in used.items()})
+        total = (2 ** j - 1) * sum(abs(v) for v in used.values())
+        assert total.bit_length() > 63  # past the per-term bound
+        assert apply_operation(ctx, op, x) == oracles.apply_operation(ctx, op, x)
+        assert apply_operation(ctx, op, x).coefficient(slot) == total

@@ -100,11 +100,14 @@ def test_leibniz_suite_applies_each_operation_once_per_class(monkeypatch, cf):
 
 
 def corrupt_column(cf, op, part):
-    """Add one to one entry of the cached column op(b^part), a dense
-    vector in partition order under the code of part."""
+    """Add one to one entry of the cached column op(b^part), kept under the
+    code of part as [bits of its largest entry, slot width, packed
+    integer]: one more in the packed integer is one more in its first
+    slot, and one more bit keeps the width bound safe."""
     apply_operation(cf.ctx, op, MUClass.from_dict(sum(part), {part: 1}))
     column = cf.ctx._memo["operations.columns"][op][2][encode(part)]
     column[0] += 1
+    column[2] += 1
 
 
 @pytest.mark.parametrize("corrupted", [("delta",), ("partial",),
