@@ -10,9 +10,7 @@ win over file values.  Recognized keys: truncation, field, q, format.
 """
 
 import argparse
-import csv
 import gc
-import json
 import os
 import sys
 from functools import lru_cache
@@ -79,9 +77,12 @@ def fixtures(truncation):
 
 
 def emit(data, fmt, csv_rows=None):
+    # json and csv are imported only where they are used, not by text output
     if fmt == "json":
+        import json
         print(json.dumps(data, sort_keys=True, indent=2))
     elif fmt == "csv" and csv_rows is not None:
+        import csv
         csv.writer(sys.stdout).writerows(csv_rows)
     else:
         _emit_text(data)
@@ -235,17 +236,18 @@ def homology_table(cf, max_n):
          str(cf.homology(n))] for n in range(max_n + 1)]
 
 
+def _write_csv(path, rows):
+    import csv
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def dump_cf(outdir, cf, max_n):
     os.makedirs(outdir, exist_ok=True)
     for n in range(1, max_n + 1):
-        path = os.path.join(outdir, "delta_matrix_%d.csv" % n)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in cf.delta_matrix(n).entries:
-                writer.writerow(row)
-    path = os.path.join(outdir, "homology.csv")
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(homology_table(cf, max_n))
+        _write_csv(os.path.join(outdir, "delta_matrix_%d.csv" % n),
+                  cf.delta_matrix(n).entries)
+    _write_csv(os.path.join(outdir, "homology.csv"), homology_table(cf, max_n))
     return 0
 
 
@@ -347,27 +349,24 @@ def cmd_verify(args):
 
 
 def cmd_dump(args):
+    import json
     trunc, _, _, _ = effective_settings(args)
     cf = fixtures(trunc)
     basis = cf.basis
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     # basis and tangent-number tables
-    with open(os.path.join(outdir, "mu_basis.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "partition", "hurewicz"])
-        for n in range(0, trunc + 1):
-            for omega, cls in basis.basis(n):
-                writer.writerow([n, "+".join(map(str, omega)) or "()", str(cls)])
-    with open(os.path.join(outdir, "chern_numbers.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "basis_partition", "number_partition", "value"])
-        for n in range(1, trunc + 1):
-            for omega, cls in basis.basis(n):
-                tangent = mu.hurewicz_to_chern_numbers(cls)
-                for p in partitions_of(n):
-                    writer.writerow([n, "+".join(map(str, omega)),
-                                     "+".join(map(str, p)), tangent.get(p, 0)])
+    _write_csv(os.path.join(outdir, "mu_basis.csv"),
+              [["degree", "partition", "hurewicz"]]
+              + [[n, "+".join(map(str, omega)) or "()", str(cls)]
+                 for n in range(trunc + 1) for omega, cls in basis.basis(n)])
+    rows = [["degree", "basis_partition", "number_partition", "value"]]
+    for n in range(1, trunc + 1):
+        for omega, cls in basis.basis(n):
+            tangent = mu.hurewicz_to_chern_numbers(cls)
+            rows += [[n, "+".join(map(str, omega)), "+".join(map(str, p)),
+                      tangent[p]] for p in partitions_of(n)]
+    _write_csv(os.path.join(outdir, "chern_numbers.csv"), rows)
     dump_cf(outdir, cf, trunc - 1)
     for kind in SHORT_NAMES:
         fd = field_descriptor(kind)

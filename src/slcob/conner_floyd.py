@@ -20,7 +20,9 @@ k >= 3 (Conner-Floyd, Torsion in SU-bordism, 1966; Chernykh-Panov,
 Izv. Math., 2023), so its basis is the *-monomials and no kernel is
 computed.  The differential follows from d x_k by the twisted Leibniz law
 d(a * b) = da * b + a * db + x_1 * da * db, so no operation matrix is
-built for it.
+built for it.  One memoized recursion gives each *-monomial with its
+differential; the Wall lattice, the differential matrices and the
+generator step all read it.
 """
 
 from . import bpoly
@@ -30,7 +32,8 @@ from .intmat import HNFSolver, IntMatrix, ModSolver, kernel_basis
 from .mu import (BasisConstructionError, MUBasis, complete_intersection_class,
                  cpn_class, generator_target, min_s_combination, s_number)
 from .operations import apply_operation, boundary_partial, delta_op
-from .partitions import codes_of, encode, partition_count, partitions_of
+from .partitions import (codes_of, decode, encode, partition_count,
+                         partitions_of)
 
 
 def homology_rank(n):
@@ -41,6 +44,11 @@ def homology_rank(n):
 
 class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
+
+
+def _column(poly, n):
+    """The degree-n polynomial poly as a vector in partition order."""
+    return [poly.get(c, 0) for c in codes_of(n)]
 
 
 def _solve_columns(solver, targets, message):
@@ -59,36 +67,25 @@ def _solve_columns(solver, targets, message):
 class ConnerFloyd:
     """The chain at truncation T.  It builds and owns its formal group law
     context `ctx` and its lattice basis `basis`, so all three stop at the
-    same degree."""
+    same degree, `ctx.bound`."""
 
     def __init__(self, truncation):
         self.ctx = FGLContext(truncation)
         self.basis = MUBasis(self.ctx)
-        self.max_n = truncation
         self._memo = {}
-        self._d = {}
 
-    # -- full-lattice matrices -------------------------------------------
-
-    @_memoized
-    def operation_matrix(self, name, n):
-        """H B_n: the operation from degree n to degree n - shift, columns
-        indexed by the degree-n basis, rows by the b-monomials of degree
-        n - shift."""
-        op = {"partial": boundary_partial, "delta": delta_op}[name](self.ctx)
-        cols = [apply_operation(self.ctx, op, cls).vector()
-                if n >= op.shift else [] for _, cls in self.basis.basis(n)]
-        return IntMatrix.from_columns(partition_count(n - op.shift), cols)
+    # -- the full lattice ---------------------------------------------------
 
     def delta_cokernel(self, n):
         """Cokernel of the shift-2 operation from degree n to n-2 on the
         full lattice (trivial for every n: the operation is split onto)."""
         if n < 2:
             raise ValueError("shift-2 cokernels start in degree 2, not %d" % n)
-        image = self.operation_matrix("delta", n)
+        op = delta_op(self.ctx)
         return cokernel(_solve_columns(
             self.basis.solver(n - 2),
-            [list(image.column(j)) for j in range(image.cols)],
+            [apply_operation(self.ctx, op, cls).vector()
+             for _, cls in self.basis.basis(n)],
             "shift-2 image escapes the lattice in degree %d" % (n - 2)))
 
     # -- the Wall lattice ---------------------------------------------------
@@ -101,49 +98,63 @@ class ConnerFloyd:
     @_memoized
     def w_lattice(self, n):
         """Columns: the Wall basis in degree-n MUBasis coordinates, the
-        *-monomial x_(omega_1) * (the rest) for each omega of `wall_labels`;
-        x_1 = [CP^1], x_k for k >= 3 is `_generator`'s."""
-        dim = partition_count(n)
-        if n < 2:
-            return IntMatrix.identity(dim)
+        *-monomials of `wall_labels`."""
+        return IntMatrix.from_columns(partition_count(n), [
+            _column(self._wall(omega)[0], n) for omega in self.wall_labels(n)])
+
+    @_memoized
+    def _wall(self, omega):
+        """The *-monomial x_(omega_1) * (the rest) as (its MUBasis
+        coordinates, a polynomial in the MUBasis generators in the role of
+        the b_k; its differential, a polynomial in the *-monomials, x_k in
+        the role of b_k).  x_1 = [CP^1] with d x_1 = -2 by one boundary
+        operation, x_n for n >= 3 is `_generator`'s, and a * b =
+        ab + 2V da db (the sign of d cancels) with d(a * b) = da * b +
+        a * db + x_1 * da * db, d = -boundary.  As d d = 0, da db is the
+        *-product da * db, read back in MUBasis coordinates."""
+        if not omega:
+            return dict(bpoly.ONE), {}
+        if omega == (1,):  # [CP^1] is also the first MUBasis generator
+            return bpoly.gen(1), apply_operation(
+                self.ctx, boundary_partial(self.ctx),
+                cpn_class(self.ctx, 1)).scale(-1).poly()
+        if len(omega) == 1:
+            return self._generator(omega[0])
+        a, b = omega[:1], omega[1:]
+        (x, dx), (y, dy) = self._wall(a), self._wall(b)
+        dxdy, lifted = bpoly.mul(dx, dy), {}
+        for k, c in dxdy.items():
+            bpoly.mul_into(lifted, {1: c}, self._wall(decode(k))[0])
+        d = bpoly.mul_into(bpoly.mul_into(bpoly.mul(dx, {encode(b): 1}),
+                                          {encode(a): 1}, dy),
+                           bpoly.gen(1), dxdy)
+        return bpoly.mul_into(bpoly.mul(x, y), self._two_v(), lifted), d
+
+    @_memoized
+    def _two_v(self):
+        """2V = 2([CP^1]^2 - [CP^2]) in degree-2 MUBasis coordinates."""
         cp1, cp2 = cpn_class(self.ctx, 1), cpn_class(self.ctx, 2)
-        two_v = dict(zip(codes_of(2), self.basis.to_coordinates(
+        return dict(zip(codes_of(2), self.basis.to_coordinates(
             (cp1 * cp1 - cp2).scale(2))))
-        cols = []
-        for omega in self.wall_labels(n):
-            if len(omega) > 1:  # x * y = xy + 2V dx dy, the sign of d cancels
-                (x, dx), (y, dy) = self._wall_poly(omega[:1]), \
-                    self._wall_poly(omega[1:])
-                xy = bpoly.mul_into(bpoly.mul(x, y), two_v, bpoly.mul(dx, dy))
-                cols.append([xy.get(c, 0) for c in codes_of(n)])
-        if n > 2:
-            cols.insert(0, self._generator(n, cols))
-        return IntMatrix.from_columns(dim, cols)
 
-    def _wall_poly(self, omega):
-        """The Wall class labeled omega and its differential, as
-        polynomials in the MUBasis generators (x_k in the role of b_k)."""
-        m = sum(omega)
-        j = self.wall_labels(m).index(omega)
-        return [{p: c for p, c in zip(codes_of(k), mat.column(j)) if c}
-                for k, mat in ((m, self.w_lattice(m)),
-                               (m - 1, self.boundaries_in_lattice(m - 1)))]
-
-    def _generator(self, n, decomposables):
-        """x_n for n >= 3 in MUBasis coordinates, s_n = m_n m_(n-1) (m_k as
-        in `mu.generator_target`): the least s-number combination x of the
-        Calabi-Yau complete intersections of bidegree (d1, d2) = (d, n+3-d)
-        in P^(n+2), s_n = d1 d2 (n + 3 - d1^n - d2^n), made primitive one
-        prime p of the surplus at a time by x -> (x - D c) / p, D c = x mod p
-        for D the decomposables; so x_n = (x - D C) / P.  c_1 = 0 on x, so
-        d x = 0 and d x_n = -(sum_j C_j d D_j) / P, which goes to `_d`."""
+    def _generator(self, n):
+        """(x_n, d x_n) for n >= 3 as in `_wall`, s_n(x_n) = m_n m_(n-1)
+        (m_k as in `mu.generator_target`): the least s-number combination
+        x of the Calabi-Yau complete intersections of bidegree
+        (d1, d2) = (d, n+3-d) in P^(n+2), s_n = d1 d2 (n + 3 - d1^n - d2^n),
+        made primitive one prime p of the surplus at a time by
+        x -> (x - D c) / p, D c = x mod p for D the decomposables; so
+        x_n = (x - D C) / P.  c_1 = 0 on x, so d x = 0 and
+        d x_n = -(sum_j C_j d D_j) / P."""
         target = generator_target(n) * generator_target(n - 1)
         cy = [(d, n + 3 - d) for d in range(1, (n + 3) // 2 + 1)]
         x, s = min_s_combination(
             [a * b * (n + 3 - a ** n - b ** n) for a, b in cy],
             lambda i: complete_intersection_class(self.ctx, n + 2, cy[i]))
         x = self.basis.to_coordinates(x)
-        dmat = IntMatrix.from_columns(len(x), decomposables)
+        decomposables = list(map(self._wall, self.wall_labels(n)[1:]))
+        dmat = IntMatrix.from_columns(len(x), [
+            _column(poly, n) for poly, _ in decomposables])
         combo, scale = [0] * dmat.cols, 1
         for p, e in _factorint(s // target).items():
             solver = ModSolver(dmat, p)
@@ -160,31 +171,12 @@ class ConnerFloyd:
             raise BasisConstructionError(
                 "degree %d: x_n has s-number %d, not %d" % (n, s, target))
         dx = {}
-        for c, omega in zip(combo, self.wall_labels(n)[1:]):
-            bpoly.mul_into(dx, {1: -c}, self._wall_d(omega))
+        for c, (_, d) in zip(combo, decomposables):
+            bpoly.mul_into(dx, {1: -c}, d)
         if any(a % scale for a in dx.values()):
             raise BasisConstructionError("degree %d: d x_n not integral" % n)
-        self._d[(n,)] = {k: a // scale for k, a in dx.items()}
-        return x
-
-    def _wall_d(self, omega):
-        """d of the *-monomial omega in *-monomials (x_k for b_k), memoized in
-        `_d`: d x_1 = -2 by one boundary operation, d x_n from `_generator`,
-        and d(a * b) = da * b + a * db + x_1 * da * db (d = -boundary)."""
-        if omega not in self._d:
-            a, b = omega[:1], omega[1:]
-            if b:
-                da, db = self._wall_d(a), self._wall_d(b)
-                tail = bpoly.mul_into({encode(b): 1}, bpoly.gen(1), db)
-                self._d[omega] = bpoly.mul_into(bpoly.mul(da, tail),
-                                                {encode(a): 1}, db)
-            elif a == (1,):
-                self._d[a] = apply_operation(
-                    self.ctx, boundary_partial(self.ctx),
-                    cpn_class(self.ctx, 1)).scale(-1).poly()
-            else:
-                self.w_lattice(a[0])
-        return self._d[omega]
+        return ({k: a for k, a in zip(codes_of(n), x) if a},
+                {k: a // scale for k, a in dx.items()})
 
     def w_rank(self, n):
         return self.w_lattice(n).cols
@@ -201,12 +193,12 @@ class ConnerFloyd:
     def delta_matrix(self, n):
         """The differential (minus the boundary operation) from the Wall
         lattice in degree n to degree n-1, in the Wall bases: column omega
-        holds the coefficients of `_wall_d(omega)`."""
+        holds the differential of the *-monomial omega."""
         if n < 1:
             raise ValueError("the differential starts in degree 1, not %d" % n)
         rows = [encode(r) for r in self.wall_labels(n - 1)]
         return IntMatrix.from_columns(len(rows), [
-            [self._wall_d(omega).get(r, 0) for r in rows]
+            [self._wall(omega)[1].get(r, 0) for r in rows]
             for omega in self.wall_labels(n)])
 
     # -- cycles, boundaries, homology ---------------------------------------
@@ -242,9 +234,9 @@ class ConnerFloyd:
         return w * self.delta_matrix(n + 1)
 
     def _check_below_top(self, n):
-        if n + 1 > self.max_n:
+        if n + 1 > self.ctx.bound:
             raise ValueError("degree %d needs degree %d, above the "
-                             "truncation %d" % (n, n + 1, self.max_n))
+                             "truncation %d" % (n, n + 1, self.ctx.bound))
 
     @_memoized
     def homology(self, n):

@@ -11,24 +11,24 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
                        answer's size (Kannan-Bachem 1979); it serves the
                        cycles of the differential, while the Wall lattice
                        is built from *-monomials with no kernel;
-  HNFSolver            the one integral solver: one pass on the columns
-                       stacked over an identity, then forward
-                       substitution per target; columns already in
-                       echelon form (leading rows strictly increasing,
-                       as the lower triangular basis matrices B_n and
-                       Hermite kernels are) skip the pass and the
-                       identity, since substitution needs echelon form,
-                       not reduction;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs, the
                        pass that `abelian` also normalizes groups with.
 
-`ModSolver` is the same layout over F_p, for the Wall generators: one
-reduction per matrix and prime, then any number of targets.
+`HNFSolver`, the one integral solver, needs no elimination: it takes
+columns already in echelon form (leading rows strictly increasing, as the
+lower triangular basis matrices B_n, the Hermite kernels and their
+products are) and solves by forward substitution.  `ModSolver` is its
+counterpart over F_p, for the Wall generators: one reduction per matrix
+and prime, then any number of targets.
+
+Internal invariants (shapes, echelon form) are checked with explicit
+AssertionErrors, so `python -O` keeps them; the CLI reports them as
+internal failures.
 """
 
 from math import gcd
-from operator import mul
+from operator import lt, mul
 
 from .record import Record, _set
 
@@ -37,8 +37,8 @@ class IntMatrix(Record):
     __slots__ = ("rows", "cols", "entries")  # entries: tuple of row tuples
 
     def __init__(self, rows, cols, entries):  # hot, so no generic methods
-        assert len(entries) == rows
-        assert all(len(r) == cols for r in entries)
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise AssertionError("entries that are not %d x %d" % (rows, cols))
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "entries", entries)
@@ -78,7 +78,9 @@ class IntMatrix(Record):
 
     def __mul__(self, other):
         # Only nonzero entries are multiplied: differentials are mostly 0.
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise AssertionError("a product of %d columns by %d rows"
+                                 % (self.cols, other.rows))
         b = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
         out = []
         for row in self.entries:
@@ -91,7 +93,9 @@ class IntMatrix(Record):
         return IntMatrix(len(out), other.cols, tuple(map(tuple, out)))
 
     def apply(self, vec):
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise AssertionError("a vector of length %d for %d columns"
+                                 % (len(vec), self.cols))
         return [sum(map(mul, row, vec)) for row in self.entries]
 
 
@@ -192,46 +196,36 @@ def kernel_basis(mat):
 
 
 class HNFSolver:
-    """Factored integral solver: bring the columns of M to echelon form
-    once, then solve M x = b for many right-hand sides by forward
-    substitution.  Columns whose leading rows already strictly increase
-    are taken as they stand: they are independent, so the solution is
-    the unique one the reduction would also find, and the multiple of
-    column k taken off is x_k itself.  Otherwise the columns are reduced
-    stacked over an identity, which records x."""
+    """Integral solver for columns in echelon form: M x = b for many
+    right-hand sides by forward substitution.  The columns are
+    independent, so the solution is unique, and the multiple of column k
+    taken off the target is x_k itself.  Columns not in echelon form (a
+    zero column included) raise AssertionError."""
 
     def __init__(self, mat):
         self.mat = mat
-        columns = _columns(mat)
-        leads = [next((i for i, a in enumerate(c) if a), mat.rows)
-                 for c in columns]
-        self.reduced = not all(
-            a < b for a, b in zip(leads, leads[1:] + [mat.rows]))
-        if self.reduced:
-            columns = [c + [int(i == j) for i in range(mat.cols)]
-                       for j, c in enumerate(columns)]
-            self.pivot_rows = _column_echelon(mat.rows, mat.cols, columns)
-        else:
-            self.pivot_rows = leads
-        self.columns = columns
+        self.columns = _columns(mat)
+        leads = self.pivot_rows = [
+            next((i for i, a in enumerate(c) if a), mat.rows)
+            for c in self.columns]
+        if not all(map(lt, leads, leads[1:] + [mat.rows])):
+            raise AssertionError("columns with leading rows %s are not in "
+                                 "echelon form" % leads)
 
     def solve(self, target):
-        """An integral x with M x = target, or None."""
-        rows = self.mat.rows
-        assert len(target) == rows
+        """The integral x with M x = target, or None."""
+        if len(target) != self.mat.rows:
+            raise AssertionError("a target of length %d for %d rows"
+                                 % (len(target), self.mat.rows))
         resid = list(target)
         x = [0] * self.mat.cols
-        for k, r in enumerate(self.pivot_rows):
-            col = self.columns[k]  # zero above its pivot row r
-            q, rem = divmod(resid[r], col[r])
+        for k, (r, col) in enumerate(zip(self.pivot_rows, self.columns)):
+            q, rem = divmod(resid[r], col[r])  # col is zero above row r
             if rem:
                 return None
             if q:
                 resid[r:] = [a - q * b for a, b in zip(resid[r:], col[r:])]
-                if self.reduced:
-                    x = [a + q * b for a, b in zip(x, col[rows:])]
-                else:
-                    x[k] = q
+                x[k] = q
         if any(resid):
             return None
         return x

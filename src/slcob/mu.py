@@ -40,12 +40,13 @@ vector, and the lattice computations stay in those coordinates: an
 operation on the lattice is its b-monomial matrix times the basis matrix
 B_n, whose columns are the vectors of the x^omega.  Where coordinates in
 the basis are wanted, one `intmat.HNFSolver` per degree solves against
-B_n, which must have full rank.  That solver skips elimination: x^omega
-has b-monomials only at refinements of omega, which come later in
-partition order, and its b^omega coefficient is plus or minus the
-product of the generators' s-numbers, so B_n is lower triangular with a
-nonzero diagonal, which is column echelon form.  Chern monomials are
-partitions too, so the reciprocal-class matrix is computed in bpoly.
+B_n, which must have full rank.  That solver takes only columns in
+echelon form, and B_n is in that form as built: x^omega has b-monomials
+only at refinements of omega, which come later in partition order, and
+its b^omega coefficient is plus or minus the product of the generators'
+s-numbers, so B_n is lower triangular with a nonzero diagonal.  Chern
+monomials are partitions too, so the reciprocal-class matrix is computed
+in bpoly.
 """
 
 from functools import lru_cache
@@ -166,42 +167,25 @@ def s_number(x):
 
 @lru_cache(maxsize=None)
 def reciprocal_class_matrix(n):
-    """Matrix R[omega][omega']: the Chern monomial c^omega of the
-    reciprocal total Chern class, expanded in Chern monomials of the
-    original bundle.  Involutive: applying R twice is the identity.
+    """Matrix R, rows and columns in partition order: row omega holds the
+    Chern monomial c^omega of the reciprocal total Chern class, expanded
+    in Chern monomials of the original bundle.  Involutive: R R = 1.
 
     Chern monomials are partitions, so the computation runs in bpoly with
     c_i in the role of b_i: the weight-w piece of 1/(1 + c1 + c2 + ...)
     is r_w = -(c1 r_{w-1} + c2 r_{w-2} + ... + c_w)."""
     pieces = [dict(bpoly.ONE)]
     for w in range(1, n + 1):
-        r = {}
+        pieces.append({})
         for i in range(1, w + 1):
-            r = bpoly.add(r, bpoly.mul(bpoly.gen(i), pieces[w - i]))
-        pieces.append(bpoly.scale(r, -1))
-    mat = {}
+            bpoly.mul_into(pieces[w], bpoly.gen(i), pieces[w - i], -1)
+    rows = []
     for omega in partitions_of(n):
         prod = dict(bpoly.ONE)
         for part in omega:
             prod = bpoly.mul(prod, pieces[part])
-        for omega2, code in zip(partitions_of(n), codes_of(n)):
-            c = prod.get(code, 0)
-            if c:
-                mat[(omega, omega2)] = c
-    return mat
-
-
-def _apply_matrix(mat, vec, n):
-    out = {}
-    for omega in partitions_of(n):
-        s = 0
-        for omega2 in partitions_of(n):
-            c = mat.get((omega, omega2), 0)
-            if c:
-                s += c * vec.get(omega2, 0)
-        if s:
-            out[omega] = s
-    return out
+        rows.append([prod.get(code, 0) for code in codes_of(n)])
+    return IntMatrix.from_rows(rows)
 
 
 def hurewicz_to_chern_numbers(x):
@@ -212,9 +196,9 @@ def hurewicz_to_chern_numbers(x):
     if n == 0:
         return {(): x.coefficient(())}
     from .symfun import e_to_m_matrix
-    normal_c = _apply_matrix(e_to_m_matrix(n), x.coeffs(), n)
-    tangent = _apply_matrix(reciprocal_class_matrix(n), normal_c, n)
-    return {omega: tangent.get(omega, 0) for omega in partitions_of(n)}
+    normal = e_to_m_matrix(n).apply(x.vector())
+    tangent = reciprocal_class_matrix(n).apply(normal)
+    return dict(zip(partitions_of(n), tangent))
 
 
 # -- the geometric catalog ------------------------------------------------
@@ -432,12 +416,14 @@ class MUBasis:
     @_memoized
     def solver(self, n):
         """The integral solver of the degree-n basis matrix; raises
-        BasisConstructionError if the matrix is not of full rank."""
-        solver = HNFSolver(self.matrix(n))
-        if len(solver.pivot_rows) < solver.mat.cols:
+        BasisConstructionError if the matrix is not in echelon form, which
+        for the square B_n is lower triangular of full rank."""
+        try:
+            return HNFSolver(self.matrix(n))
+        except AssertionError as exc:
             raise BasisConstructionError(
-                "degree %d: the monomial basis matrix is not of full rank" % n)
-        return solver
+                "degree %d: the monomial basis matrix is not lower "
+                "triangular of full rank" % n) from exc
 
     def to_coordinates(self, x):
         """Coordinates of a class in the degree-n monomial basis; raises

@@ -8,7 +8,7 @@ matrices and golden files are reproducible.
 The polynomial engine keys its monomials by codes: `encode` maps the
 partition omega to the product of the primes p_(omega_i), p_i the i-th
 prime, and `decode` inverts it.  By unique factorisation the code of the
-multiset union `merge(p, q)` is the product of the two codes, so a
+multiset union of two partitions is the product of their codes, so a
 monomial product is one integer product.  Parts run from 1 to
 MAX_TRUNCATION = 16, the largest truncation, and p_i <= 2^i keeps the
 code of a partition of weight w at most 2^w, a small integer.
@@ -67,15 +67,6 @@ def partition_count(n):
     if n < 0:
         return 0
     return _count_bounded(n, n)
-
-
-def merge(p, q):
-    """The partition whose parts are the multiset union of p and q.
-
-    >>> merge((2, 1), (3, 1))
-    (3, 2, 1, 1)
-    """
-    return tuple(sorted(p + q, reverse=True))
 
 
 def encode(p):

@@ -13,13 +13,14 @@ Both transitions kept here are integer counts:
     Pieri rule for e_k m_nu; `mu.hurewicz_to_chern_numbers` pairs it with
     the monomial numbers of a class.
 
-Vectors over a weight are dicts {partition: coefficient}; matrices are
-dicts {(row_partition, col_partition): coefficient}.
+The e-to-m matrix is an `intmat.IntMatrix`, rows and columns in
+partition order.
 """
 
 from functools import lru_cache
 from math import comb
 
+from .intmat import IntMatrix
 from .partitions import partitions_of
 
 
@@ -91,10 +92,5 @@ def e_to_m_matrix(w):
     """Matrix E with E[mu][nu] = coefficient of m_nu in e_mu: the number of
     0/1 matrices with row sums mu and column sums nu."""
     parts = partitions_of(w)
-    mat = {}
-    for mu in parts:
-        row = _e_in_m(mu)
-        for nu in parts:
-            if nu in row:
-                mat[(mu, nu)] = row[nu]
-    return mat
+    return IntMatrix.from_rows([[_e_in_m(mu).get(nu, 0) for nu in parts]
+                                for mu in parts])

@@ -76,7 +76,7 @@ def suite_cf_pattern(cf, max_degree):
     operation, the homology pattern, rank bookkeeping and surjectivity,
     each a property of every degree in a range.  A chain that cannot be
     built fails the checks that need it."""
-    top, p = min(max_degree + 1, cf.max_n), partition_count
+    top, p = min(max_degree + 1, cf.ctx.bound), partition_count
     tests = [
         ("Wall basis: the shift-2 operation vanishes on every *-monomial "
          "(degrees <= %d)" % top, range(2, top + 1), lambda n: all(
@@ -102,7 +102,7 @@ def suite_cf_pattern(cf, max_degree):
         ("cycle ranks p(n) - p(n-1)", range(max_degree + 1),
          lambda n: cf.cycles(n).cols == p(n) - p(n - 1)),
         ("shift-2 operation surjective on the full lattice",
-         range(2, min(max_degree + 2, cf.max_n) + 1),
+         range(2, min(max_degree + 2, cf.ctx.bound) + 1),
          lambda n: cf.delta_cokernel(n).is_trivial()),
     ]
     checks = []

@@ -22,20 +22,23 @@ of projective spaces by adjunction, where the package reads them off the
 formal group law (Buchstaber's and Quillen's formulas).  The integer
 kernel is checked against the one-shot echelon pass over an identity
 block, whose entries grow far beyond the answer's but whose result is the
-same canonical form; the Wall lattice, which the package builds from
-*-monomials, is checked against the kernel of the shift-2 operation, and
-the differential, which the package reads off the twisted Leibniz law, is
-solved from the boundary operation on the whole lattice.  Two
-lattices are compared by their reduced column Hermite forms, which are
-unique; so the monomial basis is checked against all products of catalog
-classes.  The invariant factors of a direct sum
-of cyclic groups, which the package gets by a (gcd, lcm) pass, are read
-off the prime powers of the summands, and a group is read back from its
-JSON form.  Where the package found a cheaper exact form, the form it
-replaced is kept: the log by compositional inversion of exp, the Milnor
-table by three convolutions, every Gysin series built afresh, and the
-e-to-m matrix by counting 0/1 matrices row by row.  `by_partition` and
-`by_code` turn bpoly keys (codes) into partitions and back.
+same canonical form.  The operation matrices are built column by column
+from the package's operations: the Wall lattice, which the package builds
+from *-monomials, is checked against the kernel of the shift-2
+operation, and the differential, which the package reads off the twisted
+Leibniz law, is solved from the boundary operation on the whole lattice.
+Two lattices are compared by their reduced column Hermite forms, which
+are unique; so the monomial basis is checked against all products of
+catalog classes.  The invariant factors of a direct sum of cyclic groups,
+which the package gets by a (gcd, lcm) pass, are read off the prime
+powers of the summands, and a group is read back from its JSON form.
+Where the package found a cheaper exact form, the form it replaced is
+kept: the log by compositional inversion of exp, the Milnor table by
+three convolutions, every Gysin series built afresh, and the e-to-m
+matrix by counting 0/1 matrices row by row.  `pair_keyed` reads a
+symmetric-function matrix as a dict keyed by (row, column) partitions,
+`by_partition` and `by_code` turn bpoly keys (codes) into partitions and
+back, and `merge` forms the multiset union of two partitions.
 """
 
 from fractions import Fraction
@@ -44,14 +47,23 @@ from itertools import product
 from math import comb
 
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
-from slcob import bpoly
+from slcob import bpoly, operations
 from slcob.abelian import FGAbGroup, _factorint
 from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
                           _hermite_columns, kernel_basis)
 from slcob.mu import (MUClass, cpn_class, degree_catalog,
                       reciprocal_class_matrix)
-from slcob.partitions import decode, encode, merge, partitions_of
+from slcob.partitions import decode, encode, partition_count, partitions_of
 from slcob.symfun import _p_in_m, e_to_m_matrix
+
+
+def merge(p, q):
+    """The partition whose parts are the multiset union of p and q.
+
+    >>> merge((2, 1), (3, 1))
+    (3, 2, 1, 1)
+    """
+    return tuple(sorted(p + q, reverse=True))
 
 
 def by_partition(poly):
@@ -189,6 +201,15 @@ def zero_one_e_to_m_matrix(w):
             if (c := zero_one_count(mu, nu, memo))}
 
 
+def pair_keyed(mat, w):
+    """A weight-w matrix, rows and columns in partition order, as the dict
+    {(row partition, column partition): entry} of its nonzero entries,
+    row by row."""
+    parts = partitions_of(w)
+    return {(a, b): x for a, row in zip(parts, mat.entries)
+            for b, x in zip(parts, row) if x}
+
+
 def gauss_jordan_inverse(rows):
     """Inverse of a square integer matrix (list of rows) over Q."""
     n = len(rows)
@@ -211,7 +232,7 @@ def m_to_e_matrix(w):
     """M[(nu, mu)] = coefficient of e_mu in m_nu: the inverse of the
     e-to-m matrix, by Gauss-Jordan over Q."""
     parts = partitions_of(w)
-    E = e_to_m_matrix(w)
+    E = pair_keyed(e_to_m_matrix(w), w)
     inv = gauss_jordan_inverse([[E.get((mu, nu), 0) for mu in parts]
                                 for nu in parts])
     assert all(c.denominator == 1 for row in inv for c in row)
@@ -270,11 +291,20 @@ def kernel_basis_one_shot(mat):
     return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
 
 
+def operation_matrix(cf, op, n):
+    """The b-monomial matrix of the operation op from degree n to degree
+    n - op.shift: column j is op applied to the j-th degree-n basis
+    class."""
+    return IntMatrix.from_columns(partition_count(n - op.shift), [
+        operations.apply_operation(cf.ctx, op, cls).vector()
+        if n >= op.shift else [] for _, cls in cf.basis.basis(n)])
+
+
 def wall_lattice_kernel(cf, n):
     """The Wall lattice in degree n as the kernel of the shift-2 operation
     on the degree-n basis, in reduced column Hermite form: no *-product
     and no choice of generators."""
-    return kernel_basis(cf.operation_matrix("delta", n))
+    return kernel_basis(operation_matrix(cf, operations.delta_op(cf.ctx), n))
 
 
 def delta_matrix_by_operation(cf, n):
@@ -282,7 +312,8 @@ def delta_matrix_by_operation(cf, n):
     in the Wall bases, by the dense route: minus the boundary operation's
     b-monomial matrix times B_n W_n, solved against B_(n-1) W_(n-1).  No
     Leibniz law and no generator step."""
-    image = cf.operation_matrix("partial", n) * cf.w_lattice(n)
+    image = operation_matrix(
+        cf, operations.boundary_partial(cf.ctx), n) * cf.w_lattice(n)
     solver = HNFSolver(cf.basis.matrix(n - 1) * cf.w_lattice(n - 1))
     cols = [solver.solve([-a for a in image.column(j)])
             for j in range(image.cols)]
@@ -336,7 +367,8 @@ def _tangent_to_hurewicz(n):
     """The inverse of R E over Q, as rows: the tangent numbers are R E
     times the monomial numbers, R the reciprocal-class matrix."""
     parts = partitions_of(n)
-    R, E = reciprocal_class_matrix(n), e_to_m_matrix(n)
+    R = pair_keyed(reciprocal_class_matrix(n), n)
+    E = pair_keyed(e_to_m_matrix(n), n)
     return gauss_jordan_inverse(
         [[sum(R.get((omega, mu), 0) * E.get((mu, nu), 0) for mu in parts)
           for nu in parts] for omega in parts])

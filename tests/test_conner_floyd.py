@@ -165,12 +165,16 @@ def test_boundary_escape_detection():
 
 def test_chain_owns_its_context_and_basis():
     """One truncation builds the whole chain: the context, the basis over
-    that context, and the complex all stop at the same degree."""
+    that context, and the complex all stop at the same degree, the
+    context's bound, which is the one name of the truncation."""
+    import pytest
     for truncation in (2, 6, 12):
         cf = ConnerFloyd(truncation)
         assert cf.ctx.bound == truncation
         assert cf.basis.ctx is cf.ctx
-        assert cf.max_n == truncation
+        with pytest.raises(ValueError, match="above the truncation %d$"
+                           % truncation):
+            cf.homology(truncation)
 
 
 def test_small_truncation_consistency():
@@ -184,14 +188,15 @@ def test_wall_lattice_matches_one_shot_kernel(cf):
     """The *-monomials span the kernel of the shift-2 operation: the same
     lattice as its Hermite kernel for n <= 12, and that kernel is the
     one-shot echelon kernel, entry for entry (both are canonical)."""
-    from oracles import kernel_basis_one_shot, same_column_span, \
-        wall_lattice_kernel
+    from oracles import kernel_basis_one_shot, operation_matrix, \
+        same_column_span, wall_lattice_kernel
+    from slcob.operations import delta_op
     for n in range(0, 13):
         kernel = wall_lattice_kernel(cf, n)
         assert same_column_span(cf.w_lattice(n), kernel), n
         if n < 12:
             assert kernel == kernel_basis_one_shot(
-                cf.operation_matrix("delta", n)), n
+                operation_matrix(cf, delta_op(cf.ctx), n)), n
 
 
 def test_star_product_and_twisted_law_on_every_pair(ctx, cf):
@@ -201,8 +206,8 @@ def test_star_product_and_twisted_law_on_every_pair(ctx, cf):
     partition (so * closes on the Wall lattice and the basis is a
     polynomial ring), and d(a * b) = da * b + a * db - x_1 * da * db, the
     twisted law with x_1 = [CP^1]."""
+    from oracles import merge
     from slcob.operations import boundary_partial, delta_op
-    from slcob.partitions import merge
     dl = delta_op(ctx)
     x1, cp2 = mu.cpn_class(ctx, 1), mu.cpn_class(ctx, 2)
     two_v = (x1 * x1 - cp2).scale(2)
@@ -250,8 +255,8 @@ def test_generators_are_calabi_yau_combinations_of_the_right_size(cf):
 
 def test_cf_homology_builds_no_wall_kernel(monkeypatch, capsys):
     """`cf homology` runs with the integer kernel patched to raise while
-    the Wall lattice is built, and with the shift-2 operation matrix
-    patched to raise."""
+    the Wall lattice is built, and with the shift-2 operation patched to
+    raise."""
     from slcob import cli, conner_floyd, intmat
 
     class Forbidden(Exception):
@@ -259,7 +264,6 @@ def test_cf_homology_builds_no_wall_kernel(monkeypatch, capsys):
 
     building = []
     real_w, real_kernel = ConnerFloyd.w_lattice, conner_floyd.kernel_basis
-    real_op = ConnerFloyd.operation_matrix
 
     def w_lattice(self, n):
         building.append(n)
@@ -273,13 +277,11 @@ def test_cf_homology_builds_no_wall_kernel(monkeypatch, capsys):
             raise Forbidden("a kernel while building the Wall lattice")
         return real_kernel(mat)
 
-    def operation_matrix(self, name, n):
-        if name == "delta":
-            raise Forbidden("the shift-2 operation matrix")
-        return real_op(self, name, n)
+    def delta_op(ctx):
+        raise Forbidden("the shift-2 operation")
 
     monkeypatch.setattr(ConnerFloyd, "w_lattice", w_lattice)
-    monkeypatch.setattr(ConnerFloyd, "operation_matrix", operation_matrix)
+    monkeypatch.setattr(conner_floyd, "delta_op", delta_op)
     monkeypatch.setattr(conner_floyd, "kernel_basis", kernel_basis)
     monkeypatch.setattr(intmat, "kernel_basis", kernel_basis)
     monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
@@ -320,14 +322,14 @@ def test_generator_builds_only_the_combined_classes(monkeypatch):
 
 
 def test_cf_homology_builds_no_operation_matrix(monkeypatch, capsys):
-    """`cf homology` runs with every operation matrix patched to raise and
+    """`cf homology` runs with the shift-2 operation, the one the chain
+    builds a matrix of (for `delta_cokernel`), patched to raise, and
     applies an operation once, to [CP^1]: the differential comes from the
     twisted Leibniz law."""
     from slcob import cli, conner_floyd
 
-    def operation_matrix(self, name, n):
-        raise AssertionError("the %s operation matrix in degree %d"
-                             % (name, n))
+    def delta_op(ctx):
+        raise AssertionError("the shift-2 operation")
 
     applied = []
     real_apply = conner_floyd.apply_operation
@@ -336,7 +338,7 @@ def test_cf_homology_builds_no_operation_matrix(monkeypatch, capsys):
         applied.append(cls)
         return real_apply(ctx, op, cls)
 
-    monkeypatch.setattr(ConnerFloyd, "operation_matrix", operation_matrix)
+    monkeypatch.setattr(conner_floyd, "delta_op", delta_op)
     monkeypatch.setattr(conner_floyd, "apply_operation", apply_operation)
     monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
     assert cli.main(["--truncation", "12", "--format", "csv",
@@ -373,3 +375,22 @@ def test_deleted_instance_is_collected():
     del cf, ctx
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_cycles_out_of_echelon_form_are_an_internal_error(monkeypatch,
+                                                           capsys):
+    """A cycle basis whose columns leave echelon form breaks an invariant
+    of the chain, not the user's input: `cf homology` exits 1 (internal
+    failure) with the solver's message, not 2 (usage)."""
+    from slcob import cli, conner_floyd
+    real_kernel = conner_floyd.kernel_basis
+
+    def reversed_kernel(mat):
+        k = real_kernel(mat)
+        return k.from_columns(k.rows, [k.column(j)
+                                       for j in reversed(range(k.cols))])
+
+    monkeypatch.setattr(conner_floyd, "kernel_basis", reversed_kernel)
+    monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
+    assert cli.main(["--truncation", "6", "cf", "homology"]) == 1
+    assert "not in echelon form" in capsys.readouterr().err

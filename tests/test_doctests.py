@@ -1,5 +1,6 @@
 import doctest
 
+import oracles
 from slcob import abelian, intmat, msl, partitions, symfun
 
 
@@ -20,6 +21,11 @@ def test_symfun_doctests():
 
 def test_intmat_doctests():
     results = doctest.testmod(intmat)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_oracle_doctests():
+    results = doctest.testmod(oracles)
     assert results.failed == 0 and results.attempted > 0
 
 

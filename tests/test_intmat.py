@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
@@ -128,20 +132,23 @@ def random_echelon(rng, rows, cols):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10 ** 6))
 def test_hnf_solver_echelon_fast_path(rows, seed):
-    """Columns already in echelon form are taken as they stand, and every
-    solve agrees with a column-permuted copy, which has to be reduced."""
+    """Columns in echelon form are taken as they stand, and every solve
+    agrees on solvability with the solver of the reduced Hermite form of
+    a column-permuted copy; the copy itself is not in echelon form and is
+    refused, and the permuted solution solves it."""
     rng = random.Random(seed)
     cols = rng.randint(2, rows)
     m, leads = random_echelon(rng, rows, cols)
     solver = HNFSolver(m)
     assert solver.pivot_rows == leads
-    assert [c[:rows] for c in solver.columns] == [list(m.column(j))
-                                                   for j in range(cols)]
+    assert solver.columns == [list(m.column(j)) for j in range(cols)]
     perm = list(range(cols))[::-1]
     permuted = IntMatrix.from_columns(rows, [m.column(j) for j in perm])
-    reduced = HNFSolver(permuted)
-    assert_reduced_hermite(IntMatrix.from_columns(
-        rows, [c[:rows] for c in reduced.columns[:len(reduced.pivot_rows)]]))
+    with pytest.raises(AssertionError, match="not in echelon form"):
+        HNFSolver(permuted)
+    hermite = hermite_column_form(permuted)
+    assert_reduced_hermite(hermite)
+    reduced = HNFSolver(hermite)
     targets = [m.apply([rng.randint(-5, 5) for _ in range(cols)])
                for _ in range(4)]
     targets += [[rng.randint(-20, 20) for _ in range(rows)] for _ in range(4)]
@@ -150,27 +157,73 @@ def test_hnf_solver_echelon_fast_path(rows, seed):
         assert (sol is None) == (psol is None) == (not in_span(m, target))
         if sol is not None:
             assert m.apply(sol) == target
-            assert [sol[j] for j in perm] == psol
+            assert permuted.apply([sol[j] for j in perm]) == target
 
 
-def test_hnf_solver_reduces_when_not_in_echelon_form():
+def run_optimized(code):
+    """The lines `code` prints when run under python -O."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+
+
+RAISES = ("def raises(f, *a):\n"
+          "    try:\n"
+          "        f(*a)\n"
+          "    except AssertionError:\n"
+          "        return True\n"
+          "    return False\n")
+
+
+def test_hnf_solver_rejects_columns_not_in_echelon_form():
     """Leading rows that increase but end on a zero column (its lead lies
-    below the matrix) are not echelon form: the full reduction runs and
-    finds the rank."""
-    m = IntMatrix.from_rows([[-2, 0, 0], [1, 3, 0], [0, 1, 0]])
-    solver = HNFSolver(m)
-    assert solver.pivot_rows == [0, 1]
-    assert solver.solve([4, 1, 1]) == [-2, 1, 0]
-    assert solver.solve([1, 0, 0]) is None
+    below the matrix), that repeat or that fall are not echelon form: the
+    solver refuses them with an AssertionError, also under python -O,
+    which the CLI reports as an internal failure."""
+    for rows in ([[-2, 0, 0], [1, 3, 0], [0, 1, 0]], [[1, 2], [0, 1]],
+                 [[0, 1], [1, 0]]):
+        with pytest.raises(AssertionError, match="not in echelon form"):
+            HNFSolver(IntMatrix.from_rows(rows))
     # a square matrix whose last lead lies inside is taken as it stands
-    assert HNFSolver(IntMatrix.from_rows([[-2, 0], [1, 3]])).pivot_rows == [0, 1]
+    solver = HNFSolver(IntMatrix.from_rows([[-2, 0], [1, 3]]))
+    assert solver.pivot_rows == [0, 1]
+    assert solver.solve([4, 1]) == [-2, 1]
+    assert solver.solve([1, 0]) is None
+    assert run_optimized(
+        RAISES + "from slcob.intmat import HNFSolver, IntMatrix\n"
+        "print(raises(HNFSolver, IntMatrix.from_rows("
+        "[[-2, 0, 0], [1, 3, 0], [0, 1, 0]])))\n") == ["True"]
+
+
+def test_matrix_invariants_survive_optimized_mode():
+    """Shapes that do not fit raise AssertionError, not an assert
+    statement, so `python -O` keeps the checks: rows and entries of a
+    matrix, a product, a vector applied and a solver's target."""
+    m = IntMatrix.from_rows([[1, 0], [0, 1]])
+    cases = [(IntMatrix, 3, 2, ((1, 2), (3, 4))),
+             (IntMatrix, 2, 2, ((1, 2), (3,))),
+             (m.__mul__, IntMatrix.identity(3)), (m.apply, [1, 2, 3]),
+             (HNFSolver(m).solve, [1])]
+    for f, *args in cases:
+        with pytest.raises(AssertionError, match=" "):
+            f(*args)
+    assert run_optimized(
+        RAISES + "from slcob.intmat import HNFSolver, IntMatrix\n"
+        "m = IntMatrix.from_rows([[1, 0], [0, 1]])\n"
+        "print(raises(IntMatrix, 3, 2, ((1, 2), (3, 4))),\n"
+        "      raises(IntMatrix, 2, 2, ((1, 2), (3,))),\n"
+        "      raises(m.__mul__, IntMatrix.identity(3)),\n"
+        "      raises(m.apply, [1, 2, 3]), raises(HNFSolver(m).solve, [1]))\n"
+    ) == ["True"] * 5
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_hnf_solver_matches_span_oracle(rows, cols, seed):
     rng = random.Random(seed)
-    m = random_matrix(rng, rows, cols)
+    cols = min(cols, rows)
+    m, _ = random_echelon(rng, rows, cols)
     solver = HNFSolver(m)
     for _ in range(4):
         x = [rng.randint(-5, 5) for _ in range(cols)]

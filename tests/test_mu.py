@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (catalog_span_matches, cpn_tangent_numbers,
                      gauss_jordan_inverse, graded_reciprocal_class_matrix,
-                     hermite_column_form)
+                     hermite_column_form, pair_keyed)
 from slcob import mu, symfun
 from slcob.fgl import FGLContext
 from slcob.partitions import decode, partition_count, partitions_of
@@ -305,7 +305,7 @@ def test_basis_change_unimodular(basis):
 
 def test_reciprocal_class_matrix_against_graded_oracle():
     for n in range(0, 11):
-        R = mu.reciprocal_class_matrix(n)
+        R = pair_keyed(mu.reciprocal_class_matrix(n), n)
         assert R == graded_reciprocal_class_matrix(n)
         parts = partitions_of(n)
         for a in parts:

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slcob.partitions import (MAX_TRUNCATION, codes_of, decode, encode, merge,
+from oracles import merge
+from slcob.partitions import (MAX_TRUNCATION, codes_of, decode, encode,
                               partition_count, partitions_of)
 
 

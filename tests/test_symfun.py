@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import oracles
-from oracles import e_monomial_in_p, newton_e_to_m_matrix, p_vec_to_m_vec
+from oracles import (e_monomial_in_p, newton_e_to_m_matrix, p_vec_to_m_vec,
+                     pair_keyed)
 from slcob.partitions import partitions_of
 from slcob.symfun import distribute_count, e_to_m_matrix
 
@@ -39,7 +40,7 @@ def test_newton_small_cases():
     assert e_monomial_in_p((2,)) == {(1, 1): Fraction(1, 2),
                                      (2,): Fraction(-1, 2)}
     # e2 = m_(1,1): check via the e-to-m matrix
-    E = e_to_m_matrix(2)
+    E = pair_keyed(e_to_m_matrix(2), 2)
     assert E[((2,), (1, 1))] == 1
     assert ((2,), (2,)) not in E
 
@@ -48,14 +49,14 @@ def test_e_to_m_matches_newton():
     """The 0/1-matrix count equals the expansion through Newton's identity
     and the p basis."""
     for w in range(0, 11):
-        assert e_to_m_matrix(w) == newton_e_to_m_matrix(w)
+        assert pair_keyed(e_to_m_matrix(w), w) == newton_e_to_m_matrix(w)
 
 
 def test_m_to_e_inverse():
     """The Gauss-Jordan inverse of the e-to-m matrix that the operation
     oracles use to write classes in Chern variables."""
     for w in range(1, 13):
-        E = e_to_m_matrix(w)
+        E = pair_keyed(e_to_m_matrix(w), w)
         M = oracles.m_to_e_matrix(w)
         parts = partitions_of(w)
         for a in parts:
@@ -102,6 +103,6 @@ def test_e_to_m_by_pieri_against_zero_one_matrices():
     """Rows built by the Pieri rule e_k m_nu equal the 0/1-matrix counts,
     entry for entry and in the same order."""
     for w in range(0, 14):
-        got = e_to_m_matrix(w)
+        got = pair_keyed(e_to_m_matrix(w), w)
         expected = oracles.zero_one_e_to_m_matrix(w)
         assert list(got.items()) == list(expected.items()), w
