@@ -166,7 +166,9 @@ class ConnerFloyd:
                 x = [(a - b) // p for a, b in zip(x, dmat.apply(c))]
                 combo = [a + scale * b for a, b in zip(combo, c)]
                 scale *= p
-        s = s_number(self.basis.from_coordinates(n, x))
+        # Of the basis classes, only the MUBasis generator x^(n), first in
+        # partition order, has a b_n term (B_n is lower triangular).
+        s = x[0] * s_number(self.basis.generators[n])
         if s != target:
             raise BasisConstructionError(
                 "degree %d: x_n has s-number %d, not %d" % (n, s, target))
@@ -197,9 +199,9 @@ class ConnerFloyd:
         if n < 1:
             raise ValueError("the differential starts in degree 1, not %d" % n)
         rows = [encode(r) for r in self.wall_labels(n - 1)]
+        diffs = [self._wall(omega)[1] for omega in self.wall_labels(n)]
         return IntMatrix.from_columns(len(rows), [
-            [self._wall(omega)[1].get(r, 0) for r in rows]
-            for omega in self.wall_labels(n)])
+            [d.get(r, 0) for r in rows] for d in diffs])
 
     # -- cycles, boundaries, homology ---------------------------------------
 

@@ -14,11 +14,13 @@ characteristic numbers of the stable normal bundle.
 The log x + m_1 x^2 + m_2 x^3 + ... is read off the powers of exp: the
 x^d coefficient of log(exp(x)) = sum_k m_k exp(x)^(k+1) = x vanishes for
 d >= 2, and [x^d] exp^d = 1, so m_(d-1) = -sum_(k<d-1) m_k [x^d] exp^(k+1).
-The operations need only exp, log and their powers; F and chi are
-written out as polynomials only by the test suite.
+The operations and the catalog need only exp, log and the powers of exp:
+the operation with class L^k sends b_p to b_(p-k) (`operations`), and the
+catalog builds log^a log' from log by one recurrence (`mu`).  F and chi
+are written out as polynomials only by the test suite.
 """
 
-from functools import cached_property, wraps
+from functools import wraps
 
 from . import bpoly
 from .partitions import MAX_TRUNCATION
@@ -45,8 +47,9 @@ class FGLContext:
 
     Series are lists indexed by the exponent of the series variable with
     coefficients in Z[b]; everything is truncated at weight `bound`.  What
-    is derived from the context later (operations, coaction and log-power
-    tables) is cached in `_memo` and dies with the context.
+    is derived from the context later (operations, coaction and the
+    catalog's log-derivative table) is cached in `_memo` and dies with the
+    context.
     """
 
     def __init__(self, bound=12):
@@ -61,8 +64,8 @@ class FGLContext:
         for i in range(1, top):
             exp[i + 1] = bpoly.gen(i)
         self.exp_series = exp
-        # exp powers B^k for k = 1..top+1 (the log and the coaction read them)
-        self.exp_powers = bpoly.ser_powers(exp, top, top + 1)
+        # exp powers B^k for k = 1..top (the log and the coaction read them)
+        self.exp_powers = bpoly.ser_powers(exp, top, top)
         log = [{}, dict(bpoly.ONE)]
         for d in range(2, top + 1):
             m = {}
@@ -75,24 +78,3 @@ class FGLContext:
     def log_coefficient(self, n):
         """m_n, the coefficient of x^{n+1} in the log series."""
         return self.log_series[n + 1] if n + 1 <= self.top else {}
-
-    @cached_property
-    def log_powers(self):
-        """[log^0, log^1, ..., log^(top+2)] up to u^(top+2), built on first
-        use, as only the catalog and the operations read it.  The u^d
-        coefficient of log^k has weight d - k; it is kept up to weight
-        `bound`, the truncation of every series here, and left 0 above.
-        The two u-degrees past `top` serve the complete intersections of
-        two divisors in P^(bound+2) (`mu`)."""
-        deg, log = self.top + 2, self.log_series
-        power = bpoly.ser_zero(deg)
-        power[0] = dict(bpoly.ONE)
-        powers = [power]
-        for k in range(1, deg + 1):
-            prev, power = power, bpoly.ser_zero(deg)
-            for i, p in enumerate(prev):
-                if p:  # i >= k - 1, so j <= bound + 1 = top
-                    for j in range(1, min(deg - i, self.bound + k - i) + 1):
-                        bpoly.mul_into(power[i + j], p, log[j])
-            powers.append(power)
-        return powers

@@ -6,11 +6,12 @@ exceeds a few hundred rows.  All integer elimination goes through
 `_column_echelon`, the reduced column Hermite form with a minimal pivot,
 which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 
-  kernel_basis         row by row: a one-row pass cuts the kernel so far,
-                       kept in Hermite form so entries stay near the
-                       answer's size (Kannan-Bachem 1979); it serves the
-                       cycles of the differential, while the Wall lattice
-                       is built from *-monomials with no kernel;
+  kernel_basis         one pass over the columns stacked on an identity
+                       block, whose columns with a vanishing top part
+                       span the kernel, then a Hermite pass on their
+                       identity part; it serves the cycles of the
+                       differential, while the Wall lattice is built
+                       from *-monomials with no kernel;
   smith_normal_form    passes on the columns and on the transpose until
                        diagonal, then (gcd, lcm) on diagonal pairs, the
                        pass that `abelian` also normalizes groups with.
@@ -185,14 +186,16 @@ def _divisor_chain(d):
 
 def kernel_basis(mat):
     """A Z-basis of {v : mat*v = 0}: the columns of a cols x k IntMatrix in
-    reduced column Hermite form, built row by row so entries stay small."""
-    n = mat.cols
-    basis = [[int(i == j) for i in range(n)] for j in range(n)]
-    for a in mat.entries:
-        columns = [[sum(x * y for x, y in zip(a, c))] + c for c in basis]
-        _column_echelon(1, len(columns), columns)
-        basis = _hermite_columns(n, [c[1:] for c in columns if not c[0]])
-    return IntMatrix.from_columns(n, basis)
+    reduced column Hermite form.  An echelon pass over mat stacked on the
+    identity leaves the columns past the pivot columns zero in mat's rows;
+    their identity parts span the kernel, and a Hermite pass makes that
+    basis canonical (the reduced form is unique)."""
+    n, rows = mat.cols, mat.rows
+    columns = [c + [int(i == j) for i in range(n)]
+               for j, c in enumerate(_columns(mat))]
+    rank = len(_column_echelon(rows, n, columns))
+    return IntMatrix.from_columns(
+        n, _hermite_columns(n, [c[rows:] for c in columns[rank:]]))
 
 
 class HNFSolver:

@@ -18,7 +18,7 @@ Topology, 2015, 9.1); the binomial theorem on F = exp(log u + log v),
 exp(x) = sum e_k x^k, turns it into
 
     H_(i,j) = sum_(a,c) e_(a+c) C(a+c, a) P_a[i] P_c[j],
-    P_a[i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1),
+    P_a[i] = [u^i] log^a log',
 
 and a complete intersection in P^n (a hypersurface is the one-divisor
 case) from Quillen's Gysin formula (Elementary proofs of some results of
@@ -32,8 +32,10 @@ in closed form
     K = sum k_i,  Q_K(n) = [u^n] log^K log' = P_K[n].
 
 One table of these log-derivative powers, P_a[i] = Q_a(i), serves both
-formulas.  The one map from classes to numbers is
-`hurewicz_to_chern_numbers`, which serves `charnum` and the reports.
+formulas; its rows are log' and then, one at a time, the row before
+times log, so no power of log is built and nothing is divided.  The one
+map from classes to numbers is `hurewicz_to_chern_numbers`, which serves
+`charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
 vector, and the lattice computations stay in those coordinates: an
@@ -264,16 +266,24 @@ def complete_intersection_class(ctx, n, degrees):
 
 @_memoized
 def _log_derivative_powers(ctx):
-    """Q[a][i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1) for
-    0 <= a, i <= top + 1, kept once per context: the P_a[i] of the Milnor
-    hypersurfaces and the Q_K(N) of the complete intersections.  Integral,
-    as log is, so the division is exact."""
-    table = []
-    for a, power in enumerate(ctx.log_powers[1:]):
-        row = [bpoly.scale(power[i + 1], i + 1) for i in range(len(power) - 1)]
-        if any(v % (a + 1) for p in row for v in p.values()):
-            raise ArithmeticError("log^%d log' is not integral" % a)
-        table.append([{k: v // (a + 1) for k, v in p.items()} for p in row])
+    """Q[a][i] = [u^i] log^a log' for 0 <= a, i <= top + 1, kept once per
+    context: the P_a[i] of the Milnor hypersurfaces and the Q_K(N) of the
+    complete intersections.  Row 0 is log' = sum_i (i+1) m_i u^i and row a
+    is row a-1 times log.  Q[a][i] has weight i - a; it is kept up to
+    weight `bound`, the truncation of every series here, and left 0
+    above.  The u-degree past `top` serves the complete intersections of
+    two divisors in P^(bound+2)."""
+    deg, log = ctx.top + 1, ctx.log_series
+    row = [bpoly.scale(log[i + 1], i + 1) if i < ctx.top else {}
+           for i in range(deg + 1)]
+    table = [row]
+    for a in range(1, deg + 1):
+        prev, row = row, [{} for _ in range(deg + 1)]
+        for i, p in enumerate(prev):
+            if p:  # i >= a - 1, so j <= bound + 1 = top
+                for j in range(1, min(deg - i, ctx.bound + a - i) + 1):
+                    bpoly.mul_into(row[i + j], p, log[j])
+        table.append(row)
     return table
 
 

@@ -26,9 +26,10 @@ bounds every entry of the sum, so no slot carries into the next; each
 column is kept once, at the widest w asked for so far.  There are two
 routes to a column, chosen by the form of the class:
 
-  * m-pairing.  A Landweber-Novikov operation s_omega has the single
-    monomial symmetric function m_omega as its class, so pairing its
-    m-coefficients against psi(b^omega) is cheap.
+  * The partition.  A Landweber-Novikov operation s_omega has the single
+    monomial symmetric function m_omega as its class, so s_omega(b^part)
+    is the t^omega coefficient of psi(b^part), and the operation is kept
+    as omega alone.
   * L-powers.  The boundary operation (class c1 of the dual determinant,
     shift 1) and the Wall-kernel operation (c1(det) c1(det dual), shift 2)
     have classes sum_k g_k L^k in L = sum_j mu_j p_j, the sum of the logs
@@ -38,8 +39,12 @@ routes to a column, chosen by the form of the class:
     and the coaction is multiplicative (Landweber, Cobordism operations and
     Hopf algebras, 1967).  So the operations O_k with class L^k obey
         O_k(x y) = sum_i C(k, i) O_i(x) O_{k-i}(y),
-    with O_k(b_p) = sum_j [x^j] log^k * [x^{p+1}] exp^{j+1}, and a column
-    is sum_k g_k O_k(b^omega), read off one shared table of the O_k.
+    and O_k(b_p) = b_(p-k) (b_0 = 1): O_k(b_p) = sum_j [y^j] log(y)^k
+    [x^(p+1)] exp(x)^(j+1), and sum_j [y^j] log(y)^k exp(x)^(j+1) =
+    log(exp x)^k exp(x) = x^k exp(x).  So O_1 is the derivation
+    b_p -> b_(p-1) of Z[b], the product law is its Leibniz rule, and a
+    column is sum_k g_k O_k(b^omega), read off one shared table of the
+    O_k.
 
 The test suite keeps, as its oracle, the m-coefficients of every class and
 the pairing against the coaction of a whole class.
@@ -57,21 +62,11 @@ from .record import Record
 
 
 class CohOperation(Record):
-    """Degree shift and the class: its m-basis coefficients by weight
-    (m_coeffs: (weight, ((partition, bpoly-items), ...)) pairs), or for a
-    class sum_k g_k L^k its bpoly coefficients g_0, g_1, ... (log_coeffs)."""
-    __slots__ = ("name", "shift", "m_coeffs", "log_coeffs", "__dict__")
-    _defaults = {"m_coeffs": (), "log_coeffs": ()}
-
-    @classmethod
-    def from_dict(cls, name, shift, by_weight):
-        packed = []
-        for w in sorted(by_weight):
-            vec = by_weight[w]
-            packed.append((w, tuple(sorted(
-                (omega, tuple(sorted(coeff.items())))
-                for omega, coeff in vec.items() if coeff))))
-        return cls(name, shift, tuple(packed))
+    """Degree shift and the class: for a class sum_k g_k L^k its bpoly
+    coefficients g_0, g_1, ... (log_coeffs), else the Landweber-Novikov
+    operation of the partition omega, whose class is m_omega."""
+    __slots__ = ("name", "shift", "omega", "log_coeffs", "__dict__")
+    _defaults = {"omega": (), "log_coeffs": ()}
 
     @classmethod
     def from_log_series(cls, name, shift, g):
@@ -84,7 +79,7 @@ class CohOperation(Record):
     @cached_property
     def _hash(self):
         # Operations key the column tables; tuples do not cache hashes.
-        return hash((self.name, self.shift, self.m_coeffs, self.log_coeffs))
+        return hash((self.name, self.shift, self.omega, self.log_coeffs))
 
 
 def landweber_novikov(omega):
@@ -94,8 +89,7 @@ def landweber_novikov(omega):
         raise ValueError("the partition %r of a Landweber-Novikov "
                          "operation needs positive parts" % (omega,))
     omega = tuple(sorted(omega, reverse=True))
-    w = sum(omega)
-    return CohOperation.from_dict("s%s" % (omega,), w, {w: {omega: dict(bpoly.ONE)}})
+    return CohOperation("s%s" % (omega,), sum(omega), omega)
 
 
 @_memoized
@@ -147,40 +141,36 @@ def _psi_monomial(ctx, part):
     return out
 
 
-def _column(ctx, coeffs, part):
-    """op(b^part) as a bpoly, given the operation's m-coefficients as
-    {code of a partition: bpoly}: the pairing against psi(b^part) is taken
-    inside the product psi(b^part[:1]) * psi(b^part[1:]), which is never
-    built."""
+def _column(ctx, code, part):
+    """s_omega(b^part) as a bpoly, given the code of omega: the t^omega
+    coefficient of psi(b^part[:1]) * psi(b^part[1:]), a product that is
+    never built, as psi(b^part[1:]) is read at code / t for each term t
+    of psi(b^part[:1])."""
     if not part:
-        return dict(coeffs.get(1, {}))
+        return dict(bpoly.ONE) if code == 1 else {}
     out = {}
     rest = _psi_monomial(ctx, part[1:])
-    for t1, c1 in _psi_monomial(ctx, part[:1]).items():
-        inner = {}
-        for t2, c2 in rest.items():
-            coeff = coeffs.get(t1 * t2)
-            if coeff:
-                bpoly.mul_into(inner, coeff, c2)
-        bpoly.mul_into(out, c1, inner)
+    for t, c in _psi_monomial(ctx, part[:1]).items():
+        if not code % t and code // t in rest:
+            bpoly.mul_into(out, c, rest[code // t])
     return out
 
 
 @_memoized
 def _log_ops(ctx, part):
     """[O_0(b^part), ..., O_n(b^part)] with n = |part|, where O_k is the
-    operation with class L^k (it vanishes in degrees below k).  Built by
-    the binomial product law and kept in the context's memo."""
+    operation with class L^k (it vanishes in degrees below k): O_k(b_p) =
+    b_(p-k), and products by the binomial product law.  Kept in the
+    context's memo.
+
+    >>> from slcob.fgl import FGLContext
+    >>> [str(MUClass.from_poly(3 - k, ok))
+    ...  for k, ok in enumerate(_log_ops(FGLContext(4), (3,)))]
+    ['+1*b3', '+1*b2', '+1*b1', '+1*1']
+    """
     if len(part) <= 1:
-        p = sum(part)  # b^() = b_0 = [x^1] exp
-        out = []
-        for k in range(p + 1):
-            ok = {}
-            for j in range(k, p + 1):
-                coeff = ctx.log_powers[k][j]  # [x^j] log^k
-                if coeff:
-                    bpoly.mul_into(ok, coeff, ctx.exp_powers[j][p + 1])
-            out.append(ok)
+        p = sum(part)  # b_(p-k) = [x^(p-k+1)] exp, b_0 = b^() = 1
+        out = [ctx.exp_series[p - k + 1] for k in range(p + 1)]
     else:
         head = _log_ops(ctx, part[:1])
         rest = _log_ops(ctx, part[1:])
@@ -267,8 +257,7 @@ def apply_operation(ctx, op, x):
         if op.log_coeffs:
             build, data = _log_column, [dict(c) for c in op.log_coeffs]
         else:
-            build, data = _column, {encode(omega): dict(coeff) for _, vec in
-                                    op.m_coeffs for omega, coeff in vec}
+            build, data = _column, encode(op.omega)
         entry = tables[op] = (build, data, PackedColumns())
     build, data, columns = entry
     codes = sorted_codes(target)

@@ -6,7 +6,9 @@ hyperbolic plane through it, re-diagonalize the orthogonal complement)
 until anisotropic.  No classification theory is assumed; the group and
 ring structure of the Witt classes is computed from the reductions alone.
 
-Supports prime q and q = 9 (the one prime-square case the catalog needs).
+Supports prime q and q = 9 (the one prime-square case the catalog needs);
+any other q is a ValueError.  Internal invariants are checked with
+explicit AssertionErrors, so `python -O` keeps them.
 """
 
 from itertools import product
@@ -23,11 +25,12 @@ class GF:
             self.p = 3
             self.elements = [(a, b) for a in range(3) for b in range(3)]
             self.zero, self.one = (0, 0), (1, 0)
-        else:
-            assert _is_prime(q)
+        elif _is_prime(q):
             self.p = q
             self.elements = list(range(q))
             self.zero, self.one = 0, 1
+        else:
+            raise ValueError("GF(q) needs a prime q or q = 9, not %r" % (q,))
 
     def add(self, x, y):
         if self.q == 9:
@@ -48,7 +51,8 @@ class GF:
         return (x * y) % self.q
 
     def inv(self, x):
-        assert x != self.zero
+        if x == self.zero:
+            raise AssertionError("0 has no inverse")
         for y in self.elements:
             if self.mul(x, y) == self.one:
                 return y
@@ -140,7 +144,8 @@ class FormCalculus:
             return []
         vec = self._first_vector(
             n, lambda v: self.bilinear(gram, v, v) != F.zero)
-        assert vec is not None, "nondegenerate form represents a unit"
+        if vec is None:
+            raise AssertionError("degenerate form: it represents no unit")
         value = self.bilinear(gram, vec, vec)
         comp = self.orthogonal_complement(gram, [vec])
         rest = self.restrict(gram, comp)
@@ -165,7 +170,8 @@ class FormCalculus:
             # hyperbolic pair through v: any w with b(v, w) != 0
             w = self._first_vector(
                 len(diag), lambda x: self.bilinear(gram, v, x) != F.zero)
-            assert w is not None, "degenerate form"
+            if w is None:
+                raise AssertionError("degenerate form")
             comp = self.orthogonal_complement(gram, [v, w])
             diag = self.diagonalize(self.restrict(gram, comp))
         result = self.isometry_canonical(tuple(diag))
@@ -201,12 +207,14 @@ class FormCalculus:
     def isometry_canonical(self, diag):
         """The least diagonal form isometric to the given (anisotropic)
         one, by enumerating all changes of basis.  Anisotropic kernels
-        over a finite field have rank <= 2, enforced by assertion."""
+        over a finite field have rank <= 2, and a larger rank raises
+        AssertionError."""
         key = self._square_class_key(diag)
         if key in self._canon_cache:
             return self._canon_cache[key]
         n = len(diag)
-        assert n <= 2, "anisotropic kernel of rank > 2 over a finite field"
+        if n > 2:
+            raise AssertionError("anisotropic kernel of rank %d > 2" % n)
         if n == 0:
             result = ()
         else:
@@ -258,7 +266,8 @@ class FormCalculus:
             while acc != zero:
                 acc = self.witt_add(acc, e)
                 k += 1
-                assert k <= len(elems) + 1
+                if k > len(elems) + 1:
+                    raise AssertionError("element order above %d" % len(elems))
             orders[e] = k
         n = len(elems)
         max_order = max(orders.values())

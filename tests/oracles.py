@@ -20,10 +20,11 @@ Milnor hypersurfaces and complete intersections in P^n come from their
 tangent Chern numbers, computed in the cohomology of the ambient product
 of projective spaces by adjunction, where the package reads them off the
 formal group law (Buchstaber's and Quillen's formulas).  The integer
-kernel is checked against the one-shot echelon pass over an identity
-block, whose entries grow far beyond the answer's but whose result is the
-same canonical form.  The operation matrices are built column by column
-from the package's operations: the Wall lattice, which the package builds
+kernel is checked against the row-by-row one, where each one-row pass
+cuts the kernel so far and a Hermite pass keeps it canonical
+(Kannan-Bachem 1979): the same canonical form, reached by another route.
+The operation matrices are built column by column from the package's
+operations: the Wall lattice, which the package builds
 from *-monomials, is checked against the kernel of the shift-2
 operation, and the differential, which the package reads off the twisted
 Leibniz law, is solved from the boundary operation on the whole lattice.
@@ -33,12 +34,15 @@ catalog classes.  The invariant factors of a direct sum of cyclic groups,
 which the package gets by a (gcd, lcm) pass, are read off the prime
 powers of the summands, and a group is read back from its JSON form.
 Where the package found a cheaper exact form, the form it replaced is
-kept: the log by compositional inversion of exp, the Milnor table by
-three convolutions, every Gysin series built afresh, and the e-to-m
-matrix by counting 0/1 matrices row by row.  `pair_keyed` reads a
-symmetric-function matrix as a dict keyed by (row, column) partitions,
-`by_partition` and `by_code` turn bpoly keys (codes) into partitions and
-back, and `merge` forms the multiset union of two partitions.
+kept: the log by compositional inversion of exp, the truncated powers
+of log, the operation with class L^k on b_p as sum_j [x^j] log^k
+[x^(p+1)] exp^(j+1), log^a log' as the derivative of log^(a+1) divided
+by a+1, the Milnor table by three convolutions, every Gysin series built
+afresh, and the e-to-m matrix by counting 0/1 matrices row by row.
+`pair_keyed` reads a symmetric-function matrix as a dict keyed by (row,
+column) partitions, `by_partition` and `by_code` turn bpoly keys (codes)
+into partitions and back, and `merge` forms the multiset union of two
+partitions.
 """
 
 from fractions import Fraction
@@ -278,17 +282,17 @@ def graded_reciprocal_class_matrix(n):
     return mat
 
 
-def kernel_basis_one_shot(mat):
-    """Z-basis of {v : mat*v = 0} in reduced column Hermite form, by one
-    column echelon pass over mat stacked on an identity block: the columns
-    whose top part vanishes span the kernel, and a Hermite pass on their
-    identity parts makes the basis canonical."""
+def kernel_basis_by_rows(mat):
+    """Z-basis of {v : mat*v = 0} in reduced column Hermite form, row by
+    row: a one-row echelon pass cuts the kernel so far, which a Hermite
+    pass keeps canonical, so entries stay near the answer's size."""
     n = mat.cols
-    columns = [list(mat.column(j)) + [int(i == j) for i in range(n)]
-               for j in range(n)]
-    _column_echelon(mat.rows, n, columns)
-    kernel_cols = [c[mat.rows:] for c in columns if not any(c[: mat.rows])]
-    return IntMatrix.from_columns(n, _hermite_columns(n, kernel_cols))
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    for a in mat.entries:
+        columns = [[sum(x * y for x, y in zip(a, c))] + c for c in basis]
+        _column_echelon(1, len(columns), columns)
+        basis = _hermite_columns(n, [c[1:] for c in columns if not c[0]])
+    return IntMatrix.from_columns(n, basis)
 
 
 def operation_matrix(cf, op, n):
@@ -479,7 +483,45 @@ def hypersurface_class(ambient_n, degree):
     return complete_intersection_class(ambient_n, (degree,))
 
 
-# -- the catalog by the formulas it replaced ---------------------------------
+# -- the catalog and the L-power operations by the formulas they replaced ---
+
+
+@lru_cache(maxsize=None)
+def log_powers(ctx):
+    """[log^0, ..., log^(top+2)] to u^(top+2): the u^d coefficient of
+    log^k has weight d - k, kept up to weight `bound` and left 0 above.
+    Cached per context; do not mutate."""
+    deg = ctx.top + 2
+    powers = [[dict(bpoly.ONE)] + [{}] * deg]
+    for k in range(1, deg + 1):
+        full = bpoly.ser_mul(powers[-1], ctx.log_series, deg)
+        powers.append([c if d - k <= ctx.bound else {}
+                       for d, c in enumerate(full)])
+    return powers
+
+
+def log_derivative_powers(ctx):
+    """Q[a][i] = [u^i] log^a log' = (i+1) [u^(i+1)] log^(a+1) / (a+1) for
+    0 <= a, i <= top + 1, each division checked exact."""
+    table = []
+    for a, power in enumerate(log_powers(ctx)[1:]):
+        row = [bpoly.scale(power[i + 1], i + 1) for i in range(len(power) - 1)]
+        assert not any(v % (a + 1) for c in row for v in c.values()), a
+        table.append([{k: v // (a + 1) for k, v in c.items()} for c in row])
+    return table
+
+
+def log_power_operations(ctx, p):
+    """[O_0(b_p), ..., O_p(b_p)], O_k the operation with class L^k, as
+    O_k(b_p) = sum_j [x^j] log^k [x^(p+1)] exp^(j+1)."""
+    lpow = log_powers(ctx)
+    out = []
+    for k in range(p + 1):
+        ok = {}
+        for j in range(k, p + 1):
+            bpoly.mul_into(ok, lpow[k][j], ctx.exp_powers[j][p + 1])
+        out.append(ok)
+    return out
 
 
 def milnor_table_fgh(ctx):
@@ -489,7 +531,7 @@ def milnor_table_fgh(ctx):
     from the classes of projective spaces rather than from log'."""
     top = ctx.top
     rows = top // 2 + 1
-    lpow = ctx.log_powers
+    lpow = log_powers(ctx)
     F = {}
     for a in range(rows):
         E = [{} for _ in range(top + 1 - a)]
@@ -515,14 +557,14 @@ def milnor_table_fgh(ctx):
 def complete_intersection_per_class(ctx, n, degrees):
     """Quillen's formula with each Gysin series [d]_F(u) built afresh as
     sum_k (d^k e_k) log(u)^k, the products taken for every divisor."""
-    top = n - len(degrees) + 1
+    top, lpow = n - len(degrees) + 1, log_powers(ctx)
     product = [dict(bpoly.ONE)]
     for d in degrees:
         series = bpoly.ser_zero(top)
         for k in range(1, top + 1):
             ek = bpoly.scale(ctx.exp_series[k], d ** k)
             for j in range(k, top + 1):
-                bpoly.mul_into(series[j], ek, ctx.log_powers[k][j])
+                bpoly.mul_into(series[j], ek, lpow[k][j])
         product = bpoly.ser_mul(product, series, n)
     out = {}
     for k in range(len(degrees), n + 1):
@@ -734,8 +776,7 @@ def coefficients(ctx, op):
     bpoly}}; a class sum_k g_k L^k is expanded through power sums, up to
     the context's truncation."""
     if not op.log_coeffs:
-        return {w: {omega: dict(coeff) for omega, coeff in vec}
-                for w, vec in op.m_coeffs}
+        return {sum(op.omega): {op.omega: dict(bpoly.ONE)}}
     L = log_class(ctx)
     out = {}
     power = {(): dict(bpoly.ONE)}

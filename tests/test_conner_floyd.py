@@ -130,6 +130,17 @@ def test_sign_insensitivity(ctx, cf, basis):
         assert cokernel(mat) == cf.homology(n)
 
 
+def test_cycles_match_row_by_row_kernel():
+    """The one-pass kernel of every differential through T = 14 is the
+    row-by-row Hermite kernel, entry for entry, and is the cycle basis."""
+    from oracles import kernel_basis_by_rows
+    from slcob.intmat import kernel_basis
+    cf = ConnerFloyd(14)
+    for n in range(1, 15):
+        m = cf.delta_matrix(n)
+        assert kernel_basis(m) == kernel_basis_by_rows(m) == cf.cycles(n), n
+
+
 def test_msu_additive_examples():
     """The diagonal modulo the ideal is the special unitary group."""
     from slcob.msl import quotient_by_ideal
@@ -186,16 +197,16 @@ def test_small_truncation_consistency():
 
 def test_wall_lattice_matches_one_shot_kernel(cf):
     """The *-monomials span the kernel of the shift-2 operation: the same
-    lattice as its Hermite kernel for n <= 12, and that kernel is the
-    one-shot echelon kernel, entry for entry (both are canonical)."""
-    from oracles import kernel_basis_one_shot, operation_matrix, \
+    lattice as its one-shot Hermite kernel for n <= 12, and that kernel is
+    the row-by-row Hermite kernel, entry for entry (both are canonical)."""
+    from oracles import kernel_basis_by_rows, operation_matrix, \
         same_column_span, wall_lattice_kernel
     from slcob.operations import delta_op
     for n in range(0, 13):
         kernel = wall_lattice_kernel(cf, n)
         assert same_column_span(cf.w_lattice(n), kernel), n
         if n < 12:
-            assert kernel == kernel_basis_one_shot(
+            assert kernel == kernel_basis_by_rows(
                 operation_matrix(cf, delta_op(cf.ctx), n)), n
 
 

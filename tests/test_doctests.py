@@ -1,7 +1,7 @@
 import doctest
 
 import oracles
-from slcob import abelian, intmat, msl, partitions, symfun
+from slcob import abelian, intmat, msl, operations, partitions, symfun
 
 
 def test_partition_doctests():
@@ -26,6 +26,11 @@ def test_intmat_doctests():
 
 def test_oracle_doctests():
     results = doctest.testmod(oracles)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_operations_doctests():
+    results = doctest.testmod(operations)
     assert results.failed == 0 and results.attempted > 0
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from gradedpoly import GradedPoly
 from oracles import (by_partition, c1_determinant_class, chi_series,
-                     formal_group, formal_inverse, formal_sum, ser_compose,
-                     ser_inverse)
+                     formal_group, formal_inverse, formal_sum,
+                     log_derivative_powers, ser_compose, ser_inverse)
 from slcob import bpoly, mu
 from slcob.fgl import FGLContext
 
@@ -30,22 +30,29 @@ def test_log_coefficients():
 
 
 def test_log_powers_are_lazy_and_shared():
-    """The powers of log are built on first use, once per context, and the
-    Milnor classes read that one copy.  log^0 .. log^(top+2) run to
-    u^(top+2), with the coefficients above weight `bound` left 0."""
-    ctx = FGLContext(6)
-    assert "log_powers" not in vars(ctx)
-    powers = ctx.log_powers
-    deg = ctx.top + 2
-    assert len(powers) == deg + 1
-    assert powers[0] == [bpoly.ONE] + [{}] * deg
-    assert powers[1] == ctx.log_series + [{}, {}]
-    for k in range(2, deg + 1):
-        full = bpoly.ser_mul(powers[k - 1], ctx.log_series, deg)
-        assert powers[k] == [c if d - k <= ctx.bound else {}
-                             for d, c in enumerate(full)]
-    mu.milnor_hypersurface_class(ctx, 2, 3)
-    assert ctx.log_powers is powers
+    """The table Q[a][i] = [u^i] log^a log' of the catalog is built on first
+    catalog use, once per context, and the Milnor classes and complete
+    intersections read that one copy.  Its rows a = 0 .. top+1 run to
+    u^(top+1), with the coefficients above weight `bound` left 0, and each
+    equals the derivative of log^(a+1) divided by a+1."""
+    for bound in (6, 12, 16):
+        ctx = FGLContext(bound)
+        assert "_log_derivative_powers" not in ctx._memo
+        mu.milnor_hypersurface_class(ctx, 2, 3)
+        memo = ctx._memo["_log_derivative_powers"]
+        table = mu._log_derivative_powers(ctx)
+        assert list(memo.values()) == [table]
+        deg = ctx.top + 1
+        assert len(table) == deg + 1
+        assert table[0] == [bpoly.scale(m, i + 1) for i, m in
+                            enumerate(ctx.log_series[1:])] + [{}, {}]
+        expected = log_derivative_powers(ctx)
+        for a, row in enumerate(table):
+            assert len(row) == deg + 1
+            assert row == expected[a], (bound, a)
+            assert all(not c for i, c in enumerate(row) if i - a > bound)
+        mu.complete_intersection_class(ctx, deg, (2, 3))
+        assert mu._log_derivative_powers(ctx) is table
 
 
 def test_formal_group_unit_and_commutativity():

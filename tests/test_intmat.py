@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from oracles import hermite_column_form, kernel_basis_one_shot, same_column_span
+from oracles import hermite_column_form, kernel_basis_by_rows, same_column_span
 from slcob.intmat import (HNFSolver, IntMatrix, ModSolver, kernel_basis,
                           smith_normal_form)
 
@@ -95,7 +95,7 @@ def test_kernel_examples():
 def test_kernel_properties(rows, cols, seed):
     """The kernel basis is annihilated by M, has the right rank, is
     saturated (its invariant factors are all 1), is in reduced column
-    Hermite form and equals the one-shot echelon oracle."""
+    Hermite form and equals the row-by-row Hermite oracle."""
     rng = random.Random(seed)
     m = random_matrix(rng, rows, cols, *rng.choice([(-1, 1), (-9, 9)]))
     k = kernel_basis(m)
@@ -105,7 +105,7 @@ def test_kernel_properties(rows, cols, seed):
     assert k.cols == cols - len(smith_normal_form(m))
     assert smith_normal_form(k) == [1] * k.cols
     assert_reduced_hermite(k)
-    assert k == kernel_basis_one_shot(m)
+    assert k == kernel_basis_by_rows(m)
 
 
 def test_hnf_solver_hand_example():

@@ -1,11 +1,12 @@
 import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import by_code, by_partition, c1_determinant_class, char_class
-from slcob import mu
+from oracles import by_partition, c1_determinant_class, char_class
+from slcob import bpoly, mu, operations
 from slcob.conner_floyd import ConnerFloyd
 from slcob.fgl import FGLContext
 from slcob.operations import (CohOperation, apply_operation, boundary_partial,
@@ -29,7 +30,8 @@ def test_landweber_novikov_classes(ctx):
 
 
 def test_identity_operation(ctx, basis):
-    op = CohOperation.from_dict("id", 0, {0: {(): by_code({(): 1})}})
+    """s_(), of class m_() = 1, is the identity."""
+    op = landweber_novikov(())
     for n in range(0, 5):
         for _, cls in basis.basis(n):
             assert apply_operation(ctx, op, cls) == cls
@@ -84,6 +86,19 @@ def test_operations_preserve_lattice(ctx, basis):
             out = apply_operation(ctx, op, cls)
             if not out.is_zero():
                 basis.to_coordinates(out)  # raises if fractional
+
+
+@pytest.mark.parametrize("bound", [12, 16])
+def test_log_power_operations_lower_the_index(bound):
+    """O_k(b_p) = b_(p-k), b_0 = 1, for every p <= T: the table the columns
+    of the boundary and shift-2 operations read equals the sum
+    sum_j [x^j] log^k [x^(p+1)] exp^(j+1) it replaced."""
+    ctx = FGLContext(bound)
+    for p in range(bound + 1):
+        expected = oracles.log_power_operations(ctx, p)
+        assert expected == [bpoly.gen(p - k) if k < p else bpoly.ONE
+                            for k in range(p + 1)], p
+        assert operations._log_ops(ctx, (p,) if p else ()) == expected, p
 
 
 def test_char_class_stability(ctx):
@@ -205,14 +220,14 @@ def test_columns_match_oracle_on_zero_and_negative_target():
 
 
 def test_column_tables_are_keyed_by_value(ctx):
-    """Two operations with one name and different classes keep separate
-    columns in one context; equal operations hash alike."""
+    """Two operations with one name and different classes (L and 2L) keep
+    separate columns in one context; equal operations hash alike."""
     cp1 = mu.cpn_class(ctx, 1)
-    once = CohOperation.from_dict("s", 1, {1: {(1,): by_code({(): 1})}})
-    twice = CohOperation.from_dict("s", 1, {1: {(1,): by_code({(): 2})}})
+    once = CohOperation.from_log_series("s", 1, [{}, {1: 1}])
+    twice = CohOperation.from_log_series("s", 1, [{}, {1: 2}])
     assert apply_operation(ctx, once, cp1).coeffs() == {(): -2}
     assert apply_operation(ctx, twice, cp1).coeffs() == {(): -4}
-    again = CohOperation.from_dict("s", 1, {1: {(1,): by_code({(): 1})}})
+    again = CohOperation.from_log_series("s", 1, [{}, {1: 1}])
     assert again == once and hash(again) == hash(once)
     assert apply_operation(ctx, again, cp1).coeffs() == {(): -2}
 

@@ -38,8 +38,8 @@ def _samples():
          (1, (2, 6), frozenset([5]))),
         (IntMatrix, ("rows", "cols", "entries"), (2, 2, ((1, 2), (3, 4)))),
         (MUClass, ("degree", "terms"), (2, ((4, 1), (9, -3)))),
-        (CohOperation, ("name", "shift", "m_coeffs", "log_coeffs"),
-         ("s(1,)", 1, ((1, (((1,), ((1, 1),)),)),), ())),
+        (CohOperation, ("name", "shift", "omega", "log_coeffs"),
+         ("s(1,)", 1, (1,), ())),
         (VarietyClass, ("description", "dimension", "tangent_numbers",
                         "mu_class", "calabi_yau"),
          ("point", 0, (((), 1),), MUClass(0, ((1, 1),)), False)),
@@ -114,7 +114,7 @@ def test_defaults():
     assert FieldDescriptor("real_closed") \
         == FieldDescriptor("real_closed", 1)
     op = CohOperation("x", 2)
-    assert (op.m_coeffs, op.log_coeffs) == ((), ())
+    assert (op.omega, op.log_coeffs) == ((), ())
 
 
 @pytest.mark.parametrize("args, kwargs", [

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from slcob.abelian import FGAbGroup
@@ -211,6 +215,38 @@ def test_real_closed_signature_oracle():
                 s *= signature(d)
             values.add(s)
         assert {abs(v) for v in values} <= {0, 2 ** m}
+
+
+ORACLE_FAILURES = """
+from slcob.wittforms import GF, FormCalculus
+fc, stuck = FormCalculus(5), FormCalculus(3)
+stuck.witt_add = lambda a, b: a  # no element ever returns to 0
+for case in (lambda: GF(4), lambda: GF(1), lambda: fc.F.inv(0),
+             lambda: fc.diagonalize([[0]]),
+             lambda: fc.anisotropic_kernel((0,)),
+             lambda: fc.isometry_canonical((1, 2, 3)),
+             stuck.group_structure):
+    try:
+        case()
+        print("none")
+    except (ValueError, AssertionError) as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_oracle_checks_survive_optimize(capsys):
+    """A q that is neither prime nor 9 is a ValueError; 1/0, a degenerate
+    form in `diagonalize` and in `anisotropic_kernel`, an anisotropic
+    kernel of rank 3 and an element order above the group order are
+    AssertionErrors, in-process and under python -O."""
+    expected = ["ValueError"] * 2 + ["AssertionError"] * 5
+    exec(ORACLE_FAILURES, {})
+    assert capsys.readouterr().out.split() == expected
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", ORACLE_FAILURES],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == expected
 
 
 def test_quadratically_closed_oracle():
