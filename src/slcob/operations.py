@@ -12,52 +12,47 @@ direction is pinned by the anchors boundary[CP1] = 2, the twisted Leibniz
 law on the Wall lattice, and delta([CP1]^2) = -8; the reversed composition
 fails all three.
 
-An operation is linear, so it is applied as an integer matrix on the
-b-monomial basis: column omega is op(b^omega), built on first use and kept
-per context and operation in the context's memo under the code of omega,
-and a class is the sum of its coefficients times these columns.  The
-columns are kept packed (`PackedColumns`): the entry at the k-th
-b-monomial of the target degree, in increasing order of codes, times
-2^(w k), negative entries allowed, so the sum is one big-integer
-multiply-add per term of the class, unpacked once into the class's
-code-sorted terms.  The slot width w = bits(largest column entry) +
-bits(sum of |c| over the class) + 1, rounded up to a multiple of 32,
-bounds every entry of the sum, so no slot carries into the next; each
-column is kept once, at the widest w asked for so far.  There are two
-routes to a column, chosen by the form of the class:
+There are two kinds of operation, applied in two ways:
 
-  * The partition.  A Landweber-Novikov operation s_omega has the single
-    monomial symmetric function m_omega as its class, so s_omega(b^part)
-    is the t^omega coefficient of psi(b^part), and the operation is kept
-    as omega alone.
-  * L-powers.  The boundary operation (class c1 of the dual determinant,
-    shift 1) and the Wall-kernel operation (c1(det) c1(det dual), shift 2)
-    have classes sum_k g_k L^k in L = sum_j mu_j p_j, the sum of the logs
-    of the Chern roots (mu_j the log coefficients).  The power sums p_j
-    are primitive for the coproduct of symmetric functions (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5 ex. 25), hence so is L,
-    and the coaction is multiplicative (Landweber, Cobordism operations and
-    Hopf algebras, 1967).  So the operations O_k with class L^k obey
+  * Landweber-Novikov.  An operation s_omega has the single monomial
+    symmetric function m_omega as its class, so s_omega(b^part) is the
+    t^omega coefficient of psi(b^part), and the operation is kept as omega
+    alone.  It is linear, so it is applied as columns on the b-monomial
+    basis: column part is s_omega(b^part), built on first use and kept per
+    context and operation in the context's memo under the code of part,
+    and a class is the sum of its coefficients times these columns.
+  * Powers of one derivation.  The boundary operation (class c1 of the
+    dual determinant, shift 1) and the Wall-kernel operation
+    (c1(det) c1(det dual), shift 2) have classes sum_k g_k L^k in
+    L = sum_j mu_j p_j, the sum of the logs of the Chern roots (mu_j the
+    log coefficients).  The power sums p_j are primitive for the coproduct
+    of symmetric functions (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.5 ex. 25), hence so is L, and the coaction is
+    multiplicative (Landweber, Cobordism operations and Hopf algebras,
+    1967).  So the operations O_k with class L^k obey
         O_k(x y) = sum_i C(k, i) O_i(x) O_{k-i}(y),
     and O_k(b_p) = b_(p-k) (b_0 = 1): O_k(b_p) = sum_j [y^j] log(y)^k
     [x^(p+1)] exp(x)^(j+1), and sum_j [y^j] log(y)^k exp(x)^(j+1) =
     log(exp x)^k exp(x) = x^k exp(x).  So O_1 is the derivation
-    b_p -> b_(p-1) of Z[b], the product law is its Leibniz rule, and a
-    column is sum_k g_k O_k(b^omega), read off one shared table of the
-    O_k.
+    D: b_p -> b_(p-1) of Z[b] and the product law is its Leibniz rule.
+    D^k obeys the same law and agrees with O_k on every b_p, so O_k = D^k,
+    and the operation acts on x as sum_k g_k D^k(x).  For the boundary
+    operation each g_k = (-1)^k b_(k-1) is one monomial.  D(b^lambda) is
+    the sum over the distinct parts p of lambda of the multiplicity of p
+    times lambda with one p lowered to p - 1, a table keyed by code alone;
+    `apply_operations` walks x, D(x), D^2(x), ... once for every such
+    operation it is given.
 
 The test suite keeps, as its oracle, the m-coefficients of every class and
 the pairing against the coaction of a whole class.
 """
 
-from functools import cached_property
-from math import comb
-from operator import mul
+from functools import cached_property, lru_cache
 
 from . import bpoly
 from .fgl import _memoized
 from .mu import MUClass
-from .partitions import decode, encode, sorted_codes
+from .partitions import PRIMES, decode, encode
 from .record import Record
 
 
@@ -80,6 +75,11 @@ class CohOperation(Record):
     def _hash(self):
         # Operations key the column tables; tuples do not cache hashes.
         return hash((self.name, self.shift, self.omega, self.log_coeffs))
+
+    @cached_property
+    def series(self):
+        """The coefficients g_k of the class as bpolys."""
+        return [dict(c) for c in self.log_coeffs]
 
 
 def landweber_novikov(omega):
@@ -113,7 +113,7 @@ def delta_op(ctx):
     return CohOperation.from_log_series("delta", 2, g)
 
 
-# -- the coaction and the column tables ------------------------------------
+# -- the coaction and the Landweber-Novikov columns ----------------------
 
 
 @_memoized
@@ -156,115 +156,72 @@ def _column(ctx, code, part):
     return out
 
 
-@_memoized
-def _log_ops(ctx, part):
-    """[O_0(b^part), ..., O_n(b^part)] with n = |part|, where O_k is the
-    operation with class L^k (it vanishes in degrees below k): O_k(b_p) =
-    b_(p-k), and products by the binomial product law.  Kept in the
-    context's memo.
+@lru_cache(maxsize=None)
+def _lowerings(code):
+    """D(b^part) for the part with this code, as (code, multiplicity)
+    pairs: for each distinct part p of part, part with one p lowered to
+    p - 1 (dropped when p = 1), times the multiplicity of p.
 
-    >>> from slcob.fgl import FGLContext
-    >>> [str(MUClass.from_poly(3 - k, ok))
-    ...  for k, ok in enumerate(_log_ops(FGLContext(4), (3,)))]
-    ['+1*b3', '+1*b2', '+1*b1', '+1*1']
+    >>> [(decode(low), m) for low, m in _lowerings(encode((2, 1, 1)))]
+    [((1, 1, 1), 1), ((2, 1), 2)]
     """
-    if len(part) <= 1:
-        p = sum(part)  # b_(p-k) = [x^(p-k+1)] exp, b_0 = b^() = 1
-        out = [ctx.exp_series[p - k + 1] for k in range(p + 1)]
-    else:
-        head = _log_ops(ctx, part[:1])
-        rest = _log_ops(ctx, part[1:])
-        out = [{} for _ in range(len(head) + len(rest) - 1)]
-        for i, h in enumerate(head):
-            for j, r in enumerate(rest):
-                if h and r:
-                    bpoly.mul_into(out[i + j], h, r, comb(i + j, i))
-    return out
+    part = decode(code)
+    return tuple((code // PRIMES[p - 1] * (PRIMES[p - 2] if p > 1 else 1),
+                  part.count(p)) for p in sorted(set(part), reverse=True))
 
 
-def _log_column(ctx, g, part):
-    """op(b^part) = sum_k g_k O_k(b^part) for the class sum_k g_k L^k."""
+def _derive(poly):
+    """D(poly), D the derivation b_p -> b_(p-1) with b_0 = 1.
+
+    >>> powers = [bpoly.gen(3)]
+    >>> for _ in range(3):
+    ...     powers.append(_derive(powers[-1]))
+    >>> [str(MUClass.from_poly(3 - k, dk)) for k, dk in enumerate(powers)]
+    ['+1*b3', '+1*b2', '+1*b1', '+1*1']
+    >>> _derive(powers[-1])
+    {}
+    """
     out = {}
-    for gk, ok in zip(g, _log_ops(ctx, part)):
-        bpoly.mul_into(out, gk, ok)
-    return out
+    get = out.get
+    for code, c in poly.items():
+        for low, m in _lowerings(code):
+            out[low] = get(low, 0) + m * c
+    return {k: v for k, v in out.items() if v}
 
 
-class PackedColumns(dict):
-    """{code: [bits of the largest entry, slot width w, packed integer]}:
-    the columns of one operation, each built on first use and packed as in
-    the module docstring."""
-
-    def combine(self, terms, count, build):
-        """The count entries of sum c * column(code) over the (code, c) of
-        terms, c nonzero; build(code) gives the entries of a column not
-        kept yet, which is kept unpacked (width 0) until packed here."""
-        used = [self.get(code) or self.setdefault(code, _unpacked(build(code)))
-                for code, _ in terms]
-        coeffs = [c for _, c in terms]
-        need = max(column[0] for column in used) + 1 \
-            + sum(map(abs, coeffs)).bit_length()
-        width = max(-(-need // 32) * 32, max(column[1] for column in used))
-        for column in used:
-            if column[1] != width:
-                values = column[2] if not column[1] else \
-                    _unpack(column[2], count, column[1])
-                column[1:] = width, _pack(values, width)
-        return _unpack(sum(map(mul, coeffs, [column[2] for column in used])),
-                       count, width)
-
-
-def _unpacked(values):
-    """A column not packed yet: width 0 and its entries."""
-    return [max(map(abs, values)).bit_length(), 0, values]
-
-
-def _bias(count, width):
-    """2^(width-1) in each of count slots of the given width."""
-    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little")
-                          * count, "little")
-
-
-def _pack(values, width):
-    """sum_k values[k] 2^(width k), every |values[k]| < 2^(width-1)."""
-    half, size = 1 << width - 1, width // 8
-    return int.from_bytes(b"".join([(v + half).to_bytes(size, "little")
-                                    for v in values]), "little") \
-        - _bias(len(values), width)
-
-
-def _unpack(packed, count, width):
-    """The count slot values of a packed integer: with the bias added,
-    every slot holds its value plus 2^(width-1), which lies in
-    [0, 2^width)."""
-    half, size, read = 1 << width - 1, width // 8, int.from_bytes
-    buf = (packed + _bias(count, width)).to_bytes(count * size, "little")
-    return [read(buf[i:i + size], "little") - half
-            for i in range(0, count * size, size)]
+def apply_operations(ctx, ops, x):
+    """[op(x) for op in ops], each in degree x.degree - op.shift, zero when
+    that is negative.  The operations with a class sum_k g_k L^k share one
+    walk x, D(x), D^2(x), ..., adding g_k D^k(x) to each, which stops at
+    the first zero power or at the end of the longest class.  A
+    Landweber-Novikov operation sums its columns, built on first use and
+    kept per context and operation in the context's memo under the code
+    of the b-monomial."""
+    polys = [{} for _ in ops]
+    series = [(out, op.series) for out, op in zip(polys, ops) if op.log_coeffs]
+    power = x.poly()
+    for k in range(max((len(g) for _, g in series), default=0)):
+        if k:
+            power = _derive(power)
+        if not power:
+            break
+        for out, g in series:
+            if k < len(g) and g[k]:
+                bpoly.mul_into(out, g[k], power)
+    for out, op in zip(polys, ops):
+        if not op.log_coeffs and x.degree >= op.shift:
+            columns = ctx._memo.setdefault("operations.columns", {}) \
+                .setdefault(op, {})
+            omega = encode(op.omega)
+            for code, c in x.terms:
+                if code not in columns:
+                    columns[code] = _column(ctx, omega, decode(code))
+                bpoly.mul_into(out, columns[code], bpoly.ONE, c)
+    return [MUClass.from_poly(max(x.degree - op.shift, 0), out)
+            for op, out in zip(ops, polys)]
 
 
 def apply_operation(ctx, op, x):
-    """The action of an operation on a coefficient-ring class: the sum of
-    its b-monomial coefficients times the operation's packed columns.
-
-    Lands in degree x.degree - op.shift; negative degree gives zero."""
-    target = x.degree - op.shift
-    if target < 0 or x.is_zero():
-        return MUClass.zero(max(target, 0))
-    tables = ctx._memo.setdefault("operations.columns", {})
-    entry = tables.get(op)
-    if entry is None:
-        if op.log_coeffs:
-            build, data = _log_column, [dict(c) for c in op.log_coeffs]
-        else:
-            build, data = _column, encode(op.omega)
-        entry = tables[op] = (build, data, PackedColumns())
-    build, data, columns = entry
-    codes = sorted_codes(target)
-
-    def column(code):
-        poly = build(ctx, data, decode(code))
-        return [poly.get(k, 0) for k in codes]
-
-    return MUClass(target, tuple((k, v) for k, v in zip(
-        codes, columns.combine(x.terms, len(codes), column)) if v))
+    """The action of one operation on a coefficient-ring class, landing in
+    degree x.degree - op.shift; negative degree gives zero."""
+    return apply_operations(ctx, (op,), x)[0]

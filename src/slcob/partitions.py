@@ -103,9 +103,3 @@ def codes_of(n):
     """The codes of partitions_of(n), in that order."""
     return tuple(encode(p) for p in partitions_of(n))
 
-
-@lru_cache(maxsize=None)
-def sorted_codes(n):
-    """The codes of partitions_of(n) in increasing order: the order of a
-    class's terms and of the slots of a packed column."""
-    return tuple(sorted(codes_of(n)))

@@ -12,10 +12,11 @@ engine of `gradedpoly.py`, the formal group law, its inverse, the
 determinant classes written in Chern variables and the reciprocal Chern
 class.  An operation is applied by its definition, pairing the
 m-coefficients of its class against the coaction of the whole class, where
-the package multiplies cached columns; a class the package keeps as a
-power series in the sum L of the logs of the Chern roots is expanded into
-m-coefficients through power sums, and the determinant classes are built
-the same way from the exponential series, to pin those power series.
+the package walks the powers of a derivation or sums cached columns; a
+class the package keeps as a power series in the sum L of the logs of the
+Chern roots is expanded into m-coefficients through power sums, and the
+determinant classes are built the same way from the exponential series,
+to pin those power series.
 Milnor hypersurfaces and complete intersections in P^n come from their
 tangent Chern numbers, computed in the cohomology of the ambient product
 of projective spaces by adjunction, where the package reads them off the

@@ -2,7 +2,7 @@ from slcob import mu
 from slcob.abelian import FGAbGroup
 from slcob.conner_floyd import ConnerFloyd
 from slcob.intmat import HNFSolver
-from slcob.operations import apply_operation
+from slcob.operations import apply_operation, landweber_novikov
 from slcob.partitions import partition_count as p
 
 
@@ -380,8 +380,10 @@ def test_deleted_instance_is_collected():
     cf = ConnerFloyd(4)
     ctx = cf.ctx
     assert str(cf.homology(2)) == "Z/2"
-    assert ctx._memo["operations.columns"]  # the column tables live here
-    assert ctx._memo["_log_ops"]  # and the table of the L^k operations
+    assert ctx._memo["boundary_partial"]  # the operations live here
+    apply_operation(ctx, landweber_novikov((1,)), mu.cpn_class(ctx, 2))
+    assert ctx._memo["operations.columns"]  # with their column tables
+    assert ctx._memo["_psi_monomial"]  # and the coaction the columns read
     refs = [weakref.ref(cf), weakref.ref(ctx), weakref.ref(cf.basis)]
     del cf, ctx
     gc.collect()

@@ -90,15 +90,19 @@ def test_operations_preserve_lattice(ctx, basis):
 
 @pytest.mark.parametrize("bound", [12, 16])
 def test_log_power_operations_lower_the_index(bound):
-    """O_k(b_p) = b_(p-k), b_0 = 1, for every p <= T: the table the columns
-    of the boundary and shift-2 operations read equals the sum
-    sum_j [x^j] log^k [x^(p+1)] exp^(j+1) it replaced."""
+    """O_k(b_p) = b_(p-k), b_0 = 1, for every p <= T: the powers D^k of the
+    derivation, through which the boundary and shift-2 operations act,
+    equal the sums sum_j [x^j] log^k [x^(p+1)] exp^(j+1) that define the
+    operations O_k with class L^k, and D^(p+1) b_p = 0."""
     ctx = FGLContext(bound)
     for p in range(bound + 1):
         expected = oracles.log_power_operations(ctx, p)
         assert expected == [bpoly.gen(p - k) if k < p else bpoly.ONE
                             for k in range(p + 1)], p
-        assert operations._log_ops(ctx, (p,) if p else ()) == expected, p
+        powers = [bpoly.gen(p) if p else dict(bpoly.ONE)]
+        while powers[-1]:
+            powers.append(operations._derive(powers[-1]))
+        assert powers == expected + [{}], p
 
 
 def test_char_class_stability(ctx):
@@ -206,6 +210,31 @@ def test_log_series_columns_match_oracle_on_every_monomial():
         assert nonzero > 0
 
 
+def test_apply_operations_matches_oracle_together_and_alone(ctx):
+    """The boundary, shift-2 and s_(2,1) operations applied in one call
+    and one at a time, against the pairing with the coaction, on every
+    b-monomial of degree <= 12, on zero classes and where the target
+    degree is negative (then the zero class of degree 0)."""
+    ops = (boundary_partial(ctx), delta_op(ctx), landweber_novikov((2, 1)))
+    nonzero = [0, 0, 0]
+    for n in range(ctx.bound + 1):
+        classes = [mu.MUClass.from_dict(n, {part: 1})
+                   for part in partitions_of(n)] + [mu.MUClass.zero(n)]
+        for x in classes:
+            together = operations.apply_operations(ctx, ops, x)
+            alone = [apply_operation(ctx, op, x) for op in ops]
+            expected = [oracles.apply_operation(ctx, op, x) for op in ops]
+            assert together == alone == expected, (n, x)
+            for i, (op, y) in enumerate(zip(ops, together)):
+                assert y.degree == max(n - op.shift, 0)
+                nonzero[i] += not y.is_zero()
+    assert all(nonzero)
+    for x in (mu.MUClass.unit(), mu.cpn_class(ctx, 1), mu.cpn_class(ctx, 2)):
+        assert operations.apply_operations(ctx, ops, x) == [
+            oracles.apply_operation(ctx, op, x) for op in ops]
+    assert operations.apply_operations(ctx, (), mu.cpn_class(ctx, 2)) == []
+
+
 def test_columns_match_oracle_on_zero_and_negative_target():
     ctx, _ = small_fixtures()
     for name in SMALL_OPERATIONS:
@@ -236,14 +265,14 @@ EDGES = [s * (2 ** k + e) for k in (31, 32, 63, 64, 95, 96) for e in (1, -1)
          for s in (1, -1)]
 
 
-def test_packed_columns_on_slot_boundaries():
-    """Coefficients +-(2^k +- 1) next to the 32-bit slot edges, in mixed
-    signs, against the per-class oracle: first unit classes, which pack
-    every column of the context narrow, then the edge coefficients, which
-    widen them, then unit classes again on the widened columns.  Target
-    degree 0 (a single slot) and images that vanish (the shift-2
-    operation on the Wall lattice) are among them."""
-    cf = ConnerFloyd(6)  # a fresh chain, so no column is packed yet
+def test_operations_on_word_edge_coefficients():
+    """Coefficients +-(2^k +- 1) next to the 32-bit word edges, in mixed
+    signs, against the per-class oracle: first unit classes, then the edge
+    coefficients on one b-monomial, then on every b-monomial of a degree,
+    then unit classes again after the large ones.  Target degree 0 (a
+    single b-monomial) and images that vanish (the shift-2 operation on
+    the Wall lattice) are among them."""
+    cf = ConnerFloyd(6)  # a fresh chain, so no column is cached yet
     ctx, rng = cf.ctx, random.Random(20)
     ops = [boundary_partial(ctx), delta_op(ctx), landweber_novikov((2, 1))]
 
@@ -255,27 +284,14 @@ def test_packed_columns_on_slot_boundaries():
     def units(n):
         return mu.MUClass.from_dict(n, {p: 1 for p in partitions_of(n)})
 
-    def widths():
-        return {(op.name, code): column[1] for op, (_, _, columns) in
-                ctx._memo["operations.columns"].items()
-                for code, column in columns.items()}
-
     for n in range(1, 7):
         check(units(n))
-    narrow = widths()
-    assert set(narrow.values()) == {32}
-    seen = set()
     for n in range(1, 7):
-        for edge in EDGES:  # one column, widened step by step
+        for edge in EDGES:
             check(mu.MUClass.from_dict(n, {partitions_of(n)[-1]: edge}))
-            seen |= {w for (_, code), w in widths().items()
-                     if code == 2 ** n}
         for _ in range(4):
             check(mu.MUClass.from_dict(n, {p: rng.choice(EDGES)
                                            for p in partitions_of(n)}))
-    assert seen >= {64, 96, 128}
-    wide = widths()
-    assert all(wide[key] > w for key, w in narrow.items())
     for n in range(1, 7):
         check(units(n))
     dl = delta_op(ctx)
@@ -288,12 +304,11 @@ def test_packed_columns_on_slot_boundaries():
 
 
 def test_slot_width_counts_the_sum_of_coefficients():
-    """A sum that fills its slot: every column with an entry at one
-    b-monomial, times a coefficient of j bits whose sign makes that entry
-    positive, with j chosen so that bits(largest entry) + j + 1 is a
-    multiple of 32.  The entry of the sum then needs more than that many
-    bits, which only the sum of the coefficients in the width bound
-    provides."""
+    """A sum past the bits of any one term: every column with an entry at
+    one b-monomial, times a coefficient of j bits whose sign makes that
+    entry positive, with j chosen so that bits(largest entry) + j + 1 is
+    64.  The entry of the sum then needs more than 63 bits, so a bound
+    from the largest term alone would lose it."""
     ctx = FGLContext(6)
     for op in (boundary_partial(ctx), delta_op(ctx)):
         n = 6

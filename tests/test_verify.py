@@ -1,9 +1,8 @@
 import pytest
 
-from slcob import msl, verify
+from slcob import bpoly, msl, operations, verify
 from slcob.conner_floyd import ConnerFloyd
-from slcob.mu import MUClass
-from slcob.operations import apply_operation, boundary_partial, delta_op
+from slcob.operations import CohOperation, apply_operation, apply_operations
 from slcob.partitions import encode, partition_count
 
 
@@ -78,58 +77,100 @@ def test_leibniz_suite_counts_every_ordered_pair(cf, truncation):
         assert pairs == 871
 
 
-def test_leibniz_suite_applies_each_operation_once_per_class(monkeypatch, cf):
-    """The shift-2 operation runs once per distinct product a*b (194 at
-    T = 12, against one per ordered pair), the boundary operation once per
-    distinct Wall class or product."""
-    applied = {"partial": [], "delta": []}
+def test_leibniz_suite_passes_at_the_advertised_truncation(monkeypatch,
+                                                           capsys):
+    """`verify --suite leibniz` at T = 16 passes both laws on the
+    sum r(na) r(nb) over na + nb <= 16 Wall pairs, r(n) = p(n) - p(n-2)."""
+    from slcob import cli
 
-    def counting(ctx, op, x):
-        applied[op.name].append(x)
+    def r(n):
+        return partition_count(n) - partition_count(n - 2)
+
+    pairs = sum(r(na) * r(nb) for na in range(1, 16)
+                for nb in range(1, 16 - na + 1))
+    monkeypatch.setattr(cli, "fixtures", ConnerFloyd)  # not kept afterwards
+    assert cli.main(["--truncation", "16", "verify", "--suite",
+                     "leibniz"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS twisted Leibniz for the boundary operation (%d Wall pairs)"
+        % pairs,
+        "PASS product law for the shift-2 operation (%d Wall pairs)" % pairs,
+        "2 checks, 0 failures"]
+
+
+def test_leibniz_suite_applies_each_operation_once_per_class(monkeypatch, cf):
+    """One `apply_operations` call per distinct product a*b (194 at
+    T = 12, against one per ordered pair) gives the images of both
+    operations, and the boundary operation runs alone once per distinct
+    Wall class."""
+    together, alone = [], []
+
+    def counting_together(ctx, ops, x):
+        together.append(([op.name for op in ops], x))
+        return apply_operations(ctx, ops, x)
+
+    def counting_alone(ctx, op, x):
+        alone.append((op.name, x))
         return apply_operation(ctx, op, x)
 
-    monkeypatch.setattr(verify, "apply_operation", counting)
+    monkeypatch.setattr(verify, "apply_operations", counting_together)
+    monkeypatch.setattr(verify, "apply_operation", counting_alone)
     assert all(ok for _, ok, _ in verify.suite_leibniz(cf, 12))
     products = set(wall_products(cf, 12))
-    wall = {c for n in range(1, 12) for c in cf.wall_classes(n)}
+    wall = [c for n in range(1, 12) for c in cf.wall_classes(n)]
     assert len(products) == 194
-    assert len(applied["delta"]) == len(set(applied["delta"])) == 194
-    assert set(applied["delta"]) == products
-    assert len(applied["partial"]) == len(set(applied["partial"]))
-    assert set(applied["partial"]) <= products | wall
+    assert [names for names, _ in together] == [["partial", "delta"]] * 194
+    assert {x for _, x in together} == products
+    assert len(set(wall)) == len(wall)
+    assert alone == [("partial", c) for c in wall]
 
 
-def corrupt_column(cf, op, part):
-    """Add one to one entry of the cached column op(b^part), kept under the
-    code of part as [bits of its largest entry, slot width, packed
-    integer]: one more in the packed integer is one more in its first
-    slot, and one more bit keeps the width bound safe."""
-    apply_operation(cf.ctx, op, MUClass.from_dict(sum(part), {part: 1}))
-    column = cf.ctx._memo["operations.columns"][op][2][encode(part)]
-    column[0] += 1
-    column[2] += 1
-
-
-@pytest.mark.parametrize("corrupted", [("delta",), ("partial",),
-                                       ("delta", "partial")])
-def test_leibniz_suite_memo_does_not_hide_a_corrupt_column(corrupted):
-    """One entry off by one in the column of a b-monomial that only
-    products reach (no Wall class has it) fails exactly the law that
-    reads it, and each failing law names itself.  A fresh chain keeps
-    the corruption out of the session's column tables."""
+@pytest.mark.parametrize("corrupted", [("lowering",), ("partial",),
+                                       ("delta",)])
+def test_leibniz_suite_memo_does_not_hide_a_corrupt_column(monkeypatch,
+                                                           corrupted):
+    """A fault that only products of Wall classes reach, behind the
+    suite's memo of one image pair per product, fails exactly the laws
+    that read it, and each failing law names itself.  The faults: one
+    multiplicity off by one in the derivation's lowering table at a
+    b-monomial that products reach and no Wall class has, which both
+    operations read; or the coefficient g_2 of one operation's class
+    doubled, which leaves that operation unchanged on every Wall class
+    (checked below) and changes it on products.  A fresh chain keeps the
+    fault out of the session's fixtures."""
     cf = ConnerFloyd(8)
     reached = {part for cls in wall_products(cf, 8) for part, _ in cls.hb}
     walls = {part for n in range(1, 8) for cls in cf.wall_classes(n)
              for part, _ in cls.hb}
-    part = max(reached - walls)
-    ops = {"delta": delta_op(cf.ctx), "partial": boundary_partial(cf.ctx)}
-    for name in corrupted:
-        corrupt_column(cf, ops[name], part)
+    (kind,) = corrupted
+    if kind == "lowering":
+        code, real = encode(max(reached - walls)), operations._lowerings
+
+        def lowerings(c):
+            if c != code:
+                return real(c)
+            (low, m), *rest = real(c)
+            return ((low, m + 1),) + tuple(rest)
+
+        monkeypatch.setattr(operations, "_lowerings", lowerings)
+        failing = {"partial", "delta"}
+    else:
+        factory = {"partial": "boundary_partial", "delta": "delta_op"}[kind]
+        op = getattr(verify, factory)(cf.ctx)
+        g = [bpoly.scale(gk, 2 if k == 2 else 1)
+             for k, gk in enumerate(op.series)]
+        perturbed = CohOperation.from_log_series(op.name, op.shift, g)
+        assert perturbed != op
+        assert all(apply_operation(cf.ctx, perturbed, cls)
+                   == apply_operation(cf.ctx, op, cls)
+                   for n in range(1, 8) for cls in cf.wall_classes(n))
+        monkeypatch.setattr(verify, factory, lambda ctx: perturbed)
+        failing = {kind}
     (boundary, ok_b, detail_b), (product, ok_p, detail_p) = \
         verify.suite_leibniz(cf, 8)
     assert boundary.startswith("twisted Leibniz")
     assert product.startswith("product law")
-    assert ok_b == ("partial" not in corrupted)
-    assert ok_p == ("delta" not in corrupted)
+    assert ok_b == ("partial" not in failing)
+    assert ok_p == ("delta" not in failing)
     assert detail_b.startswith("partial law at (") or ok_b and not detail_b
     assert detail_p.startswith("product law at (") or ok_p and not detail_p
