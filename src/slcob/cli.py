@@ -331,6 +331,11 @@ def cmd_charnum(args):
 
 def cmd_verify(args):
     trunc, field, q, _ = effective_settings(args)
+    if field is not None:
+        field_descriptor(field, q)  # every suite rejects a bad field
+    elif q is not None:
+        raise ValueError("a field size q needs a finite field: add --field "
+                         "fq1 or fq3")
     max_degree = trunc if args.max_degree is None else args.max_degree
     if not 2 <= max_degree <= MAX_TRUNCATION:
         raise ValueError("--max-degree must be between 2 and %d (the suites "

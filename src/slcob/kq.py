@@ -7,15 +7,18 @@ Per catalog field, the diagonal is the GW(k)-algebra on three generators
     B  (degree 4, the Bott class, invertible),
 
 modulo  2t = 0,  t^2 = 0,  I(k)t = 0,  tH = 0,  I(k)H = 0,  H^2 = 2hB
-(h the hyperbolic form).  In each degree the presented module is cyclic:
+(h the hyperbolic form).  Degree n is cyclic on one generator g_r, r = n
+mod 4, so it is the quotient GW(k)/ann_r:
 
-    degree n = 0 (4): GW(k) * B^(n/4)
-             = 1 (4): Z/2    * t B^((n-1)/4)      (GW acts by rank mod 2)
-             = 2 (4): Z      * H B^((n-2)/4)      (GW acts by rank)
-             = 3 (4): 0
+    r = 0: GW(k) * B^(n/4)          ann_0 = 0
+        1: Z/2   * t B^((n-1)/4)    ann_1 = I + 2GW  (GW acts by rank mod 2)
+        2: Z     * H B^((n-2)/4)    ann_2 = I        (GW acts by rank)
+        3: 0                        ann_3 = GW
 
-so elements are (degree, coefficient) pairs with the coefficient reduced
-modulo the annihilator of the degree's generator.
+An element is a degree and one GW coordinate pair, its coefficient, in the
+normal form of GW/ann_r: `WittRing.gw_normalize` for r = 0, and (rank mod
+2, 0), (rank, 0) and (0, 0) for r = 1, 2 and 3.  A product is the product
+of the coefficients times the structure constant of g_r * g_s.
 """
 
 from .abelian import FGAbGroup
@@ -23,13 +26,22 @@ from .record import Record
 from .witt import (FINITE_Q1, FINITE_Q3, QUADRATICALLY_CLOSED, REAL_CLOSED,
                    witt_data)
 
+# GW/ann_r for r = 1, 2, 3 is Z/m by the rank, m = 2, 0 (Z) and 1.
+_RANK_MODULUS = (None, 2, 0, 1)
+
+# The degree table the relations predict, as divisors (0 for Z) per kind
+# and r = n mod 4; `relation_check` compares it with the witt table.
+_EXPECTED_DIVISORS = {
+    QUADRATICALLY_CLOSED: ((0,), (2,), (0,), ()),
+    REAL_CLOSED: ((0, 0), (2,), (0,), ()),
+    FINITE_Q1: ((0, 2), (2,), (0,), ()),
+    FINITE_Q3: ((0, 2), (2,), (0,), ()),
+}
+
 
 class KQElement(Record):
-    """Element of one diagonal degree in normalized coordinates.
-
-    coeff is a GW coordinate pair for degree 0 mod 4, an integer mod 2 for
-    degree 1 mod 4, an integer for degree 2 mod 4, and must be None for
-    degree 3 mod 4."""
+    """coeff * g_(degree mod 4): coeff is a GW coordinate pair over <1>,
+    <u> in the normal form of the degree's quotient of GW."""
     __slots__ = ("degree", "coeff")
 
 
@@ -41,91 +53,60 @@ class KQPresentation:
     # -- the degree table ---------------------------------------------------
 
     def kq_diagonal(self, n):
-        """The degree-n diagonal group."""
-        inv = self.field.inverted_primes
-        r = n % 4
-        if r == 0:
-            return self.witt.gw
-        if r == 1:
-            return FGAbGroup.cyclic(2, inv)
-        if r == 2:
-            return FGAbGroup.free(1, inv)
-        return FGAbGroup.trivial(inv)
+        """The degree-n diagonal group, GW/ann_(n mod 4)."""
+        m = _RANK_MODULUS[n % 4]
+        return self.witt.gw if m is None else FGAbGroup.from_divisors(
+            [m], self.field.inverted_primes)
 
     def kw_diagonal(self, n):
         """The degree-n diagonal of the Witt-theory localization."""
-        inv = self.field.inverted_primes
         if n % 4 == 0:
             return self.witt.w
-        return FGAbGroup.trivial(inv)
+        return FGAbGroup.trivial(self.field.inverted_primes)
 
     # -- element calculus ----------------------------------------------------
 
     def element(self, n, coeff):
-        """Normalized element: coefficient reduced mod the annihilator of
-        the degree-n generator."""
-        r = n % 4
-        w = self.witt
-        if r == 0:
-            return KQElement(n, w.gw_normalize(coeff))
-        if r == 1:
-            return KQElement(n, int(coeff) % 2)
-        if r == 2:
-            return KQElement(n, int(coeff))
-        return KQElement(n, None)
+        """coeff * g_(n mod 4) in normal form; coeff is a GW pair, or an
+        int k standing for k<1>.
 
-    def zero(self, n):
-        r = n % 4
-        return self.element(n, (0, 0) if r == 0 else 0 if r < 3 else None)
+        >>> from slcob.witt import field_descriptor
+        >>> pres = KQPresentation(field_descriptor("r"))
+        >>> pres.element(5, 3).coeff, pres.element(6, (2, 1)).coeff
+        ((1, 0), (3, 0))
+        """
+        w = self.witt
+        g = (coeff, 0) if isinstance(coeff, int) else coeff
+        m = _RANK_MODULUS[n % 4]
+        if m is None:
+            return KQElement(n, w.gw_normalize(g))
+        rank = w.gw_rank(g)
+        return KQElement(n, (rank % m if m else rank, 0))
 
     def is_zero(self, x):
-        r = x.degree % 4
-        if r == 0:
-            return self.witt.gw_is_zero(x.coeff)
-        if r == 3:
-            return True
-        return x.coeff == 0
+        return x.coeff == (0, 0)
 
     def gw_action(self, g, x):
-        """Multiply by a coefficient g in GW (coordinate pair)."""
-        w = self.witt
-        r = x.degree % 4
-        if r == 0:
-            return self.element(x.degree, w.gw_mul(g, x.coeff))
-        if r in (1, 2):
-            return self.element(x.degree, w.gw_rank(g) * x.coeff)
-        return self.zero(x.degree)
+        """Multiply by a coefficient g in GW (a pair, or an int for g<1>):
+        the product with g in degree 0."""
+        return self.multiply(self.element(0, g), x)
 
     def multiply(self, x, y):
         """Product in the presented ring."""
-        n = x.degree + y.degree
-        rx, ry = x.degree % 4, y.degree % 4
-        if rx > ry:
-            x, y = y, x
-            rx, ry = ry, rx
         w = self.witt
-        if rx == 3 or ry == 3:
-            return self.zero(n)
-        if rx == 0 and ry == 0:
-            return self.element(n, w.gw_mul(x.coeff, y.coeff))
-        if rx == 0:
-            return self.gw_action(x.coeff, self.element(n, y.coeff))
-        if rx == 1:
-            # t*t = 0 and t*H = 0
-            return self.zero(n)
-        # rx == ry == 2: H^2 = 2h * Bott
-        h = w.hyperbolic()
-        scale = 2 * x.coeff * y.coeff
-        return self.element(n, w.gw_normalize((scale * h[0], scale * h[1])))
+        rx, ry = x.degree % 4, y.degree % 4
+        if rx == 0 or ry == 0:
+            const = (1, 0)  # a Bott power
+        elif rx == ry == 2:
+            const = tuple(2 * c for c in w.hyperbolic())  # H^2 = 2h * Bott
+        else:
+            const = (0, 0)  # t^2 = 0, t*H = 0, and degree 3 mod 4 is 0
+        return self.element(x.degree + y.degree,
+                            w.gw_mul(w.gw_mul(x.coeff, y.coeff), const))
 
     def generator(self, n):
         """The canonical generator of degree n (None in degree 3 mod 4)."""
-        r = n % 4
-        if r == 0:
-            return self.element(n, (1, 0))
-        if r in (1, 2):
-            return self.element(n, 1)
-        return None
+        return None if n % 4 == 3 else self.element(n, 1)
 
     # -- verification ---------------------------------------------------------
 
@@ -134,15 +115,12 @@ class KQPresentation:
         16, the largest truncation.  Returns a list of (name, ok, detail)
         entries."""
         max_degree = 16
-        w = self.witt
         out = []
 
         def check(name, ok, detail=""):
             out.append((name, bool(ok), detail))
 
-        t = self.generator(1)
-        H = self.generator(2)
-        bott = self.generator(4)
+        t, H, bott = (self.generator(n) for n in (1, 2, 4))
         check("2*t = 0", self.is_zero(self.gw_action((2, 0), t)))
         check("t^2 = 0", self.is_zero(self.multiply(t, t)))
         check("t*H = 0", self.is_zero(self.multiply(t, H)))
@@ -150,22 +128,23 @@ class KQPresentation:
         iu = (-1, 1)
         check("I*t = 0", self.is_zero(self.gw_action(iu, t)))
         check("I*H = 0", self.is_zero(self.gw_action(iu, H)))
-        h = w.hyperbolic()
+        h = self.witt.hyperbolic()
         hh = self.multiply(H, H)
-        expect = self.element(4, w.gw_normalize((2 * h[0], 2 * h[1])))
+        expect = self.element(4, (2 * h[0], 2 * h[1]))
         check("H^2 = 2h*Bott", hh == expect,
               "got %s expected %s" % (hh.coeff, expect.coeff))
         # Bott invertibility: multiplication by Bott is degree-shift identity
         for n in range(-4, max_degree - 3):
             g = self.generator(n)
-            if g is None:
-                continue
-            check("Bott shift deg %d" % n,
-                  self.multiply(g, bott).coeff == self.element(n + 4, g.coeff).coeff)
+            if g is not None:
+                check("Bott shift deg %d" % n,
+                      self.multiply(g, bott) == self.element(n + 4, g.coeff))
         # degree table
+        divisors = _EXPECTED_DIVISORS[self.field.kind]
         for n in range(0, max_degree + 1):
             got = self.kq_diagonal(n)
-            expected = self._expected_diagonal(n)
+            expected = FGAbGroup.from_divisors(divisors[n % 4],
+                                               self.field.inverted_primes)
             check("degree %d table" % n, got == expected,
                   "got %s expected %s" % (got, expected))
         # periodicity
@@ -179,47 +158,27 @@ class KQPresentation:
                   not self.is_zero(el) and self.is_zero(self.gw_action((2, 0), el)))
         return out
 
-    def _expected_diagonal(self, n):
-        inv = self.field.inverted_primes
-        kind = self.field.kind
-        r = n % 4
-        if r == 0:
-            return {QUADRATICALLY_CLOSED: FGAbGroup.free(1, inv),
-                    REAL_CLOSED: FGAbGroup.free(2, inv),
-                    FINITE_Q1: FGAbGroup.from_divisors([0, 2], inv),
-                    FINITE_Q3: FGAbGroup.from_divisors([0, 2], inv)}[kind]
-        if r == 1:
-            return FGAbGroup.cyclic(2, inv)
-        if r == 2:
-            return FGAbGroup.free(1, inv)
-        return FGAbGroup.trivial(inv)
-
     def eta_top_square_check(self):
         """The map from the Witt-valued slot one step off the diagonal into
         the diagonal Z/2 slot is rank mod 2: surjective, kernel the
         fundamental ideal, bijective exactly for quadratically closed
         fields.  Returns (surjective, kernel_is_ideal, iso)."""
-        w = self.witt
         kind = self.field.kind
         if kind == QUADRATICALLY_CLOSED:
             elements = [0, 1]  # W = Z/2
-            rank2 = lambda x: x % 2
             ideal = {0}
         elif kind == REAL_CLOSED:
             elements = list(range(-6, 7))  # window into W = Z
-            rank2 = lambda x: x % 2
             ideal = {x for x in elements if x % 2 == 0}
         elif kind == FINITE_Q3:
             elements = [0, 1, 2, 3]  # W = Z/4
-            rank2 = lambda x: x % 2
             ideal = {0, 2}
         else:
             elements = [(a, b) for a in (0, 1) for b in (0, 1)]  # Z/2 + Z/2
-            rank2 = lambda x: (x[0] + x[1]) % 2
             ideal = {(0, 0), (1, 1)}
-        image = {rank2(x) for x in elements}
-        kernel = {x for x in elements if rank2(x) == 0}
-        surjective = image == {0, 1}
-        kernel_is_ideal = kernel == ideal
-        iso = surjective and len(kernel) == 1
-        return surjective, kernel_is_ideal, iso
+        # rank mod 2 is the action on t (an int x stands for x<1>)
+        t = self.generator(1)
+        image = {x: self.gw_action(x, t) for x in elements}
+        kernel = {x for x in elements if self.is_zero(image[x])}
+        surjective = set(image.values()) == {self.element(1, 0), t}
+        return surjective, kernel == ideal, surjective and len(kernel) == 1

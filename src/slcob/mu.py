@@ -318,7 +318,7 @@ def degree_catalog(ctx, n):
     entries = [("cp%d" % n, cpn_class(ctx, n))]
     for i in range(1, n // 2 + 2):
         j = n + 1 - i
-        if i <= j and j >= 1 and (i, j) != (0, n + 1):
+        if i <= j:
             entries.append(("h%d_%d" % (i, j), milnor_hypersurface_class(ctx, i, j)))
     return entries
 

@@ -44,18 +44,6 @@ def partitions_of(n):
     return list(_partitions_bounded(n, n))
 
 
-@lru_cache(maxsize=None)
-def _count_bounded(n, max_part):
-    if n == 0:
-        return 1
-    if max_part == 0:
-        return 0
-    total = 0
-    for first in range(min(n, max_part), 0, -1):
-        total += _count_bounded(n - first, first)
-    return total
-
-
 def partition_count(n):
     """The partition function p(n); zero for negative n.
 
@@ -64,9 +52,7 @@ def partition_count(n):
     >>> partition_count(-1)
     0
     """
-    if n < 0:
-        return 0
-    return _count_bounded(n, n)
+    return len(_partitions_bounded(n, n)) if n >= 0 else 0
 
 
 def encode(p):

@@ -144,9 +144,6 @@ class WittRing(Record):
     def gw_rank(self, elt):
         return elt[0] + elt[1]
 
-    def gw_is_zero(self, elt):
-        return self.gw_normalize(elt) == (0, 0)
-
     def hyperbolic(self):
         """The hyperbolic form <1> + <-1> as a GW element."""
         return KINDS[self.field.kind].hyperbolic

@@ -40,6 +40,9 @@ of log, the operation with class L^k on b_p as sum_j [x^j] log^k
 [x^(p+1)] exp^(j+1), log^a log' as the derivative of log^(a+1) divided
 by a+1, the Milnor table by three convolutions, every Gysin series built
 afresh, and the e-to-m matrix by counting 0/1 matrices row by row.
+The Hermitian K-theory diagonal, whose elements the package keeps as one
+GW pair in the normal form of a quotient of GW, is recomputed by the rules
+per residue of the degree mod 4 that the pair replaced.
 `pair_keyed` reads a symmetric-function matrix as a dict keyed by (row,
 column) partitions, `by_partition` and `by_code` turn bpoly keys (codes)
 into partitions and back, and `merge` forms the multiset union of two
@@ -54,6 +57,7 @@ from math import comb
 from gradedpoly import GradedPoly, elementary_symmetric_rewrite, reciprocal
 from slcob import bpoly, operations
 from slcob.abelian import FGAbGroup, _factorint
+from slcob.fgl import _memoized
 from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
                           _hermite_columns, kernel_basis)
 from slcob.mu import (MUClass, cpn_class, degree_catalog,
@@ -772,10 +776,13 @@ def delta_class_m(ctx):
                                  ctx.bound))
 
 
+@_memoized
 def coefficients(ctx, op):
     """The m-coefficients of an operation's class as {weight: {partition:
     bpoly}}; a class sum_k g_k L^k is expanded through power sums, up to
-    the context's truncation."""
+    the context's truncation.  Cached per context and operation in the
+    context's memo, as the expansion is the oracle's slowest step; callers
+    share the result and only read it."""
     if not op.log_coeffs:
         return {sum(op.omega): {op.omega: dict(bpoly.ONE)}}
     L = log_class(ctx)
@@ -894,3 +901,79 @@ def group_from_json(data):
     """The FGAbGroup whose `to_json` is data."""
     return FGAbGroup(data["free_rank"], tuple(data["invariant_factors"]),
                      frozenset(data["inverted_primes"]))
+
+
+# -- the Hermitian K-theory diagonal ----------------------------------------
+
+
+class KQByResidue:
+    """The element calculus of the diagonal, rule by rule for each residue
+    r = n mod 4.  An element is a pair (degree, coefficient), and the
+    coefficient is a normalized GW pair for r = 0, an int mod 2 for r = 1,
+    an int for r = 2 and None for r = 3."""
+
+    def __init__(self, witt):
+        self.witt = witt
+
+    def element(self, n, coeff):
+        r = n % 4
+        if r == 0:
+            return (n, self.witt.gw_normalize(coeff))
+        if r == 1:
+            return (n, int(coeff) % 2)
+        if r == 2:
+            return (n, int(coeff))
+        return (n, None)
+
+    def zero(self, n):
+        r = n % 4
+        return self.element(n, (0, 0) if r == 0 else 0 if r < 3 else None)
+
+    def is_zero(self, x):
+        n, c = x
+        r = n % 4
+        if r == 0:
+            return self.witt.gw_normalize(c) == (0, 0)
+        if r == 3:
+            return True
+        return c == 0
+
+    def gw_action(self, g, x):
+        """Multiply by a coefficient g in GW (coordinate pair)."""
+        w = self.witt
+        n, c = x
+        r = n % 4
+        if r == 0:
+            return self.element(n, w.gw_mul(g, c))
+        if r in (1, 2):
+            return self.element(n, w.gw_rank(g) * c)
+        return self.zero(n)
+
+    def multiply(self, x, y):
+        n = x[0] + y[0]
+        rx, ry = x[0] % 4, y[0] % 4
+        if rx > ry:
+            x, y, rx, ry = y, x, ry, rx
+        w = self.witt
+        if rx == 3 or ry == 3:
+            return self.zero(n)
+        if rx == 0 and ry == 0:
+            return self.element(n, w.gw_mul(x[1], y[1]))
+        if rx == 0:
+            return self.gw_action(x[1], self.element(n, y[1]))
+        if rx == 1:
+            # t*t = 0 and t*H = 0
+            return self.zero(n)
+        # rx == ry == 2: H^2 = 2h * Bott
+        h = w.hyperbolic()
+        scale = 2 * x[1] * y[1]
+        return self.element(n, w.gw_normalize((scale * h[0], scale * h[1])))
+
+    def generator(self, n):
+        """The canonical generator of degree n (None in degree 3 mod 4)."""
+        r = n % 4
+        if r == 0:
+            return self.element(n, (1, 0))
+        if r in (1, 2):
+            return self.element(n, 1)
+        return None

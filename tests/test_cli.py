@@ -250,6 +250,9 @@ BAD_INPUTS = [
     ("kq", "table", "--field", ""),
     ("verify", "--suite", "kq", "--field", ""),
     ("--config", "CFG:field =", "verify", "--suite", "kq"),
+    ("verify", "--suite", "leibniz", "--field", "zz"),
+    ("verify", "--suite", "witt-oracle", "--field", "c", "--q", "9"),
+    ("verify", "--suite", "kq", "--q", "7"),
 ]
 
 

@@ -1,7 +1,7 @@
 import doctest
 
 import oracles
-from slcob import abelian, intmat, msl, operations, partitions, symfun
+from slcob import abelian, intmat, kq, msl, operations, partitions, symfun
 
 
 def test_partition_doctests():
@@ -36,4 +36,9 @@ def test_operations_doctests():
 
 def test_msl_doctests():
     results = doctest.testmod(msl)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_kq_doctests():
+    results = doctest.testmod(kq)
     assert results.failed == 0 and results.attempted > 0

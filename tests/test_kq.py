@@ -1,7 +1,8 @@
 import pytest
 
+import oracles
 from slcob.abelian import FGAbGroup
-from slcob.kq import KQPresentation
+from slcob.kq import KQElement, KQPresentation
 from slcob.witt import field_descriptor
 
 ALL_KINDS = ("c", "r", "fq1", "fq3")
@@ -77,3 +78,47 @@ def test_generators_per_degree():
     for n in (0, 1, 2, 4, 5, 6, 8):
         g = pres.generator(n)
         assert not pres.is_zero(g)
+
+
+COEFFS = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+
+
+def as_pair(x):
+    """A reference element as a KQElement: its int coefficient k is the GW
+    pair (k, 0), and None is (0, 0)."""
+    n, c = x
+    c = (0, 0) if c is None else (c, 0) if isinstance(c, int) else c
+    return KQElement(n, c)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_element_calculus_matches_per_residue_reference(kind):
+    """element, is_zero, gw_action, multiply and generator on one GW pair
+    per element, against the rules per residue mod 4, in degrees -8..16
+    with GW coefficients (a, b), -3 <= a, b <= 3."""
+    pres = KQPresentation(field_descriptor(kind))
+    ref = oracles.KQByResidue(pres.witt)
+    degrees = range(-8, 17)
+    # each coefficient (a, b) of one factor with (b, -a) of the other
+    partner = [COEFFS.index((b, -a)) for a, b in COEFFS]
+    elements, reference = {}, {}
+    for n in degrees:
+        g = ref.generator(n)
+        assert pres.generator(n) == (None if g is None else as_pair(g))
+        for k in range(-3, 4):
+            assert pres.element(n, k) == as_pair(
+                ref.element(n, k if n % 4 else (k, 0)))
+        # c * g_r; the reference reaches it as the action of c on g_r
+        elements[n] = [pres.element(n, c) for c in COEFFS]
+        reference[n] = [ref.zero(n) if g is None else ref.gw_action(c, g)
+                        for c in COEFFS]
+        for x, y, j in zip(elements[n], reference[n], partner):
+            assert x == as_pair(y)
+            assert pres.is_zero(x) == ref.is_zero(y)
+            c = COEFFS[j]
+            assert pres.gw_action(c, x) == as_pair(ref.gw_action(c, y))
+    for n in degrees:
+        for m in degrees:
+            for i, j in enumerate(partner):
+                assert pres.multiply(elements[n][i], elements[m][j]) == \
+                    as_pair(ref.multiply(reference[n][i], reference[m][j]))

@@ -42,9 +42,15 @@ def test_negative_degree_convention():
     assert partitions_of(-3) == []
 
 
+# p(0), ..., p(20): OEIS A000041
+PUBLISHED_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
+                    176, 231, 297, 385, 490, 627)
+
+
 def test_count_matches_length_up_to_20():
     for n in range(21):
-        assert partition_count(n) == len(partitions_of(n))
+        assert partition_count(n) == len(partitions_of(n)) == \
+            PUBLISHED_COUNTS[n]
 
 
 def test_reverse_lexicographic_order():
