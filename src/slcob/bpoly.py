@@ -16,7 +16,7 @@ Products keep every term; the weight bound truncates series, at the
 power `top` of the series variable, and never their coefficients.
 """
 
-from .partitions import encode
+from .partitions import codes_of, encode
 
 ONE = {1: 1}
 
@@ -58,6 +58,11 @@ def mul_into(out, a, b, c=1):
 
 def gen(i):
     return {encode((i,)): 1}
+
+
+def vector(a, n):
+    """The weight-n polynomial a as a vector in partition order."""
+    return [a.get(c, 0) for c in codes_of(n)]
 
 
 # -- univariate series with bpoly coefficients ---------------------------

@@ -15,6 +15,7 @@ otherwise.
 """
 
 from . import mu
+from .partitions import label
 from .record import Record
 
 
@@ -31,10 +32,8 @@ class VarietyClass(Record):
             "description": self.description,
             "dimension": self.dimension,
             "tangent_chern_numbers": {
-                "+".join(map(str, omega)) if omega else "()": v
-                for omega, v in self.tangent_numbers},
-            "hurewicz": {"+".join(map(str, p)) if p else "()": c
-                         for p, c in self.mu_class.hb},
+                label(omega): v for omega, v in self.tangent_numbers},
+            "hurewicz": {label(p): c for p, c in self.mu_class.hb},
             "calabi_yau_symbolic": self.calabi_yau,
         }
 

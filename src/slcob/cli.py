@@ -1,12 +1,19 @@
 """Command-line interface.
 
 Commands: msl {group,table}, cf {homology,dump}, op apply, witt table,
-kq table, charnum hypersurface, verify, dump.  Output is deterministic
-(fixed orderings, sorted JSON keys).  Exit codes: 0 success, 1 internal or
-I/O failure, 2 usage, 3 verification failure.
+kq table, charnum hypersurface, verify, dump.  Each command is declared
+once, as an entry of COMMANDS naming its handler and its flags, and FLAGS
+holds each flag's spec; one loop builds the parser from the two tables.
+Output is deterministic (fixed orderings, sorted JSON keys).  A command
+has a CSV form exactly when it hands CSV rows to `emit`, which refuses
+--format csv otherwise; `verify` and the dumps print their own lines in
+every format.  Exit codes: 0 success, 1 internal or I/O failure, 2 usage,
+3 verification failure.
 
 Configuration: an optional key=value file (--config); command-line flags
 win over file values.  Recognized keys: truncation, field, q, format.
+`main` fills the settings into the parsed arguments before the handler
+runs.
 """
 
 import argparse
@@ -20,7 +27,8 @@ from .conner_floyd import ConnerFloyd
 from .kq import KQPresentation
 from .operations import (apply_operation, boundary_partial, delta_op,
                          landweber_novikov)
-from .partitions import MAX_TRUNCATION, partitions_of
+from .partitions import MAX_TRUNCATION, label, partitions_of
+from .record import Record
 from .verify import CHAIN_SUITES, run_suite
 from .witt import SHORT_NAMES, field_descriptor, witt_data
 
@@ -30,8 +38,7 @@ FORMATS = ("text", "json", "csv")
 def load_config(path):
     out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for line in map(str.strip, fh):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -41,32 +48,27 @@ def load_config(path):
     return out
 
 
-def effective_settings(args, csv_form=True):
-    """(truncation, field, q, format); csv_form=False rejects csv."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
+def effective_settings(args):
+    """Set args.truncation, format, field and q, each from its flag, else
+    the --config file, else its default, and check each in that order."""
+    cfg = load_config(args.config) if args.config else {}
 
     def setting(name, default=None, conv=str):
         value = getattr(args, name, None)
         if value is None and name in cfg:
             value = conv(cfg[name])
-        return default if value is None else value
+        setattr(args, name, default if value is None else value)
+        return getattr(args, name)
 
-    trunc = setting("truncation", 12, int)
-    if not (2 <= trunc <= MAX_TRUNCATION):
+    if not 2 <= setting("truncation", 12, int) <= MAX_TRUNCATION:
         raise ValueError("truncation must be between 2 and %d" % MAX_TRUNCATION)
-    fmt = setting("format", "text")
-    if fmt not in FORMATS:
+    if setting("format", "text") not in FORMATS:
         raise ValueError("format must be one of %s, not %r"
-                         % (", ".join(FORMATS), fmt))
-    if fmt == "csv" and not csv_form:
-        raise ValueError("this command has no CSV form; use text or json")
-    field = setting("field")
-    if field == "":
+                         % (", ".join(FORMATS), args.format))
+    if setting("field") == "":
         raise ValueError("the field is empty: give one of %s"
                          % ", ".join(SHORT_NAMES))
-    return trunc, field, setting("q", None, int), fmt
+    setting("q", None, int)
 
 
 @lru_cache(maxsize=None)
@@ -77,11 +79,15 @@ def fixtures(truncation):
 
 
 def emit(data, fmt, csv_rows=None):
+    """Print data as text or JSON, or csv_rows as CSV; a command that hands
+    over no csv_rows has no CSV form."""
     # json and csv are imported only where they are used, not by text output
     if fmt == "json":
         import json
         print(json.dumps(data, sort_keys=True, indent=2))
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
+        if csv_rows is None:
+            raise ValueError("this command has no CSV form; use text or json")
         import csv
         csv.writer(sys.stdout).writerows(csv_rows)
     else:
@@ -91,8 +97,7 @@ def emit(data, fmt, csv_rows=None):
 def _emit_text(data, indent=0):
     pad = "  " * indent
     if isinstance(data, dict):
-        for key in data:
-            value = data[key]
+        for key, value in data.items():
             if isinstance(value, (dict, list)):
                 print("%s%s:" % (pad, key))
                 _emit_text(value, indent + 1)
@@ -108,124 +113,130 @@ def _emit_text(data, indent=0):
 # -- class labels -------------------------------------------------------------
 
 
-def parse_class_label(label):
-    """Grammar: cpN | hI_J | hypN_D | products joined with '*' |
-    xI monomials (basis generators).  Returns the factors as
-    (kind, integer arguments) pairs."""
+class ClassKind(Record):
+    """One kind of class label: the number of integers after its name, the
+    condition they meet given the truncation t, and its text (which may
+    name {t}), the degree of the class and the class, built from the
+    chain cf."""
+    __slots__ = ("arity", "ok", "need", "degree", "build")
+
+
+# "hyp" comes before "h": a label's kind is the first name it starts with.
+CLASS_KINDS = {
+    "cp": ClassKind(1, lambda t, n: n >= 0, "N >= 0", lambda n: n,
+                    lambda cf, n: mu.cpn_class(cf.ctx, n)),
+    "hyp": ClassKind(2, lambda t, n, d: n >= 1 and d >= 1, "N, D >= 1",
+                     lambda n, d: n - 1,
+                     lambda cf, n, d: mu.hypersurface_class(cf.ctx, n, d)),
+    "h": ClassKind(2, lambda t, i, j: 1 <= i <= j, "1 <= I <= J",
+                   lambda i, j: i + j - 1,
+                   lambda cf, i, j: mu.milnor_hypersurface_class(cf.ctx, i, j)),
+    "x": ClassKind(1, lambda t, i: 1 <= i <= t,
+                   "1 <= I <= {t}, the truncation", lambda i: i,
+                   lambda cf, i: cf.basis.generators[i]),
+}
+
+
+def class_factors(text, truncation):
+    """The factors of a class label as (kind, integer arguments) pairs.
+    Grammar: cpN | hI_J | hypN_D | products joined with '*' | xI monomials
+    (basis generators).  Once every factor parses, each must name a class,
+    and the product's degree must not exceed the truncation (the
+    operations' classes are cut off there)."""
     factors = []
-    for token in label.split("*"):
+    for token in text.split("*"):
         token = token.strip()
-        for kind, nargs in (("cp", 1), ("hyp", 2), ("h", 2), ("x", 1)):
-            if token.startswith(kind):
-                parts = token[len(kind):].split("_")
-                if len(parts) != nargs:
-                    raise ValueError("class label %r needs %d integer(s) "
-                                     "after %r" % (token, nargs, kind))
-                factors.append((kind, tuple(int(a) for a in parts)))
-                break
-        else:
+        kind = next((k for k in CLASS_KINDS if token.startswith(k)), None)
+        if kind is None:
             raise ValueError("unknown class label %r" % token)
-    return factors
-
-
-def check_class_range(factors, truncation):
-    """Reject factors that name no class, and products of degree above the
-    truncation (the operations' classes are cut off there)."""
+        parts = token[len(kind):].split("_")
+        if len(parts) != CLASS_KINDS[kind].arity:
+            raise ValueError("class label %r needs %d integer(s) after %r"
+                             % (token, CLASS_KINDS[kind].arity, kind))
+        factors.append((kind, tuple(int(a) for a in parts)))
     degree = 0
     for kind, a in factors:
-        if kind == "cp":
-            ok, n, need = a[0] >= 0, a[0], "N >= 0"
-        elif kind == "hyp":
-            ok, n, need = a[0] >= 1 and a[1] >= 1, a[0] - 1, "N, D >= 1"
-        elif kind == "h":
-            ok, n, need = 1 <= a[0] <= a[1], a[0] + a[1] - 1, "1 <= I <= J"
-        else:
-            ok, n, need = 1 <= a[0] <= truncation, a[0], \
-                "1 <= I <= %d, the truncation" % truncation
-        if not ok:
+        spec = CLASS_KINDS[kind]
+        if not spec.ok(truncation, *a):
             raise ValueError("class label %s%s needs %s" % (
-                kind, "_".join(map(str, a)), need))
-        degree += n
+                kind, "_".join(map(str, a)), spec.need.format(t=truncation)))
+        degree += spec.degree(*a)
     if degree > truncation:
         raise ValueError("the class has degree %d, above the truncation %d"
                          % (degree, truncation))
+    return factors
 
 
 def build_class(factors, cf):
-    """The product of the classes named by parse_class_label's factors."""
-    ctx = cf.ctx
+    """The product of the classes named by class_factors' factors."""
     cls = mu.MUClass.unit()
     for kind, a in factors:
-        if kind == "cp":
-            cls = cls * mu.cpn_class(ctx, a[0])
-        elif kind == "hyp":
-            cls = cls * mu.hypersurface_class(ctx, *a)
-        elif kind == "h":
-            cls = cls * mu.milnor_hypersurface_class(ctx, *a)
-        else:
-            cls = cls * cf.basis.generators[a[0]]
+        cls = cls * CLASS_KINDS[kind].build(cf, *a)
     return cls
 
 
 def class_report(cls):
-    coeffs = {"*".join("b%d" % i for i in p) or "1": c for p, c in cls.hb}
     out = {
         "degree": cls.degree,
-        "hurewicz": coeffs,
+        "hurewicz": {mu.monomial_label(p): c for p, c in cls.hb},
     }
     if cls.degree >= 1 and not cls.is_zero():
         out["s_number"] = mu.s_number(cls)
     if not cls.is_zero():
         tangent = mu.hurewicz_to_chern_numbers(cls)
-        out["tangent_chern_numbers"] = {
-            "+".join(map(str, k)) if k else "()": v for k, v in tangent.items()}
+        out["tangent_chern_numbers"] = {label(k): v for k, v in tangent.items()}
     return out
 
 
 # -- commands ------------------------------------------------------------------
+# Each handler reads the settings from args; returning None means exit 0.
 
 
-def cmd_msl(args):
-    trunc, field, q, fmt = effective_settings(
-        args, csv_form=args.msl_cmd == "table")
-    fd = field_descriptor(field, q)
-    if args.msl_cmd == "group":
-        n = args.n
-        if n < 0 or n > trunc - 1:
-            raise ValueError("degree out of range 0..%d" % (trunc - 1))
-        if args.m:
-            group = msl.msl_off_diagonal(fd, n, args.m)
-            data = {"n": n, "m": args.m, "group": group.to_json()}
-        else:
-            data = msl.msl_diagonal(fd, n).to_json()
-        emit(data, fmt)
-    else:  # table
-        rows = msl.intro_table_rows(fd)
-        data = [{"n": r["n"], "symbolic": r["symbolic"],
-                 "group": r["group"].to_json(), "normal_form": str(r["group"])}
-                for r in rows]
-        csv_rows = [["n", "symbolic", "normal_form"]] + [
-            [r["n"], r["symbolic"], r["normal_form"]] for r in data]
-        emit(data, fmt, csv_rows)
-    return 0
+def cmd_msl_group(args):
+    fd = field_descriptor(args.field, args.q)
+    n, top = args.n, args.truncation - 1
+    if n < 0 or n > top:
+        raise ValueError("degree out of range 0..%d" % top)
+    if args.m:
+        group = msl.msl_off_diagonal(fd, n, args.m)
+        data = {"n": n, "m": args.m, "group": group.to_json()}
+    else:
+        data = msl.msl_diagonal(fd, n).to_json()
+    emit(data, args.format)
 
 
-def cmd_cf(args):
-    trunc, _, _, fmt = effective_settings(args)
-    cf = fixtures(trunc)
-    max_n = args.max_degree if args.max_degree is not None else trunc - 1
-    if not 0 <= max_n <= trunc - 1:
+def cmd_msl_table(args):
+    rows = msl.intro_table_rows(field_descriptor(args.field, args.q))
+    data = [{"n": r["n"], "symbolic": r["symbolic"],
+             "group": r["group"].to_json(), "normal_form": str(r["group"])}
+            for r in rows]
+    csv_rows = [["n", "symbolic", "normal_form"]] + [
+        [r["n"], r["symbolic"], r["normal_form"]] for r in data]
+    emit(data, args.format, csv_rows)
+
+
+def _cf_max_degree(args):
+    top = args.truncation - 1
+    max_n = top if args.max_degree is None else args.max_degree
+    if not 0 <= max_n <= top:
         raise ValueError("--max-degree must be between 0 and %d (homology "
-                         "needs degree + 1 within the truncation)" % (trunc - 1))
-    if args.cf_cmd == "homology":
-        table = homology_table(cf, max_n)
-        rows = [{"n": n, "rank_Z": z, "rank_B": b,
-                 "H": cf.homology(n).to_json(), "H_normal_form": h}
-                for n, z, b, h in table[1:]]
-        emit(rows, fmt, table)
-    else:  # dump
-        return dump_cf(args.out, cf, max_n)
-    return 0
+                         "needs degree + 1 within the truncation)" % top)
+    return max_n
+
+
+def cmd_cf_homology(args):
+    max_n = _cf_max_degree(args)
+    cf = fixtures(args.truncation)
+    table = homology_table(cf, max_n)
+    rows = [{"n": n, "rank_Z": z, "rank_B": b,
+             "H": cf.homology(n).to_json(), "H_normal_form": h}
+            for n, z, b, h in table[1:]]
+    emit(rows, args.format, table)
+
+
+def cmd_cf_dump(args):
+    max_n = _cf_max_degree(args)
+    dump_cf(args.out, fixtures(args.truncation), max_n)
 
 
 def homology_table(cf, max_n):
@@ -246,13 +257,11 @@ def dump_cf(outdir, cf, max_n):
     os.makedirs(outdir, exist_ok=True)
     for n in range(1, max_n + 1):
         _write_csv(os.path.join(outdir, "delta_matrix_%d.csv" % n),
-                  cf.delta_matrix(n).entries)
+                   cf.delta_matrix(n).entries)
     _write_csv(os.path.join(outdir, "homology.csv"), homology_table(cf, max_n))
-    return 0
 
 
 def cmd_op(args):
-    trunc, _, _, fmt = effective_settings(args, csv_form=False)
     name = args.name
     ctx_ops = {"partial": boundary_partial, "delta": delta_op}
     if name.startswith("s"):
@@ -263,9 +272,9 @@ def cmd_op(args):
         op = landweber_novikov(tuple(int(x) for x in parts))
     elif name not in ctx_ops:
         raise ValueError("unknown operation %r" % name)
-    factors = parse_class_label(args.cls)  # reject bad input before fixtures
-    check_class_range(factors, trunc)
-    cf = fixtures(trunc)
+    # reject bad input before fixtures
+    factors = class_factors(args.cls, args.truncation)
+    cf = fixtures(args.truncation)
     if name in ctx_ops:
         op = ctx_ops[name](cf.ctx)
     cls = build_class(factors, cf)
@@ -275,13 +284,11 @@ def cmd_op(args):
         "input": class_report(cls),
         "result": class_report(result),
     }
-    emit(data, fmt)
-    return 0
+    emit(data, args.format)
 
 
 def cmd_witt(args):
-    _, field, q, fmt = effective_settings(args, csv_form=False)
-    fd = field_descriptor(field, q)
+    fd = field_descriptor(args.field, args.q)
     wr = witt_data(fd)
     data = {
         "field": fd.kind,
@@ -291,31 +298,27 @@ def cmd_witt(args):
                          for m in range(0, 4)},
         "two_primary_torsion_of_I": wr.two_primary_torsion_of_ideal(1).to_json(),
     }
-    emit(data, fmt)
-    return 0
+    emit(data, args.format)
 
 
 def cmd_kq(args):
-    _, field, q, fmt = effective_settings(args)
-    if not 0 <= args.max_degree <= MAX_TRUNCATION:
+    max_n = MAX_TRUNCATION if args.max_degree is None else args.max_degree
+    if not 0 <= max_n <= MAX_TRUNCATION:
         raise ValueError("--max-degree must be between 0 and %d"
                          % MAX_TRUNCATION)
-    fd = field_descriptor(field, q)
-    pres = KQPresentation(fd)
+    pres = KQPresentation(field_descriptor(args.field, args.q))
     rows = [{"n": n, "group": str(pres.kq_diagonal(n)),
              "witt_theory": str(pres.kw_diagonal(n))}
-            for n in range(0, args.max_degree + 1)]
+            for n in range(0, max_n + 1)]
     csv_rows = [["n", "group", "witt_theory"]] + [
         [r["n"], r["group"], r["witt_theory"]] for r in rows]
-    emit(rows, fmt, csv_rows)
-    return 0
+    emit(rows, args.format, csv_rows)
 
 
 def cmd_charnum(args):
-    trunc, _, _, fmt = effective_settings(args, csv_form=False)
-    if args.ambient - 1 > trunc:
+    if args.ambient - 1 > args.truncation:
         raise ValueError("dimension exceeds truncation")
-    cf = fixtures(trunc)
+    cf = fixtures(args.truncation)
     v = charnum.hypersurface_class(cf.ctx, args.ambient, args.degree)
     data = v.to_json()
     if v.dimension >= 2:
@@ -325,18 +328,17 @@ def cmd_charnum(args):
             data["generator_verdict"] = "not in the cycle lattice"
     data["note"] = ("calabi_yau_symbolic certifies only the vanishing of the "
                     "degree-1 tangent class in the ambient model")
-    emit(data, fmt)
-    return 0
+    emit(data, args.format)
 
 
 def cmd_verify(args):
-    trunc, field, q, _ = effective_settings(args)
+    field, q = args.field, args.q
     if field is not None:
         field_descriptor(field, q)  # every suite rejects a bad field
     elif q is not None:
         raise ValueError("a field size q needs a finite field: add --field "
                          "fq1 or fq3")
-    max_degree = trunc if args.max_degree is None else args.max_degree
+    max_degree = args.truncation if args.max_degree is None else args.max_degree
     if not 2 <= max_degree <= MAX_TRUNCATION:
         raise ValueError("--max-degree must be between 2 and %d (the suites "
                          "run at that truncation)" % MAX_TRUNCATION)
@@ -355,44 +357,87 @@ def cmd_verify(args):
 
 def cmd_dump(args):
     import json
-    trunc, _, _, _ = effective_settings(args)
+    trunc, outdir = args.truncation, args.out
     cf = fixtures(trunc)
-    basis = cf.basis
-    outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     # basis and tangent-number tables
     _write_csv(os.path.join(outdir, "mu_basis.csv"),
-              [["degree", "partition", "hurewicz"]]
-              + [[n, "+".join(map(str, omega)) or "()", str(cls)]
-                 for n in range(trunc + 1) for omega, cls in basis.basis(n)])
+               [["degree", "partition", "hurewicz"]]
+               + [[n, label(omega), str(cls)]
+                  for n in range(trunc + 1) for omega, cls in cf.basis.basis(n)])
     rows = [["degree", "basis_partition", "number_partition", "value"]]
     for n in range(1, trunc + 1):
-        for omega, cls in basis.basis(n):
+        for omega, cls in cf.basis.basis(n):
             tangent = mu.hurewicz_to_chern_numbers(cls)
-            rows += [[n, "+".join(map(str, omega)), "+".join(map(str, p)),
-                      tangent[p]] for p in partitions_of(n)]
+            rows += [[n, label(omega), label(p), tangent[p]]
+                     for p in partitions_of(n)]
     _write_csv(os.path.join(outdir, "chern_numbers.csv"), rows)
     dump_cf(outdir, cf, trunc - 1)
     for kind in SHORT_NAMES:
-        fd = field_descriptor(kind)
-        wr = witt_data(fd)
+        wr = witt_data(field_descriptor(kind))
         with open(os.path.join(outdir, "witt_%s.json" % kind), "w") as fh:
             json.dump({"GW": wr.gw.to_json(), "W": wr.w.to_json(),
                        "I": wr.fundamental_ideal_power(1).to_json()},
                       fh, sort_keys=True, indent=2)
     print("wrote tables to %s" % outdir)
-    return 0
 
 
-def _json_flag(parser):
-    """--json: the same as --format json, for this command only."""
-    parser.add_argument("--json", dest="format", action="store_const",
-                        const="json", default=argparse.SUPPRESS)
+# -- the parser -----------------------------------------------------------------
+
+FLAGS = {
+    "--config": dict(help="key=value configuration file"),
+    "--truncation": dict(type=int, help="weight bound (2..16)"),
+    "--format": dict(choices=FORMATS),
+    # --json: the same as --format json, for this command only
+    "--json": dict(dest="format", action="store_const", const="json",
+                   default=argparse.SUPPRESS),
+    "--field": dict(required=True),
+    "--q": dict(type=int),
+    "--n": dict(type=int, required=True),
+    "--m": dict(type=int, default=0),
+    "--max-degree": dict(type=int),
+    "--out": dict(required=True),
+    "--name": dict(required=True, help="partial | delta | s<i[,j,...]>"),
+    "--class": dict(dest="cls", required=True),
+    "--ambient": dict(type=int, required=True),
+    "--degree": dict(type=int, required=True),
+    "--suite": dict(default="all", choices=[
+        "leibniz", "cf-pattern", "subring", "table", "kq", "witt-oracle",
+        "all"]),
+}
+
+# Each command once: its group's help line, the name that usage errors give
+# a missing sub-command, and per sub-command (None where the group is the
+# command) the handler and flags.  A flag marked "?" is optional here
+# although FLAGS requires it.
+COMMANDS = {
+    "msl": ("diagonal and off-diagonal groups", "msl_cmd", {
+        "group": (cmd_msl_group, "--field --q --n --m --json"),
+        "table": (cmd_msl_table, "--field --q --json")}),
+    "cf": ("Conner-Floyd complex", "cf_cmd", {
+        "homology": (cmd_cf_homology, "--max-degree --json"),
+        "dump": (cmd_cf_dump, "--max-degree --out")}),
+    "op": ("apply a cohomological operation", "op_cmd", {
+        "apply": (cmd_op, "--name --class --json")}),
+    "witt": ("Witt ring tables", "witt_cmd", {
+        "table": (cmd_witt, "--field --q --json")}),
+    "kq": ("Hermitian K-theory diagonal", "kq_cmd", {
+        "table": (cmd_kq, "--field --q --max-degree --json")}),
+    "charnum": ("characteristic numbers", "cn_cmd", {
+        "hypersurface": (cmd_charnum, "--ambient --degree --json")}),
+    "verify": ("verification suites", None, {
+        None: (cmd_verify, "--suite --field? --q --max-degree")}),
+    "dump": ("write all tables to a directory", None, {
+        None: (cmd_dump, "--out")}),
+}
 
 
-def _field_flags(parser):
-    parser.add_argument("--field", required=True)
-    parser.add_argument("--q", type=int)
+def _add_flags(parser, flags):
+    for flag in flags.split():
+        spec = dict(FLAGS[flag.rstrip("?")])
+        if flag.endswith("?"):
+            del spec["required"]
+        parser.add_argument(flag.rstrip("?"), **spec)
 
 
 def build_parser():
@@ -400,85 +445,24 @@ def build_parser():
         prog="slcob",
         description="Exact computation of the geometric diagonal of special "
                     "linear cobordism.")
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--truncation", type=int, help="weight bound (2..16)")
-    parser.add_argument("--format", choices=FORMATS)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_msl = sub.add_parser("msl", help="diagonal and off-diagonal groups")
-    p_msl.set_defaults(func=cmd_msl)
-    msl_sub = p_msl.add_subparsers(dest="msl_cmd", required=True)
-    p_group = msl_sub.add_parser("group")
-    _field_flags(p_group)
-    p_group.add_argument("--n", type=int, required=True)
-    p_group.add_argument("--m", type=int, default=0)
-    _json_flag(p_group)
-    p_table = msl_sub.add_parser("table")
-    _field_flags(p_table)
-    _json_flag(p_table)
-
-    p_cf = sub.add_parser("cf", help="Conner-Floyd complex")
-    p_cf.set_defaults(func=cmd_cf)
-    cf_sub = p_cf.add_subparsers(dest="cf_cmd", required=True)
-    p_hom = cf_sub.add_parser("homology")
-    p_hom.add_argument("--max-degree", type=int)
-    _json_flag(p_hom)
-    p_cfd = cf_sub.add_parser("dump")
-    p_cfd.add_argument("--max-degree", type=int)
-    p_cfd.add_argument("--out", required=True)
-
-    p_op = sub.add_parser("op", help="apply a cohomological operation")
-    op_sub = p_op.add_subparsers(dest="op_cmd", required=True)
-    p_apply = op_sub.add_parser("apply")
-    p_apply.add_argument("--name", required=True,
-                         help="partial | delta | s<i[,j,...]>")
-    p_apply.add_argument("--class", dest="cls", required=True)
-    _json_flag(p_apply)
-    p_apply.set_defaults(func=cmd_op)
-
-    p_witt = sub.add_parser("witt", help="Witt ring tables")
-    witt_sub = p_witt.add_subparsers(dest="witt_cmd", required=True)
-    p_wt = witt_sub.add_parser("table")
-    _field_flags(p_wt)
-    _json_flag(p_wt)
-    p_wt.set_defaults(func=cmd_witt)
-
-    p_kq = sub.add_parser("kq", help="Hermitian K-theory diagonal")
-    kq_sub = p_kq.add_subparsers(dest="kq_cmd", required=True)
-    p_kt = kq_sub.add_parser("table")
-    _field_flags(p_kt)
-    p_kt.add_argument("--max-degree", type=int, default=MAX_TRUNCATION)
-    _json_flag(p_kt)
-    p_kt.set_defaults(func=cmd_kq)
-
-    p_cn = sub.add_parser("charnum", help="characteristic numbers")
-    cn_sub = p_cn.add_subparsers(dest="cn_cmd", required=True)
-    p_hy = cn_sub.add_parser("hypersurface")
-    p_hy.add_argument("--ambient", type=int, required=True)
-    p_hy.add_argument("--degree", type=int, required=True)
-    _json_flag(p_hy)
-    p_hy.set_defaults(func=cmd_charnum)
-
-    p_ver = sub.add_parser("verify", help="verification suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["leibniz", "cf-pattern", "subring", "table",
-                                "kq", "witt-oracle", "all"])
-    p_ver.add_argument("--field")
-    p_ver.add_argument("--q", type=int)
-    p_ver.add_argument("--max-degree", type=int)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_dump = sub.add_parser("dump", help="write all tables to a directory")
-    p_dump.add_argument("--out", required=True)
-    p_dump.set_defaults(func=cmd_dump)
+    _add_flags(parser, "--config --truncation --format")
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (help_text, dest, leaves) in COMMANDS.items():
+        command = groups.add_parser(group, help=help_text)
+        if dest:
+            subs = command.add_subparsers(dest=dest, required=True)
+        for leaf, (handler, flags) in leaves.items():
+            sub = subs.add_parser(leaf) if leaf else command
+            sub.set_defaults(func=handler)
+            _add_flags(sub, flags)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        effective_settings(args)
+        return args.func(args) or 0
     except (ValueError, KeyError, AssertionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1

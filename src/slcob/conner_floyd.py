@@ -46,11 +46,6 @@ class ConventionError(RuntimeError):
     """An operation left the lattice it must preserve."""
 
 
-def _column(poly, n):
-    """The degree-n polynomial poly as a vector in partition order."""
-    return [poly.get(c, 0) for c in codes_of(n)]
-
-
 def _solve_columns(solver, targets, message):
     """The matrix whose columns x solve solver.mat * x = target, one per
     target; ConventionError(message) if a target has no integral
@@ -100,7 +95,8 @@ class ConnerFloyd:
         """Columns: the Wall basis in degree-n MUBasis coordinates, the
         *-monomials of `wall_labels`."""
         return IntMatrix.from_columns(partition_count(n), [
-            _column(self._wall(omega)[0], n) for omega in self.wall_labels(n)])
+            bpoly.vector(self._wall(omega)[0], n)
+            for omega in self.wall_labels(n)])
 
     @_memoized
     def _wall(self, omega):
@@ -154,7 +150,7 @@ class ConnerFloyd:
         x = self.basis.to_coordinates(x)
         decomposables = list(map(self._wall, self.wall_labels(n)[1:]))
         dmat = IntMatrix.from_columns(len(x), [
-            _column(poly, n) for poly, _ in decomposables])
+            bpoly.vector(poly, n) for poly, _ in decomposables])
         combo, scale = [0] * dmat.cols, 1
         for p, e in _factorint(s // target).items():
             solver = ModSolver(dmat, p)

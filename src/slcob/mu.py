@@ -58,7 +58,7 @@ from . import bpoly
 from .abelian import _factorint
 from .fgl import _memoized
 from .intmat import HNFSolver, IntMatrix
-from .partitions import codes_of, decode, encode, partitions_of
+from .partitions import decode, encode, partitions_of
 from .record import Record, _set
 
 
@@ -127,8 +127,7 @@ class MUClass(Record):
 
     def vector(self):
         """The b-monomial coordinates in the global partition order."""
-        poly = dict(self.terms)
-        return [poly.get(c, 0) for c in codes_of(self.degree)]
+        return bpoly.vector(dict(self.terms), self.degree)
 
     def __add__(self, other):
         deg = other.degree if self.is_zero() else self.degree
@@ -151,9 +150,13 @@ class MUClass(Record):
             return "0"
         terms = []
         for part, c in self.hb:
-            mon = "*".join("b%d" % i for i in part) or "1"
-            terms.append("%+d*%s" % (c, mon))
+            terms.append("%+d*%s" % (c, monomial_label(part)))
         return " ".join(terms)
+
+
+def monomial_label(part):
+    """The b-monomial of a partition as text, as in b2*b1; "1" for ()."""
+    return "*".join("b%d" % i for i in part) or "1"
 
 
 def s_number(x):
@@ -186,7 +189,7 @@ def reciprocal_class_matrix(n):
         prod = dict(bpoly.ONE)
         for part in omega:
             prod = bpoly.mul(prod, pieces[part])
-        rows.append([prod.get(code, 0) for code in codes_of(n)])
+        rows.append(bpoly.vector(prod, n))
     return IntMatrix.from_rows(rows)
 
 

@@ -18,9 +18,10 @@ There are two kinds of operation, applied in two ways:
     symmetric function m_omega as its class, so s_omega(b^part) is the
     t^omega coefficient of psi(b^part), and the operation is kept as omega
     alone.  It is linear, so it is applied as columns on the b-monomial
-    basis: column part is s_omega(b^part), built on first use and kept per
-    context and operation in the context's memo under the code of part,
-    and a class is the sum of its coefficients times these columns.
+    basis: column part is s_omega(b^part), and a class is the sum of its
+    coefficients times these columns.  A command applies one operation to
+    one class, so each column is built when it is read and not kept; the
+    coaction psi(b^part) it reads is kept in the context's memo.
   * Powers of one derivation.  The boundary operation (class c1 of the
     dual determinant, shift 1) and the Wall-kernel operation
     (c1(det) c1(det dual), shift 2) have classes sum_k g_k L^k in
@@ -67,14 +68,6 @@ class CohOperation(Record):
     def from_log_series(cls, name, shift, g):
         return cls(name, shift,
                    log_coeffs=tuple(tuple(sorted(c.items())) for c in g))
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
-        # Operations key the column tables; tuples do not cache hashes.
-        return hash((self.name, self.shift, self.omega, self.log_coeffs))
 
     @cached_property
     def series(self):
@@ -194,9 +187,8 @@ def apply_operations(ctx, ops, x):
     that is negative.  The operations with a class sum_k g_k L^k share one
     walk x, D(x), D^2(x), ..., adding g_k D^k(x) to each, which stops at
     the first zero power or at the end of the longest class.  A
-    Landweber-Novikov operation sums its columns, built on first use and
-    kept per context and operation in the context's memo under the code
-    of the b-monomial."""
+    Landweber-Novikov operation sums its columns, one per b-monomial of
+    x."""
     polys = [{} for _ in ops]
     series = [(out, op.series) for out, op in zip(polys, ops) if op.log_coeffs]
     power = x.poly()
@@ -210,13 +202,10 @@ def apply_operations(ctx, ops, x):
                 bpoly.mul_into(out, g[k], power)
     for out, op in zip(polys, ops):
         if not op.log_coeffs and x.degree >= op.shift:
-            columns = ctx._memo.setdefault("operations.columns", {}) \
-                .setdefault(op, {})
             omega = encode(op.omega)
             for code, c in x.terms:
-                if code not in columns:
-                    columns[code] = _column(ctx, omega, decode(code))
-                bpoly.mul_into(out, columns[code], bpoly.ONE, c)
+                bpoly.mul_into(out, _column(ctx, omega, decode(code)),
+                               bpoly.ONE, c)
     return [MUClass.from_poly(max(x.degree - op.shift, 0), out)
             for op, out in zip(ops, polys)]
 

@@ -44,6 +44,15 @@ def partitions_of(n):
     return list(_partitions_bounded(n, n))
 
 
+def label(p):
+    """A partition as text, its parts joined by '+'; "()" if it is empty.
+
+    >>> label((3, 1, 1)), label(())
+    ('3+1+1', '()')
+    """
+    return "+".join(map(str, p)) or "()"
+
+
 def partition_count(n):
     """The partition function p(n); zero for negative n.
 

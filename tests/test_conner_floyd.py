@@ -382,7 +382,6 @@ def test_deleted_instance_is_collected():
     assert str(cf.homology(2)) == "Z/2"
     assert ctx._memo["boundary_partial"]  # the operations live here
     apply_operation(ctx, landweber_novikov((1,)), mu.cpn_class(ctx, 2))
-    assert ctx._memo["operations.columns"]  # with their column tables
     assert ctx._memo["_psi_monomial"]  # and the coaction the columns read
     refs = [weakref.ref(cf), weakref.ref(ctx), weakref.ref(cf.basis)]
     del cf, ctx
