@@ -9,6 +9,9 @@ under DIR, must match the digest in tests/cli_digests.json.  The corpus:
   * test_cli.BAD_INPUTS, DIR standing for a fresh directory and CFG:line
     for a config file holding that line;
   * `--format csv` on commands that print no table;
+  * `verify` at truncations 8 and 12, the witt-oracle suite, and the
+    chain at truncation 16 through `cf homology`, `cf dump` and two
+    `op apply` samples;
   * every --help screen and the usage error of each bare command group.
 
 argparse lays out help and usage differently from one Python version to
@@ -50,6 +53,16 @@ CSV_WITHOUT_TABLE = (
     ("--format", "csv", "--truncation", "4", "dump", "--out", "DIR"),
     ("--format", "csv", "witt", "table", "--field", "zz"),
 )
+CHAIN_RUNS = (
+    ("--truncation", "8", "verify"),
+    ("--truncation", "12", "verify"),
+    ("verify", "--suite", "witt-oracle"),
+    ("--truncation", "16", "cf", "homology", "--json"),
+    ("--truncation", "16", "cf", "dump", "--out", "DIR"),
+    ("--truncation", "16", "op", "apply", "--name", "s2,1", "--class", "x16"),
+    ("--truncation", "16", "op", "apply", "--name", "delta",
+     "--class", "cp1*x15"),
+)
 
 
 def corpus():
@@ -62,6 +75,7 @@ def corpus():
         outputs.append(("--format", "text") + tuple(cmd.argv[2:]))
     outputs += BAD_INPUTS
     outputs += CSV_WITHOUT_TABLE
+    outputs += CHAIN_RUNS
     screens = [("--help",)]
     screens += [(group, "--help") for group in GROUPS + ("verify", "dump")]
     screens += [leaf + ("--help",) for leaf in LEAVES]
@@ -123,7 +137,7 @@ def test_every_command_prints_what_the_digest_file_records(monkeypatch):
     with open(DIGESTS_PATH) as fh:
         expected = json.load(fh)
     outputs, screens = corpus()
-    assert len(outputs) == 2 * 733 + 43 + 4 and len(screens) == 23
+    assert len(outputs) == 2 * 733 + 43 + 4 + 7 and len(screens) == 23
     actual = {" ".join(a): digest(a) for a in outputs}
     assert changed(expected["outputs"], actual) == []
     if expected["python"] == "%d.%d" % sys.version_info[:2]:
