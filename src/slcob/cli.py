@@ -6,9 +6,10 @@ once, as an entry of COMMANDS naming its handler and its flags, and FLAGS
 holds each flag's spec; one loop builds the parser from the two tables.
 Output is deterministic (fixed orderings, sorted JSON keys).  A command
 has a CSV form exactly when it hands CSV rows to `emit`, which refuses
---format csv otherwise; `verify` and the dumps print their own lines in
-every format.  Exit codes: 0 success, 1 internal or I/O failure, 2 usage,
-3 verification failure.
+--format csv otherwise (a command with no CSV form that builds the chain
+refuses it before the chain); `verify` and the dumps print their own
+lines in every format.  Exit codes: 0 success, 1 internal or I/O failure,
+2 usage, 3 verification failure.
 
 Configuration: an optional key=value file (--config); command-line flags
 win over file values.  Recognized keys: truncation, field, q, format.
@@ -78,16 +79,23 @@ def fixtures(truncation):
     return ConnerFloyd(truncation)
 
 
+def refuse_csv(fmt):
+    """Refuse --format csv for a command with no CSV form.  `emit` calls
+    this; a command that builds the chain calls it before the chain."""
+    if fmt == "csv":
+        raise ValueError("this command has no CSV form; use text or json")
+
+
 def emit(data, fmt, csv_rows=None):
     """Print data as text or JSON, or csv_rows as CSV; a command that hands
     over no csv_rows has no CSV form."""
+    if csv_rows is None:
+        refuse_csv(fmt)
     # json and csv are imported only where they are used, not by text output
     if fmt == "json":
         import json
         print(json.dumps(data, sort_keys=True, indent=2))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("this command has no CSV form; use text or json")
         import csv
         csv.writer(sys.stdout).writerows(csv_rows)
     else:
@@ -274,6 +282,7 @@ def cmd_op(args):
         raise ValueError("unknown operation %r" % name)
     # reject bad input before fixtures
     factors = class_factors(args.cls, args.truncation)
+    refuse_csv(args.format)
     cf = fixtures(args.truncation)
     if name in ctx_ops:
         op = ctx_ops[name](cf.ctx)
@@ -318,6 +327,7 @@ def cmd_kq(args):
 def cmd_charnum(args):
     if args.ambient - 1 > args.truncation:
         raise ValueError("dimension exceeds truncation")
+    refuse_csv(args.format)
     cf = fixtures(args.truncation)
     v = charnum.hypersurface_class(cf.ctx, args.ambient, args.degree)
     data = v.to_json()

@@ -6,6 +6,13 @@ hyperbolic plane through it, re-diagonalize the orthogonal complement)
 until anisotropic.  No classification theory is assumed; the group and
 ring structure of the Witt classes is computed from the reductions alone.
 
+GF(q) is its sum and product tables on the ints 0..q-1, built once.  The
+diagonals of a form are read off its orthogonal bases, each a vector of
+nonzero value followed by an orthogonal basis of that vector's complement:
+the first one diagonalizes, and the least sorted one is the canonical form
+of an anisotropic kernel.  One cache, keyed by square classes, holds the
+kernels.
+
 Supports prime q and q = 9 (the one prime-square case the catalog needs);
 any other q is a ValueError.  Internal invariants are checked with
 explicit AssertionErrors, so `python -O` keeps them.
@@ -17,83 +24,70 @@ from .abelian import _is_prime
 
 
 class GF:
-    """GF(q) for prime q, or GF(9) = GF(3)[i] with i^2 = -1."""
+    """GF(q) for prime q, or GF(9) = GF(3)[i] with i^2 = -1.  Elements are
+    the ints 0..q-1; in GF(9), a + b i is the int a + 3b."""
 
     def __init__(self, q):
-        self.q = q
-        if q == 9:
-            self.p = 3
-            self.elements = [(a, b) for a in range(3) for b in range(3)]
-            self.zero, self.one = (0, 0), (1, 0)
-        elif _is_prime(q):
-            self.p = q
-            self.elements = list(range(q))
-            self.zero, self.one = 0, 1
-        else:
+        if q != 9 and not _is_prime(q):
             raise ValueError("GF(q) needs a prime q or q = 9, not %r" % (q,))
+        self.q = q
+        p = 3 if q == 9 else q
+        pairs = [(x % p, x // p) for x in range(q)]  # b = 0 for prime q
+
+        def code(a, b):
+            return a % p + p * (b % p)
+
+        self.sums = [[code(a + c, b + d) for c, d in pairs] for a, b in pairs]
+        self.products = [[code(a * c - b * d, a * d + b * c) for c, d in pairs]
+                         for a, b in pairs]
 
     def add(self, x, y):
-        if self.q == 9:
-            return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3)
-        return (x + y) % self.q
+        return self.sums[x][y]
 
     def neg(self, x):
-        if self.q == 9:
-            return ((-x[0]) % 3, (-x[1]) % 3)
-        return (-x) % self.q
+        return self.sums[x].index(0)
 
     def mul(self, x, y):
-        if self.q == 9:
-            # (a + b i)(c + d i) with i^2 = -1
-            a, b = x
-            c, d = y
-            return ((a * c - b * d) % 3, (a * d + b * c) % 3)
-        return (x * y) % self.q
+        return self.products[x][y]
 
     def inv(self, x):
-        if x == self.zero:
+        if x == 0:
             raise AssertionError("0 has no inverse")
-        for y in self.elements:
-            if self.mul(x, y) == self.one:
-                return y
-        raise ArithmeticError
+        return self.products[x].index(1)
 
     def units(self):
-        return [x for x in self.elements if x != self.zero]
+        return list(range(1, self.q))
 
     def is_square(self, x):
-        return any(self.mul(y, y) == x for y in self.elements)
+        return any(self.mul(y, y) == x for y in range(self.q))
 
 
 class FormCalculus:
     def __init__(self, q):
         self.F = GF(q)
-        self._kernel_cache = {}
-        self._canon_cache = {}
-        self._gl_cache = {}
+        self._kernels = {}
 
     # -- linear algebra over GF(q) ----------------------------------------
 
     def bilinear(self, gram, v, w):
         F = self.F
-        total = F.zero
-        n = len(gram)
-        for i in range(n):
-            for j in range(n):
-                total = F.add(total, F.mul(F.mul(gram[i][j], v[i]), w[j]))
+        total = 0
+        for i, row in enumerate(gram):
+            for j, entry in enumerate(row):
+                total = F.add(total, F.mul(F.mul(entry, v[i]), w[j]))
         return total
 
     def gram_of_diagonal(self, diag):
         n = len(diag)
-        return [[diag[i] if i == j else self.F.zero for j in range(n)]
+        return [[diag[i] if i == j else 0 for j in range(n)]
                 for i in range(n)]
 
-    def _first_vector(self, n, holds):
-        """The first nonzero vector of F^n in enumeration order for which
-        holds(vector) is true, as a list; None if there is none."""
-        F = self.F
-        return next((list(v) for v in product(F.elements, repeat=n)
-                     if any(x != F.zero for x in v) and holds(list(v))), None)
+    def _vectors(self, n, holds):
+        """The nonzero vectors of F^n in enumeration order for which
+        holds(vector) is true, as lists."""
+        vectors = (list(v) for v in product(range(self.F.q), repeat=n)
+                   if any(v))
+        return (v for v in vectors if holds(v))
 
     def restrict(self, gram, basis):
         return [[self.bilinear(gram, v, w) for w in basis] for v in basis]
@@ -103,53 +97,56 @@ class FormCalculus:
         given vectors."""
         F = self.F
         n = len(gram)
-        rows = [[self.bilinear(gram, v, [F.one if k == j else F.zero
-                                         for k in range(n)])
-                 for j in range(n)] for v in vectors]
-        # kernel of the small matrix over GF(q) by elimination
-        pivots = {}
-        r = 0
+        basis = self.gram_of_diagonal([1] * n)  # the unit vectors e_j
+        rows = [[self.bilinear(gram, v, e) for e in basis] for v in vectors]
+        # kernel of the small matrix over GF(q) by Gauss-Jordan elimination;
+        # row r ends with its pivot in column pivots[r]
+        pivots = []
         for c in range(n):
-            sel = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero),
-                       None)
+            r = len(pivots)
+            sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
             if sel is None:
                 continue
             rows[r], rows[sel] = rows[sel], rows[r]
             inv = F.inv(rows[r][c])
             rows[r] = [F.mul(inv, x) for x in rows[r]]
             for i in range(len(rows)):
-                if i != r and rows[i][c] != F.zero:
+                if i != r and rows[i][c]:
                     f = rows[i][c]
                     rows[i] = [F.add(x, F.neg(F.mul(f, y)))
                                for x, y in zip(rows[i], rows[r])]
-            pivots[c] = r
-            r += 1
+            pivots.append(c)
         kernel = []
         for c in range(n):
             if c in pivots:
                 continue
-            vec = [F.zero] * n
-            vec[c] = F.one
-            for c2, r2 in pivots.items():
-                vec[c2] = F.neg(rows[r2][c])
+            vec = basis[c]  # e_c; basis is not read again
+            for r, c2 in enumerate(pivots):
+                vec[c2] = F.neg(rows[r][c])
             kernel.append(vec)
         return kernel
+
+    def _diagonals(self, gram):
+        """The diagonal of the form in each of its orthogonal bases: a
+        vector of nonzero value, then an orthogonal basis of its orthogonal
+        complement.  A degenerate form has none."""
+        if not gram:
+            yield []
+            return
+        for vec in self._vectors(
+                len(gram), lambda v: self.bilinear(gram, v, v) != 0):
+            value = self.bilinear(gram, vec, vec)
+            comp = self.orthogonal_complement(gram, [vec])
+            for rest in self._diagonals(self.restrict(gram, comp)):
+                yield [value] + rest
 
     def diagonalize(self, gram):
         """Diagonal entries of a nondegenerate symmetric form (odd q):
         repeatedly pick a vector of nonzero value, split off its line."""
-        F = self.F
-        n = len(gram)
-        if n == 0:
-            return []
-        vec = self._first_vector(
-            n, lambda v: self.bilinear(gram, v, v) != F.zero)
-        if vec is None:
+        diag = next(self._diagonals(gram), None)
+        if diag is None:
             raise AssertionError("degenerate form: it represents no unit")
-        value = self.bilinear(gram, vec, vec)
-        comp = self.orthogonal_complement(gram, [vec])
-        rest = self.restrict(gram, comp)
-        return [value] + self.diagonalize(rest)
+        return diag
 
     # -- Witt reduction ----------------------------------------------------
 
@@ -157,89 +154,52 @@ class FormCalculus:
         """Isometry-canonical diagonal of the anisotropic kernel of a
         diagonal form."""
         key = self._square_class_key(diag)
-        if key in self._kernel_cache:
-            return self._kernel_cache[key]
-        F = self.F
+        if key in self._kernels:
+            return self._kernels[key]
         diag = list(diag)
         while diag:
             gram = self.gram_of_diagonal(diag)
-            v = self._first_vector(
-                len(diag), lambda x: self.bilinear(gram, x, x) == F.zero)
+            v = next(self._vectors(
+                len(diag), lambda x: self.bilinear(gram, x, x) == 0), None)
             if v is None:
                 break
             # hyperbolic pair through v: any w with b(v, w) != 0
-            w = self._first_vector(
-                len(diag), lambda x: self.bilinear(gram, v, x) != F.zero)
+            w = next(self._vectors(
+                len(diag), lambda x: self.bilinear(gram, v, x) != 0), None)
             if w is None:
                 raise AssertionError("degenerate form")
             comp = self.orthogonal_complement(gram, [v, w])
             diag = self.diagonalize(self.restrict(gram, comp))
         result = self.isometry_canonical(tuple(diag))
-        self._kernel_cache[key] = result
+        self._kernels[key] = result
         return result
 
     def _square_class_key(self, diag):
         """Invariant under permutation and square scaling of the entries
         (both are isometries); used only as a cache key."""
-        out = []
-        for a in diag:
-            out.append(min(self.F.mul(a, self.F.mul(y, y))
-                           for y in self.F.units()))
-        return tuple(sorted(out, key=repr))
-
-    def _gl(self, n):
-        """All invertible n x n matrices over the field (n <= 2)."""
-        if n not in self._gl_cache:
-            F = self.F
-            mats = []
-            for entries in product(F.elements, repeat=n * n):
-                m = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
-                if n == 1:
-                    det = m[0][0]
-                else:
-                    det = F.add(F.mul(m[0][0], m[1][1]),
-                                F.neg(F.mul(m[0][1], m[1][0])))
-                if det != F.zero:
-                    mats.append(m)
-            self._gl_cache[n] = mats
-        return self._gl_cache[n]
+        F = self.F
+        squares = [F.mul(y, y) for y in F.units()]
+        return tuple(sorted(min(F.mul(a, s) for s in squares) for a in diag))
 
     def isometry_canonical(self, diag):
-        """The least diagonal form isometric to the given (anisotropic)
-        one, by enumerating all changes of basis.  Anisotropic kernels
-        over a finite field have rank <= 2, and a larger rank raises
-        AssertionError."""
-        key = self._square_class_key(diag)
-        if key in self._canon_cache:
-            return self._canon_cache[key]
+        """The least sorted diagonal of the given (anisotropic) diagonal
+        form over all its orthogonal bases.  These bases are the columns of
+        the changes of basis G with G^T A G diagonal, so this is also the
+        least diagonal over GL_n.  Anisotropic kernels over a finite field
+        have rank <= 2, and a larger rank raises AssertionError."""
         n = len(diag)
         if n > 2:
             raise AssertionError("anisotropic kernel of rank %d > 2" % n)
-        if n == 0:
-            result = ()
-        else:
-            F = self.F
-            gram = self.gram_of_diagonal(diag)
-            best = None
-            for g in self._gl(n):
-                gt_g = self.restrict(gram, list(zip(*g)))  # G^T A G
-                if any(gt_g[i][j] != F.zero
-                       for i in range(n) for j in range(n) if i != j):
-                    continue
-                cand = tuple(sorted((gt_g[i][i] for i in range(n)), key=repr))
-                if best is None or repr(cand) < repr(best):
-                    best = cand
-            result = best
-        self._canon_cache[key] = result
-        return result
+        return min(tuple(sorted(d))
+                   for d in self._diagonals(self.gram_of_diagonal(diag)))
 
     # -- Witt group and ring ------------------------------------------------
 
     def witt_elements(self):
-        """All Witt classes as canonical anisotropic diagonals,
-        found by reducing all diagonal forms of rank <= 2 (the kernel of
-        any form shows up there; larger ranks are checked isotropic in
-        tests)."""
+        """All Witt classes as canonical anisotropic diagonals, found by
+        reducing the zero form and all diagonal forms of rank 1 to 3 (the
+        kernel of any form shows up there; larger ranks are checked
+        isotropic in tests)."""
         seen = {self.anisotropic_kernel(())}
         units = self.F.units()
         for r in (1, 2, 3):
@@ -296,7 +256,7 @@ class FormCalculus:
 
     def discriminant_class(self, diag):
         F = self.F
-        d = F.one
+        d = 1
         for a in diag:
             d = F.mul(d, a)
         return "square" if F.is_square(d) else "nonsquare"

@@ -43,6 +43,9 @@ afresh, and the e-to-m matrix by counting 0/1 matrices row by row.
 The Hermitian K-theory diagonal, whose elements the package keeps as one
 GW pair in the normal form of a quotient of GW, is recomputed by the rules
 per residue of the degree mod 4 that the pair replaced.
+The canonical form of a small diagonal quadratic form over GF(q), which
+the package reads off the form's orthogonal bases, is recomputed over
+every change of basis in GL_n.
 `pair_keyed` reads a symmetric-function matrix as a dict keyed by (row,
 column) partitions, `by_partition` and `by_code` turn bpoly keys (codes)
 into partitions and back, and `merge` forms the multiset union of two
@@ -977,3 +980,31 @@ class KQByResidue:
         if r in (1, 2):
             return self.element(n, 1)
         return None
+
+
+def gl_canonical(F, diag):
+    """The least sorted diagonal of G^T A G over every G in GL_n(F), n <= 2,
+    that makes it diagonal, where A is the diagonal form `diag` over the
+    field F (a `wittforms.GF`)."""
+    n = len(diag)
+
+    def pairing(u, v):
+        total = 0
+        for a, x, y in zip(diag, u, v):
+            total = F.add(total, F.mul(a, F.mul(x, y)))
+        return total
+
+    best = None
+    for entries in product(range(F.q), repeat=n * n):
+        cols = [entries[k * n:(k + 1) * n] for k in range(n)]
+        if n == 1:
+            det = cols[0][0]
+        else:
+            det = F.add(F.mul(cols[0][0], cols[1][1]),
+                        F.neg(F.mul(cols[0][1], cols[1][0])))
+        if det == 0 or (n == 2 and pairing(cols[0], cols[1]) != 0):
+            continue
+        cand = tuple(sorted(pairing(g, g) for g in cols))
+        if best is None or cand < best:
+            best = cand
+    return best

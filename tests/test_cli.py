@@ -283,19 +283,31 @@ def test_bad_input_exits_2_with_message(argv, optimize, tmp_path):
     assert out.stdout == ""
 
 
+def no_fixtures(truncation):
+    raise AssertionError("fixtures built for bad input")
+
+
 @pytest.mark.parametrize("name,label", [
     ("s0", "cp1"), ("t1", "cp1"), ("s1", "cq1"), ("partial", "hyp3"),
     ("s1", "x13"), ("partial", "cp8*cp8"), ("s1,,2", "cp3"), ("s", "cp1")])
 def test_op_apply_rejects_before_fixtures(name, label, monkeypatch):
     """A bad operation name or class label is rejected before the
     coefficient ring is built."""
-    from slcob import cli
-
-    def no_fixtures(truncation):
-        raise AssertionError("fixtures built for bad input")
-
     monkeypatch.setattr(cli, "fixtures", no_fixtures)
     assert cli.main(["op", "apply", "--name", name, "--class", label]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("op", "apply", "--name", "s2,1", "--class", "x12"),
+    ("op", "apply", "--name", "delta", "--class", "cp1*x11"),
+    ("charnum", "hypersurface", "--ambient", "13", "--degree", "3")])
+def test_csv_is_refused_before_fixtures(argv, monkeypatch, capsys):
+    """--format csv on a command that builds the chain but has no CSV form
+    is refused before the chain is built, with emit's message."""
+    monkeypatch.setattr(cli, "fixtures", no_fixtures)
+    assert cli.main(("--format", "csv") + argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: this command has no CSV form; use text or json\n")
 
 
 def test_fixtures_build_the_chain_once():

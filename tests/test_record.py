@@ -143,7 +143,7 @@ def test_group_prints_its_normal_form():
     assert "%s" % FGAbGroup() == "0"
 
 
-def test_operation_keeps_its_cached_hash():
+def test_operation_hash_is_its_field_tuple_hash():
     op = CohOperation(*_sample(CohOperation)[1])
     assert hash(op) == hash(_sample(CohOperation)[1])
 

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
+from oracles import gl_canonical
 from slcob.abelian import FGAbGroup
 from slcob.witt import (FieldDescriptor, field_descriptor, witt_data,
                         FINITE_Q1, FINITE_Q3, QUADRATICALLY_CLOSED,
@@ -192,6 +194,16 @@ def test_oracle_agrees_with_tables():
         oracle = FGAbGroup.from_divisors(fc.group_structure(),
                                          fd.inverted_primes)
         assert oracle == wd.w
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_canonical_form_is_least_over_gl_n(q):
+    """The least sorted diagonal over the orthogonal bases of a unit
+    diagonal form of rank 1 or 2 is the least over all of GL_n."""
+    fc = FormCalculus(q)
+    for r in (1, 2):
+        for diag in product(fc.F.units(), repeat=r):
+            assert fc.isometry_canonical(diag) == gl_canonical(fc.F, diag)
 
 
 def test_real_closed_signature_oracle():
