@@ -12,7 +12,11 @@ under DIR, must match the digest in tests/cli_digests.json.  The corpus:
   * `verify` at truncations 8 and 12, the witt-oracle suite, and the
     chain at truncation 16 through `cf homology`, `cf dump` and two
     `op apply` samples;
-  * every --help screen and the usage error of each bare command group.
+  * the chain at the default truncation 12 through `cf homology` in JSON
+    and in text, `cf dump` and `dump`;
+  * every --help screen and the usage error of each bare command group;
+  * test_cli.BAD_INPUTS again under `python -O`, all run in-process in
+    one subprocess, so a check that is an assert statement shows.
 
 argparse lays out help and usage differently from one Python version to
 the next, so those digests are compared only on the version that wrote the
@@ -29,6 +33,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -62,6 +67,10 @@ CHAIN_RUNS = (
     ("--truncation", "16", "op", "apply", "--name", "s2,1", "--class", "x16"),
     ("--truncation", "16", "op", "apply", "--name", "delta",
      "--class", "cp1*x15"),
+    ("cf", "homology", "--json"),
+    ("cf", "homology"),
+    ("cf", "dump", "--out", "DIR"),
+    ("dump", "--out", "DIR"),
 )
 
 
@@ -116,12 +125,26 @@ def digest(argv):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def optimized_digests():
+    """The digests of the BAD_INPUTS rows under `python -O`, from one
+    subprocess that runs them in-process."""
+    paths = [HERE, os.path.dirname(os.path.dirname(cli.__file__))]
+    code = ("import json, sys; sys.path[:0] = %r; "
+            "from test_cli_digests import BAD_INPUTS, digest; "
+            "print(json.dumps({' '.join(a): digest(a) for a in BAD_INPUTS}))"
+            % paths)
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def compute():
     os.environ["COLUMNS"] = "80"
     outputs, screens = corpus()
     return {
         "python": "%d.%d" % sys.version_info[:2],
         "outputs": {" ".join(a): digest(a) for a in outputs},
+        "optimized": optimized_digests(),
         "screens": {" ".join(a): digest(a) for a in screens},
     }
 
@@ -137,9 +160,10 @@ def test_every_command_prints_what_the_digest_file_records(monkeypatch):
     with open(DIGESTS_PATH) as fh:
         expected = json.load(fh)
     outputs, screens = corpus()
-    assert len(outputs) == 2 * 733 + 43 + 4 + 7 and len(screens) == 23
+    assert len(outputs) == 2 * 733 + 43 + 4 + 11 and len(screens) == 23
     actual = {" ".join(a): digest(a) for a in outputs}
     assert changed(expected["outputs"], actual) == []
+    assert changed(expected["optimized"], optimized_digests()) == []
     if expected["python"] == "%d.%d" % sys.version_info[:2]:
         actual = {" ".join(a): digest(a) for a in screens}
         assert changed(expected["screens"], actual) == []
