@@ -68,7 +68,11 @@ def generator_check_msu(x, cf):
     s = mu.s_number(x)
     if s == 0:
         return False
-    if cf.cycle_solver(n).solve(x.vector()) is None:
+    try:
+        coords = cf.cycle_solver(n).solve(cf.basis.to_coordinates(x))
+    except mu.NotInLattice:
+        coords = None
+    if coords is None:
         raise NotACycle("class is not a cycle (not in the image of the "
                         "special linear theory)")
     odd = abs(s)

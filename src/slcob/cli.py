@@ -375,12 +375,15 @@ def cmd_dump(args):
                [["degree", "partition", "hurewicz"]]
                + [[n, label(omega), str(cls)]
                   for n in range(trunc + 1) for omega, cls in cf.basis.basis(n)])
+    from .symfun import e_to_m_matrix
     rows = [["degree", "basis_partition", "number_partition", "value"]]
     for n in range(1, trunc + 1):
-        for omega, cls in cf.basis.basis(n):
-            tangent = mu.hurewicz_to_chern_numbers(cls)
-            rows += [[n, label(omega), label(p), tangent[p]]
-                     for p in partitions_of(n)]
+        # column omega: mu.hurewicz_to_chern_numbers of the class x^omega
+        numbers = (mu.reciprocal_class_matrix(n) * e_to_m_matrix(n)
+                   * cf.basis.matrix(n)).entries
+        parts = list(map(label, partitions_of(n)))
+        rows += [[n, omega, p, numbers[i][j]] for j, omega in enumerate(parts)
+                 for i, p in enumerate(parts)]
     _write_csv(os.path.join(outdir, "chern_numbers.csv"), rows)
     dump_cf(outdir, cf, trunc - 1)
     for kind in SHORT_NAMES:

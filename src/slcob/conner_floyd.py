@@ -208,25 +208,20 @@ class ConnerFloyd:
             return IntMatrix.identity(self.w_rank(0))
         return kernel_basis(self.delta_matrix(n))
 
-    def cycle_classes(self, n):
-        z = self.cycles_in_lattice(n)
-        return [self.basis.from_coordinates(n, z.column(j))
-                for j in range(z.cols)]
-
     def cycles_in_lattice(self, n):
-        """Cycle basis in full monomial coordinates (columns)."""
+        """Cycle basis in MUBasis coordinates (columns)."""
         w = self.w_lattice(n)
         return w * self.cycles(n)
 
     @_memoized
     def cycle_solver(self, n):
-        """Solver for b-monomial vectors against the degree-n cycles, so
-        B_n times the cycle basis."""
-        return HNFSolver(self.basis.matrix(n) * self.cycles_in_lattice(n))
+        """The solver of MUBasis coordinates against the degree-n cycle
+        basis; its columns are `cycles_in_lattice(n)`."""
+        return HNFSolver(self.cycles_in_lattice(n))
 
     @_memoized
     def boundaries_in_lattice(self, n):
-        """Boundary basis in full monomial coordinates (columns)."""
+        """Boundary basis in MUBasis coordinates (columns)."""
         self._check_below_top(n)
         w = self.w_lattice(n)
         return w * self.delta_matrix(n + 1)
@@ -259,7 +254,7 @@ class ConnerFloyd:
     def msl_image_in_mgl(self, n):
         """The image lattice of the special linear theory in degree n:
         cycles if n != 2 mod 4, boundaries if n = 2 mod 4 (columns in
-        monomial coordinates)."""
+        MUBasis coordinates)."""
         if n % 4 == 2:
             return self.boundaries_in_lattice(n)
         return self.cycles_in_lattice(n)

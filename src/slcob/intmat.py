@@ -18,10 +18,10 @@ which keeps coefficient growth tame in practice (Cohen, GTM 138, 2.4):
 
 `HNFSolver`, the one integral solver, needs no elimination: it takes
 columns already in echelon form (leading rows strictly increasing, as the
-lower triangular basis matrices B_n, the Hermite kernels and their
-products are) and solves by forward substitution.  `ModSolver` is its
-counterpart over F_p, for the Wall generators: one reduction per matrix
-and prime, then any number of targets.
+lower triangular basis matrices B_n, the Hermite kernels and the cycle
+bases of the chain are) and solves by forward substitution.  `ModSolver`
+is its counterpart over F_p, for the Wall generators: one reduction per
+matrix and prime, then any number of targets.
 
 Internal invariants (shapes, echelon form) are checked with explicit
 AssertionErrors, so `python -O` keeps them; the CLI reports them as

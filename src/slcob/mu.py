@@ -38,17 +38,17 @@ map from classes to numbers is `hurewicz_to_chern_numbers`, which serves
 `charnum` and the reports.
 
 Everything is integer arithmetic.  A class is kept as its b-monomial
-vector, and the lattice computations stay in those coordinates: an
-operation on the lattice is its b-monomial matrix times the basis matrix
-B_n, whose columns are the vectors of the x^omega.  Where coordinates in
-the basis are wanted, one `intmat.HNFSolver` per degree solves against
-B_n, which must have full rank.  That solver takes only columns in
-echelon form, and B_n is in that form as built: x^omega has b-monomials
-only at refinements of omega, which come later in partition order, and
-its b^omega coefficient is plus or minus the product of the generators'
-s-numbers, so B_n is lower triangular with a nonzero diagonal.  Chern
-monomials are partitions too, so the reciprocal-class matrix is computed
-in bpoly.
+vector, the lattices of the Conner-Floyd chain in the coordinates of the
+basis x^omega; the two meet only in `MUBasis.from_coordinates` and in
+`MUBasis.solver`, which `to_coordinates` reads: one `intmat.HNFSolver`
+per degree against the basis matrix B_n, whose columns are the vectors
+of the x^omega, so B_n must have full rank.  That solver takes only
+columns in echelon form, and B_n is in that form as built: x^omega has
+b-monomials only at refinements of omega, which come later in partition
+order, and its b^omega coefficient is plus or minus the product of the
+generators' s-numbers, so B_n is lower triangular with a nonzero
+diagonal.  Chern monomials are partitions too, so the reciprocal-class
+matrix is computed in bpoly.
 """
 
 from functools import lru_cache

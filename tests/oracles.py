@@ -333,6 +333,13 @@ def delta_matrix_by_operation(cf, n):
     return IntMatrix.from_columns(solver.mat.cols, cols)
 
 
+def b_monomial_cycle_solver(cf, n):
+    """The solver of b-monomial vectors against the degree-n cycles: the
+    basis matrix B_n times the cycle basis, so membership is decided with
+    no `MUBasis.to_coordinates`."""
+    return HNFSolver(cf.basis.matrix(n) * cf.cycles_in_lattice(n))
+
+
 def hermite_column_form(mat):
     """The reduced column Hermite form of mat, zero columns dropped."""
     columns = [list(mat.column(j)) for j in range(mat.cols)]

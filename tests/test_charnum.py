@@ -126,7 +126,7 @@ def test_generator_check_higher_degrees(ctx, cf, basis):
     """Cycle-lattice generators away from 2 in a couple of degrees."""
     # x3 cycle: degree 3 cycle lattice has rank 1; its s-number must have
     # odd part 1 (n+1 = 4 is a 2-power)
-    z3 = cf.cycle_classes(3)[0]
+    z3 = cf.basis.from_coordinates(3, cf.cycles_in_lattice(3).column(0))
     s = mu.s_number(z3)
     odd = abs(s)
     while odd and odd % 2 == 0:

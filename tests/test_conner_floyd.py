@@ -1,3 +1,4 @@
+from oracles import b_monomial_cycle_solver
 from slcob import mu
 from slcob.abelian import FGAbGroup
 from slcob.conner_floyd import ConnerFloyd
@@ -406,3 +407,39 @@ def test_cycles_out_of_echelon_form_are_an_internal_error(monkeypatch,
     monkeypatch.setattr(cli, "fixtures", ConnerFloyd)
     assert cli.main(["--truncation", "6", "cf", "homology"]) == 1
     assert "not in echelon form" in capsys.readouterr().err
+
+
+def test_cycle_membership_in_mu_coordinates_matches_b_monomials():
+    """At truncation 10 a class is a cycle by `cycle_solver` on its MUBasis
+    coordinates exactly when it is one by the oracle on its b-monomial
+    vector, for every product of two cycle-basis classes, every boundary
+    column, every Wall basis class (some are not cycles) and three classes
+    that are not cycles: CP^2, CP^1 CP^3 and b_1^2, which is not even in
+    the lattice (a NotInLattice counts as no solution)."""
+    cf = ConnerFloyd(10)
+
+    def classes(mat, n):
+        return [cf.basis.from_coordinates(n, mat.column(j))
+                for j in range(mat.cols)]
+
+    cycles = {n: classes(cf.cycles_in_lattice(n), n) for n in range(1, 10)}
+    xs = [a * b for na in range(1, 10) for nb in range(na, 11 - na)
+          for a in cycles[na] for b in cycles[nb]]
+    xs += [x for n in range(10)
+           for x in classes(cf.boundaries_in_lattice(n), n)]
+    xs += [x for n in range(1, 11) for x in cf.wall_classes(n)]
+    cp = [mu.cpn_class(cf.ctx, n) for n in range(4)]
+    xs += [cp[2], cp[1] * cp[3], mu.MUClass.from_dict(2, {(1, 1): 1})]
+    oracle = {n: b_monomial_cycle_solver(cf, n) for n in range(11)}
+    verdicts = []
+    for x in xs:
+        try:
+            coords = cf.basis.to_coordinates(x)
+        except mu.NotInLattice:
+            ours = False
+        else:
+            ours = cf.cycle_solver(x.degree).solve(coords) is not None
+        assert ours == (oracle[x.degree].solve(x.vector()) is not None), x
+        verdicts.append(ours)
+    assert verdicts[-3:] == [False] * 3 and False in verdicts[:-3]
+    assert verdicts.count(True) > 100

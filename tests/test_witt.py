@@ -208,7 +208,8 @@ def test_canonical_form_is_least_over_gl_n(q):
 
 def test_real_closed_signature_oracle():
     """Signatures multiply, so the m-th ideal power is generated by forms
-    of signature +-2^m."""
+    of signature +-2^m: on diagonals, and on the package's GW pairs (a, b)
+    over <1>, <-1>, of signature a - b, multiplied by `gw_mul`."""
     sig = {(): 0, (1,): 1, (-1,): -1}
 
     def signature(diag):
@@ -227,6 +228,21 @@ def test_real_closed_signature_oracle():
                 s *= signature(d)
             values.add(s)
         assert {abs(v) for v in values} <= {0, 2 ** m}
+    wr = witt_data(field_descriptor("r"))
+    binary = [(2, 0), (1, 1), (0, 2)]
+    assert [a - b for a, b in binary] == [signature(d) for d in binary_even]
+    for m in (1, 2, 3):
+        values = set()
+        for combo in iproduct(binary, repeat=m):
+            x = (1, 0)
+            for y in combo:
+                x = wr.gw_mul(x, y)
+            values.add(x[0] - x[1])
+        assert values == {0, 2 ** m, -2 ** m}
+    a, b = wr.hyperbolic()
+    assert a - b == 0
+    for m in range(4):  # I^0 = W
+        assert wr.fundamental_ideal_power(m) == FGAbGroup.free(1)
 
 
 ORACLE_FAILURES = """
