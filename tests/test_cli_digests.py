@@ -14,6 +14,9 @@ under DIR, must match the digest in tests/cli_digests.json.  The corpus:
     `op apply` samples;
   * the chain at the default truncation 12 through `cf homology` in JSON
     and in text, `cf dump` and `dump`;
+  * the generator step and the low-degree routes: `op apply` on Milnor
+    and hypersurface classes and `charnum hypersurface` at truncation
+    16, and `cf homology` and `cf dump` below the top degree at 14;
   * every --help screen and the usage error of each bare command group;
   * test_cli.BAD_INPUTS again under `python -O`, all run in-process in
     one subprocess, so a check that is an assert statement shows.
@@ -71,6 +74,17 @@ CHAIN_RUNS = (
     ("cf", "homology"),
     ("cf", "dump", "--out", "DIR"),
     ("dump", "--out", "DIR"),
+    ("--truncation", "16", "op", "apply", "--name", "s1", "--class", "h8_9"),
+    ("--truncation", "16", "op", "apply", "--name", "s2,1",
+     "--class", "h2_3*x11"),
+    ("--truncation", "16", "op", "apply", "--name", "partial",
+     "--class", "hyp6_2*x3"),
+    ("--truncation", "16", "charnum", "hypersurface", "--ambient", "7",
+     "--degree", "8"),
+    ("--truncation", "16", "charnum", "hypersurface", "--ambient", "17",
+     "--degree", "3"),
+    ("--truncation", "14", "cf", "homology", "--max-degree", "5", "--json"),
+    ("--truncation", "14", "cf", "dump", "--max-degree", "6", "--out", "DIR"),
 )
 
 
@@ -160,7 +174,7 @@ def test_every_command_prints_what_the_digest_file_records(monkeypatch):
     with open(DIGESTS_PATH) as fh:
         expected = json.load(fh)
     outputs, screens = corpus()
-    assert len(outputs) == 2 * 733 + 43 + 4 + 11 and len(screens) == 23
+    assert len(outputs) == 2 * 733 + 43 + 4 + 18 and len(screens) == 23
     actual = {" ".join(a): digest(a) for a in outputs}
     assert changed(expected["outputs"], actual) == []
     assert changed(expected["optimized"], optimized_digests()) == []
