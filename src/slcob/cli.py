@@ -75,7 +75,9 @@ def effective_settings(args):
 @lru_cache(maxsize=None)
 def fixtures(truncation):
     """The chain at this truncation (it carries `ctx` and `basis`), built
-    once per process."""
+    once per process.  A command passes the highest degree it reads, not
+    --truncation: every series is cut only above its bound, so whatever
+    has weight <= d is the same at every truncation >= d."""
     return ConnerFloyd(truncation)
 
 
@@ -146,7 +148,8 @@ CLASS_KINDS = {
 
 
 def class_factors(text, truncation):
-    """The factors of a class label as (kind, integer arguments) pairs.
+    """The factors of a class label as (kind, integer arguments) pairs,
+    and the degree of their product.
     Grammar: cpN | hI_J | hypN_D | products joined with '*' | xI monomials
     (basis generators).  Once every factor parses, each must name a class,
     and the product's degree must not exceed the truncation (the
@@ -172,7 +175,7 @@ def class_factors(text, truncation):
     if degree > truncation:
         raise ValueError("the class has degree %d, above the truncation %d"
                          % (degree, truncation))
-    return factors
+    return factors, degree
 
 
 def build_class(factors, cf):
@@ -234,7 +237,7 @@ def _cf_max_degree(args):
 
 def cmd_cf_homology(args):
     max_n = _cf_max_degree(args)
-    cf = fixtures(args.truncation)
+    cf = fixtures(max(2, max_n + 1))
     table = homology_table(cf, max_n)
     rows = [{"n": n, "rank_Z": z, "rank_B": b,
              "H": cf.homology(n).to_json(), "H_normal_form": h}
@@ -244,7 +247,7 @@ def cmd_cf_homology(args):
 
 def cmd_cf_dump(args):
     max_n = _cf_max_degree(args)
-    dump_cf(args.out, fixtures(args.truncation), max_n)
+    dump_cf(args.out, fixtures(max(2, max_n + 1)), max_n)
 
 
 def homology_table(cf, max_n):
@@ -281,9 +284,9 @@ def cmd_op(args):
     elif name not in ctx_ops:
         raise ValueError("unknown operation %r" % name)
     # reject bad input before fixtures
-    factors = class_factors(args.cls, args.truncation)
+    factors, degree = class_factors(args.cls, args.truncation)
     refuse_csv(args.format)
-    cf = fixtures(args.truncation)
+    cf = fixtures(max(2, degree))
     if name in ctx_ops:
         op = ctx_ops[name](cf.ctx)
     cls = build_class(factors, cf)
@@ -328,7 +331,7 @@ def cmd_charnum(args):
     if args.ambient - 1 > args.truncation:
         raise ValueError("dimension exceeds truncation")
     refuse_csv(args.format)
-    cf = fixtures(args.truncation)
+    cf = fixtures(max(2, args.ambient - 1))
     v = charnum.hypersurface_class(cf.ctx, args.ambient, args.degree)
     data = v.to_json()
     if v.dimension >= 2:

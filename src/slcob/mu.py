@@ -6,9 +6,16 @@ monomial-symmetric characteristic number of the stable normal bundle.
 The geometric catalog (projective spaces and Milnor hypersurfaces) feeds
 a generator search using the classical s-number criterion: degree n admits
 a polynomial generator with s_n = p exactly when n+1 is a power of the
-prime p, and s_n = 1 otherwise.  Monomials in the chosen generators give
-an integral basis of every degree; a generator is selected the first
-time its degree is asked for.
+prime p, and s_n = 1 otherwise.  The search reads the catalog's s-numbers
+in closed form,
+
+    s[CP^n] = n+1,  s[H_(1,1)] = 2,  s[H_(1,j)] = 0 for j >= 2,
+    s[H_(i,j)] = -C(i+j, i) for 2 <= i <= j,
+
+so a class is built only when a generator combines it or a class label
+names it, and each built class is checked against its closed form.
+Monomials in the chosen generators give an integral basis of every
+degree; a generator is selected the first time its degree is asked for.
 
 Every geometric class comes from the formal group law: [CP^n] is (n+1)
 times the n-th log coefficient, the Milnor hypersurfaces follow from
@@ -219,15 +226,32 @@ def cpn_class(ctx, n):
     return MUClass.from_poly(n, bpoly.scale(ctx.log_coefficient(n), n + 1))
 
 
+@_memoized
 def milnor_hypersurface_class(ctx, i, j):
     """The Milnor hypersurface H_{i,j} in P^i x P^j (a smooth (1,1)
-    divisor)."""
+    divisor), by the module's formula, summed as sum_a P_a[i] R_a with
+    R_a = sum_c e_(a+c) C(a+c, a) P_c[j].  Kept once per context."""
     if not (1 <= i <= j):
         raise ValueError("need 1 <= i <= j")
     n = i + j - 1
     if n > ctx.bound:
         raise ValueError("degree %d exceeds truncation %d" % (n, ctx.bound))
-    return _milnor_table(ctx)[(i, j)]
+    P = _log_derivative_powers(ctx)
+    h = {}
+    for a in range(i + 1):  # P_a[i] = 0 for a > i
+        r = {}
+        for c in range(j + 1):
+            bpoly.mul_into(r, P[c][j], ctx.exp_series[a + c], comb(a + c, a))
+        bpoly.mul_into(h, P[a][i], r)
+    return MUClass.from_poly(n, h)
+
+
+def milnor_s_number(i, j):
+    """s[H_(i,j)] in closed form: 2 for H_(1,1) = CP^1, 0 for the other
+    H_(1,j) and -C(i+j, i) for 2 <= i <= j."""
+    if i == 1:
+        return 2 if j == 1 else 0
+    return -comb(i + j, i)
 
 
 def hypersurface_class(ctx, n, d):
@@ -290,42 +314,6 @@ def _log_derivative_powers(ctx):
     return table
 
 
-@_memoized
-def _milnor_table(ctx):
-    """{(i, j): [H_{i,j}]} for 1 <= i <= j, i + j - 1 <= bound, by the
-    module's formula, summed as sum_a P_a[i] R_a[j] with
-    R_a[j] = sum_c e_(a+c) C(a+c, a) P_c[j], P from
-    `_log_derivative_powers`.  The coefficient of u^i v^j has weight
-    i + j - 1, so nothing is truncated inside the table."""
-    top = ctx.top
-    rows = top // 2 + 1  # i <= j and i + j <= top leave i <= top // 2
-    P = _log_derivative_powers(ctx)
-    H = {}
-    for a in range(rows):
-        jmax = top - max(a, 1)  # j <= top - i, i >= max(a, 1)
-        R = [{} for _ in range(jmax + 1)]
-        for c in range(jmax + 1):
-            for j in range(c, jmax + 1):
-                bpoly.mul_into(R[j], P[c][j], ctx.exp_series[a + c],
-                               comb(a + c, a))
-        for i in range(max(a, 1), rows):
-            for j in range(i, top + 1 - i):
-                bpoly.mul_into(H.setdefault((i, j), {}), P[a][i], R[j])
-    return {(i, j): MUClass.from_poly(i + j - 1, h) for (i, j), h in H.items()}
-
-
-def degree_catalog(ctx, n):
-    """Ordered catalog of geometric classes in degree n."""
-    if n < 1:
-        raise ValueError("the catalog starts in degree 1, not %d" % n)
-    entries = [("cp%d" % n, cpn_class(ctx, n))]
-    for i in range(1, n // 2 + 2):
-        j = n + 1 - i
-        if i <= j:
-            entries.append(("h%d_%d" % (i, j), milnor_hypersurface_class(ctx, i, j)))
-    return entries
-
-
 def generator_target(n):
     """|s_n| required of a polynomial generator in degree n: p if n+1 is a
     power of the prime p, else 1."""
@@ -371,11 +359,15 @@ def min_s_combination(s_numbers, build):
 
 
 def select_generator(ctx, n):
-    """The combination of the degree-n catalog with the least positive
-    s-number, which must be the Milnor target."""
-    classes = [cls for _, cls in degree_catalog(ctx, n)]
-    combo, g = min_s_combination([s_number(cls) for cls in classes],
-                                 classes.__getitem__)
+    """The combination of the degree-n catalog, CP^n and then H_(i, n+1-i)
+    for i <= n+1-i, with the least positive s-number, which must be the
+    Milnor target.  The s-numbers are read in closed form (s[CP^n] = n+1
+    and `milnor_s_number`), so only the classes it combines are built."""
+    pairs = [(i, n + 1 - i) for i in range(1, (n + 1) // 2 + 1)]
+    combo, g = min_s_combination(
+        [n + 1] + [milnor_s_number(i, j) for i, j in pairs],
+        lambda k: milnor_hypersurface_class(ctx, *pairs[k - 1]) if k
+        else cpn_class(ctx, n))
     target = generator_target(n)
     if g != target:
         raise BasisConstructionError(

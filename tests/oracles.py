@@ -63,8 +63,8 @@ from slcob.abelian import FGAbGroup, _factorint
 from slcob.fgl import _memoized
 from slcob.intmat import (HNFSolver, IntMatrix, _column_echelon,
                           _hermite_columns, kernel_basis)
-from slcob.mu import (MUClass, cpn_class, degree_catalog,
-                      reciprocal_class_matrix)
+from slcob.mu import (MUClass, cpn_class, generator_target,
+                      min_s_combination, reciprocal_class_matrix, s_number)
 from slcob.partitions import decode, encode, partition_count, partitions_of
 from slcob.symfun import _p_in_m, e_to_m_matrix
 
@@ -353,14 +353,32 @@ def same_column_span(a, b):
     return hermite_column_form(a).entries == hermite_column_form(b).entries
 
 
+def catalog_classes(ctx, n):
+    """The degree-n catalog, every class built: CP^n, then the Milnor
+    hypersurfaces H_(i, n+1-i) with i <= n+1-i, from `milnor_table_fgh`."""
+    table = milnor_table_fgh(ctx)
+    return [cpn_class(ctx, n)] + [table[(i, n + 1 - i)]
+                                  for i in range(1, (n + 1) // 2 + 1)]
+
+
+def select_generator_from_catalog(ctx, n):
+    """The degree-n generator chosen from the s-numbers of the built
+    catalog classes: the least positive s-number combination, which must
+    reach the Milnor target."""
+    classes = catalog_classes(ctx, n)
+    combo, g = min_s_combination([s_number(cls) for cls in classes],
+                                 classes.__getitem__)
+    assert g == generator_target(n)
+    return combo
+
+
 def catalog_span_matches(basis, n):
     """Whether the Z-span of all products of catalog classes, one per part
     of a partition of n, equals the span of the degree-n monomial basis."""
     cols = []
     for omega in partitions_of(n):
-        for factors in product(*(
-                [cls for _, cls in degree_catalog(basis.ctx, part)]
-                for part in omega)):
+        for factors in product(*(catalog_classes(basis.ctx, part)
+                                 for part in omega)):
             cls = MUClass.unit()
             for factor in factors:
                 cls = cls * factor
@@ -539,11 +557,13 @@ def log_power_operations(ctx, p):
     return out
 
 
+@_memoized
 def milnor_table_fgh(ctx):
     """{(i, j): [H_{i,j}]} as three convolutions: F(u,v) = exp(l(u) + l(v))
     written as sum_a l(u)^a E_a(v), E_a(v) = sum_m e_(a+m) C(a+m, a)
     l(v)^m, then G = F C(u) and H = G C(v), C(u) = sum [CP^k] u^k built
-    from the classes of projective spaces rather than from log'."""
+    from the classes of projective spaces rather than from log'.  Cached
+    per context; do not mutate."""
     top = ctx.top
     rows = top // 2 + 1
     lpow = log_powers(ctx)

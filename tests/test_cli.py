@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import slcob
 from slcob import cli
+from slcob.conner_floyd import ConnerFloyd
 
 
 def run_cli(*args):
@@ -315,6 +316,31 @@ def test_fixtures_build_the_chain_once():
     cf = cli.fixtures(4)
     assert cli.fixtures(4) is cf
     assert cf.ctx.bound == 4 and cf.basis.ctx is cf.ctx
+
+
+def test_outputs_do_not_depend_on_the_truncation(monkeypatch, capsys):
+    """op apply, charnum hypersurface and cf homology build the chain only
+    to the degree they read, and print what the chain at the whole
+    truncation gives: the same exit code and the same bytes."""
+    argvs = [("--truncation", "16", "op", "apply", "--name", name,
+              "--class", label)
+             for label in ("cp3", "h2_3", "hyp5_2", "x4", "x2*x3",
+                           "cp1*h2_2", "x7")
+             for name in ("partial", "delta", "s1", "s2,1")]
+    argvs += [("--truncation", "16", "charnum", "hypersurface",
+               "--ambient", str(n), "--degree", str(d))
+              for n in range(3, 9) for d in (1, 2, 3, n + 1)]
+    argvs += [("--truncation", "14", "cf", "homology", "--max-degree", str(n))
+              for n in range(7)]
+    whole = {t: ConnerFloyd(t) for t in (14, 16)}
+    for argv in argvs:
+        rc = cli.main(argv)
+        printed = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "fixtures", lambda t: whole[int(argv[1])])
+            whole_rc = cli.main(argv)
+        assert (rc, whole_rc) == (0, 0), argv
+        assert capsys.readouterr() == printed, argv
 
 
 def test_main_leaves_the_heap_unfrozen():

@@ -235,7 +235,7 @@ def test_input_checks_survive_optimized_mode():
         "    return False\n"
         "ctx = FGLContext(4)\n"
         "print(raises(FGLContext, 17), raises(partitions.encode, (17,)),\n"
-        "      raises(mu.degree_catalog, ctx, 0),\n"
+        "      raises(mu.milnor_hypersurface_class, ctx, 2, 1),\n"
         "      raises(mu.s_number, mu.MUClass.unit()),\n"
         "      raises(mu.MUClass.from_dict, 2, {(1,): 1}))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -366,13 +366,40 @@ def bare_context(bound):
 
 @pytest.mark.parametrize("bound", [6, 12, 16])
 def test_milnor_table_against_three_convolutions(bound):
-    """The table from C = log' equals the one from F, F C(u) and G C(v)
-    with C built from the projective spaces, key for key."""
+    """The classes from C = log', built one at a time, equal the table
+    from F, F C(u) and G C(v) with C built from the projective spaces,
+    key for key."""
     ctx = bare_context(bound)
-    table = mu._milnor_table(ctx)
+    table = {(i, j): mu.milnor_hypersurface_class(ctx, i, j)
+             for i in range(1, bound + 1) for j in range(i, bound + 2 - i)}
     assert table == oracles.milnor_table_fgh(ctx)
     assert len(table) == sum(1 for i in range(1, bound + 1)
                              for j in range(i, bound + 2 - i))
+
+
+def test_closed_form_s_numbers_select_the_catalog_generators():
+    """In every degree n <= 16 the closed-form s-numbers that
+    select_generator reads are those of the built classes, CP^n and each
+    H_(i,j) with i + j - 1 = n, and it picks the generator that the whole
+    built catalog picks."""
+    ctx = bare_context(16)
+    for n in range(1, 17):
+        assert mu.s_number(mu.cpn_class(ctx, n)) == n + 1
+        for i in range(1, (n + 1) // 2 + 1):
+            h = mu.milnor_hypersurface_class(ctx, i, n + 1 - i)
+            assert mu.s_number(h) == mu.milnor_s_number(i, n + 1 - i), (i, n)
+        assert mu.select_generator(ctx, n) == \
+            oracles.select_generator_from_catalog(ctx, n), n
+
+
+@pytest.mark.parametrize("bound,built", [(12, 11), (16, 18)])
+def test_generators_build_only_the_milnor_classes_they_combine(bound, built):
+    """Selecting every generator builds only the Milnor hypersurfaces
+    with a nonzero coefficient, of the 42 at bound 12 and 72 at 16."""
+    fresh = mu.MUBasis(FGLContext(bound))
+    for n in range(1, bound + 1):
+        fresh.generators[n]
+    assert len(fresh.ctx._memo["milnor_hypersurface_class"]) == built
 
 
 @pytest.mark.parametrize("bound", [12, 16])
@@ -408,7 +435,5 @@ def test_classes_keep_codes_and_read_partitions(ctx):
 
 
 def test_degree_checks_raise_value_errors(ctx):
-    with pytest.raises(ValueError, match="degree 1"):
-        mu.degree_catalog(ctx, 0)
     with pytest.raises(ValueError, match="degree >= 1"):
         mu.s_number(mu.MUClass.unit())
