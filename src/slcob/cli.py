@@ -12,7 +12,8 @@ lines in every format.  Exit codes: 0 success, 1 internal or I/O failure,
 2 usage, 3 verification failure.
 
 Configuration: an optional key=value file (--config); command-line flags
-win over file values.  Recognized keys: truncation, field, q, format.
+win over file values.  Its keys are truncation, field, q and format, each
+at most once; any other key is a usage error.
 `main` fills the settings into the parsed arguments before the handler
 runs.
 """
@@ -34,6 +35,7 @@ from .verify import CHAIN_SUITES, run_suite
 from .witt import SHORT_NAMES, field_descriptor, witt_data
 
 FORMATS = ("text", "json", "csv")
+CONFIG_KEYS = ("truncation", "field", "q", "format")
 
 
 def load_config(path):
@@ -44,8 +46,13 @@ def load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError("bad config line: %r" % line)
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, value = map(str.strip, line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError("unknown config key %r: use %s"
+                                 % (key, ", ".join(CONFIG_KEYS)))
+            if key in out:
+                raise ValueError("config key %r is given twice" % key)
+            out[key] = value
     return out
 
 
@@ -75,9 +82,10 @@ def effective_settings(args):
 @lru_cache(maxsize=None)
 def fixtures(truncation):
     """The chain at this truncation (it carries `ctx` and `basis`), built
-    once per process.  A command passes the highest degree it reads, not
-    --truncation: every series is cut only above its bound, so whatever
-    has weight <= d is the same at every truncation >= d."""
+    once per process.  A command passes the highest degree it reads
+    (`cf` and `verify` read up to --truncation): every series is cut only
+    above its bound, so whatever has weight <= d is the same at every
+    truncation >= d."""
     return ConnerFloyd(truncation)
 
 
@@ -226,19 +234,9 @@ def cmd_msl_table(args):
     emit(data, args.format, csv_rows)
 
 
-def _cf_max_degree(args):
-    top = args.truncation - 1
-    max_n = top if args.max_degree is None else args.max_degree
-    if not 0 <= max_n <= top:
-        raise ValueError("--max-degree must be between 0 and %d (homology "
-                         "needs degree + 1 within the truncation)" % top)
-    return max_n
-
-
 def cmd_cf_homology(args):
-    max_n = _cf_max_degree(args)
-    cf = fixtures(max(2, max_n + 1))
-    table = homology_table(cf, max_n)
+    cf = fixtures(args.truncation)
+    table = homology_table(cf, args.truncation - 1)
     rows = [{"n": n, "rank_Z": z, "rank_B": b,
              "H": cf.homology(n).to_json(), "H_normal_form": h}
             for n, z, b, h in table[1:]]
@@ -246,8 +244,7 @@ def cmd_cf_homology(args):
 
 
 def cmd_cf_dump(args):
-    max_n = _cf_max_degree(args)
-    dump_cf(args.out, fixtures(max(2, max_n + 1)), max_n)
+    dump_cf(args.out, fixtures(args.truncation), args.truncation - 1)
 
 
 def homology_table(cf, max_n):
@@ -351,12 +348,8 @@ def cmd_verify(args):
     elif q is not None:
         raise ValueError("a field size q needs a finite field: add --field "
                          "fq1 or fq3")
-    max_degree = args.truncation if args.max_degree is None else args.max_degree
-    if not 2 <= max_degree <= MAX_TRUNCATION:
-        raise ValueError("--max-degree must be between 2 and %d (the suites "
-                         "run at that truncation)" % MAX_TRUNCATION)
-    cf = fixtures(max_degree) if args.suite in CHAIN_SUITES else None
-    checks = run_suite(args.suite, cf, field, q, max_degree)
+    cf = fixtures(args.truncation) if args.suite in CHAIN_SUITES else None
+    checks = run_suite(args.suite, cf, field, q, args.truncation)
     failures = 0
     for name, ok, detail in checks:
         line = "%s %s" % ("PASS" if ok else "FAIL", name)
@@ -431,8 +424,8 @@ COMMANDS = {
         "group": (cmd_msl_group, "--field --q --n --m --json"),
         "table": (cmd_msl_table, "--field --q --json")}),
     "cf": ("Conner-Floyd complex", "cf_cmd", {
-        "homology": (cmd_cf_homology, "--max-degree --json"),
-        "dump": (cmd_cf_dump, "--max-degree --out")}),
+        "homology": (cmd_cf_homology, "--json"),
+        "dump": (cmd_cf_dump, "--out")}),
     "op": ("apply a cohomological operation", "op_cmd", {
         "apply": (cmd_op, "--name --class --json")}),
     "witt": ("Witt ring tables", "witt_cmd", {
@@ -442,7 +435,7 @@ COMMANDS = {
     "charnum": ("characteristic numbers", "cn_cmd", {
         "hypersurface": (cmd_charnum, "--ambient --degree --json")}),
     "verify": ("verification suites", None, {
-        None: (cmd_verify, "--suite --field? --q --max-degree")}),
+        None: (cmd_verify, "--suite --field? --q")}),
     "dump": ("write all tables to a directory", None, {
         None: (cmd_dump, "--out")}),
 }

@@ -165,7 +165,7 @@ def test_verify_shares_one_chain_per_truncation(monkeypatch):
     monkeypatch.setattr(cli, "ConnerFloyd", lambda t: built.append(t) or real(t))
     cli.fixtures.cache_clear()
     for suite in ("table", "subring", "table", "kq", "witt-oracle"):
-        assert exit_code(["verify", "--suite", suite, "--max-degree", "4"]) == 0
+        assert exit_code(["--truncation", "4", "verify", "--suite", suite]) == 0
     assert exit_code(["--truncation", "5", "verify", "--suite", "table"]) == 0
     assert built == [4, 5]
 
@@ -181,29 +181,25 @@ def test_config_file(tmp_path):
 
 
 def test_cf_homology_and_dump(tmp_path):
-    out = run_cli("--truncation", "6", "cf", "homology", "--max-degree", "5",
-                  "--json")
+    out = run_cli("--truncation", "6", "cf", "homology", "--json")
     assert out.returncode == 0
     rows = json.loads(out.stdout)
     assert [r["H_normal_form"] for r in rows] == \
         ["Z/2", "0", "Z/2", "0", "Z/2", "0"]
     outdir = tmp_path / "dump"
-    out = run_cli("--truncation", "6", "cf", "dump", "--max-degree", "5",
-                  "--out", str(outdir))
+    out = run_cli("--truncation", "6", "cf", "dump", "--out", str(outdir))
     assert out.returncode == 0
     assert (outdir / "homology.csv").exists()
     assert (outdir / "delta_matrix_1.csv").read_text().strip() == "-2"
 
 
 def test_cf_dump_homology_matches_cf_homology_csv(tmp_path):
-    """The dump's homology.csv has the rows 0..D that `cf homology
-    --max-degree D` prints, H_D included."""
+    """The dump's homology.csv has the rows 0..T-1 that `cf homology`
+    prints at truncation T, H_(T-1) included."""
     outdir = tmp_path / "dump"
-    out = run_cli("--truncation", "6", "cf", "dump", "--max-degree", "5",
-                  "--out", str(outdir))
+    out = run_cli("--truncation", "6", "cf", "dump", "--out", str(outdir))
     assert out.returncode == 0
-    table = run_cli("--truncation", "6", "--format", "csv", "cf", "homology",
-                    "--max-degree", "5")
+    table = run_cli("--truncation", "6", "--format", "csv", "cf", "homology")
     assert table.returncode == 0
     assert (outdir / "homology.csv").read_text() == table.stdout
     assert table.stdout.splitlines()[-1] == "5,2,6,0"
@@ -216,15 +212,12 @@ BAD_INPUTS = [
     ("msl", "group", "--field", "fq1", "--q", "4", "--n", "1"),
     ("--truncation", "4", "op", "apply", "--name", "s0", "--class", "cp1"),
     ("--truncation", "4", "op", "apply", "--name", "s-1", "--class", "cp1"),
-    ("--truncation", "4", "cf", "homology", "--max-degree", "-1"),
-    ("--truncation", "4", "cf", "dump", "--max-degree", "-1", "--out", "DIR"),
     ("kq", "table", "--field", "c", "--max-degree", "-1"),
     ("kq", "table", "--field", "c", "--max-degree", "17"),
     ("--truncation", "0", "cf", "homology"),
     ("witt", "table", "--field", "fq1", "--q", "0"),
     ("witt", "table", "--field", "fq1", "--q", "3317044064679887385961981"),
-    ("verify", "--max-degree", "0"),
-    ("verify", "--suite", "leibniz", "--max-degree", "-1"),
+    ("--truncation", "1", "verify", "--suite", "leibniz"),
     ("op", "apply", "--name", "s1", "--class", "h1"),
     ("op", "apply", "--name", "s1,,2", "--class", "cp3"),
     ("op", "apply", "--name", "s1,", "--class", "cp1"),
@@ -254,6 +247,8 @@ BAD_INPUTS = [
     ("verify", "--suite", "leibniz", "--field", "zz"),
     ("verify", "--suite", "witt-oracle", "--field", "c", "--q", "9"),
     ("verify", "--suite", "kq", "--q", "7"),
+    ("--config", "CFG:trunction = 4", "cf", "homology"),
+    ("--config", "CFG:truncation = 4\ntruncation = 6", "cf", "homology"),
 ]
 
 
@@ -320,8 +315,9 @@ def test_fixtures_build_the_chain_once():
 
 def test_outputs_do_not_depend_on_the_truncation(monkeypatch, capsys):
     """op apply, charnum hypersurface and cf homology build the chain only
-    to the degree they read, and print what the chain at the whole
-    truncation gives: the same exit code and the same bytes."""
+    to the degree they read, and print what a chain at a larger truncation
+    gives (16 for op and charnum, 14 for cf): the same exit code and the
+    same bytes."""
     argvs = [("--truncation", "16", "op", "apply", "--name", name,
               "--class", label)
              for label in ("cp3", "h2_3", "hyp5_2", "x4", "x2*x3",
@@ -330,14 +326,15 @@ def test_outputs_do_not_depend_on_the_truncation(monkeypatch, capsys):
     argvs += [("--truncation", "16", "charnum", "hypersurface",
                "--ambient", str(n), "--degree", str(d))
               for n in range(3, 9) for d in (1, 2, 3, n + 1)]
-    argvs += [("--truncation", "14", "cf", "homology", "--max-degree", str(n))
-              for n in range(7)]
+    argvs += [("--truncation", str(m + 1), "cf", "homology")
+              for m in range(1, 7)]
     whole = {t: ConnerFloyd(t) for t in (14, 16)}
     for argv in argvs:
         rc = cli.main(argv)
         printed = capsys.readouterr()
         with monkeypatch.context() as m:
-            m.setattr(cli, "fixtures", lambda t: whole[int(argv[1])])
+            m.setattr(cli, "fixtures",
+                      lambda t: whole[14 if "cf" in argv else 16])
             whole_rc = cli.main(argv)
         assert (rc, whole_rc) == (0, 0), argv
         assert capsys.readouterr() == printed, argv
@@ -379,13 +376,13 @@ FUZZ_VALUES = ["0", "1", "2", "3", "4", "5", "6", "-1", "x"]
 FUZZ_COMMANDS = [
     ["msl", "group", "--field", "FIELD", "--n", "V", "--m", "V"],
     ["msl", "table", "--field", "FIELD", "--q", "Q"],
-    ["cf", "homology", "--max-degree", "V"],
-    ["cf", "dump", "--max-degree", "V", "--out", "DIR"],
+    ["cf", "homology"],
+    ["cf", "dump", "--out", "DIR"],
     ["op", "apply", "--name", "OP", "--class", "CLASS"],
     ["witt", "table", "--field", "FIELD", "--q", "Q"],
     ["kq", "table", "--field", "FIELD", "--max-degree", "V"],
     ["charnum", "hypersurface", "--ambient", "V", "--degree", "V"],
-    ["verify", "--suite", "SUITE", "--max-degree", "V"],
+    ["verify", "--suite", "SUITE"],
     ["dump", "--out", "DIR"],
 ]
 FUZZ_SLOTS = {

@@ -211,6 +211,23 @@ def test_wall_lattice_matches_one_shot_kernel(cf):
                 operation_matrix(cf, delta_op(cf.ctx), n)), n
 
 
+def test_wall_rows_of_the_wall_lattice_are_triangular():
+    """For every 1 <= n <= 16, the rows of W_n labelled by partitions with
+    no part 2 form a lower-triangular square block with a nonzero
+    diagonal, the premise of an index certificate for W_n.  The diagonal
+    is not +-prod m_(k-1): x_1^(*16) has 3^16 there."""
+    from slcob import cli
+    from slcob.partitions import partitions_of
+    cf = cli.fixtures(16)
+    for n in range(1, 17):
+        w = cf.w_lattice(n).entries
+        block = [w[i] for i, omega in enumerate(partitions_of(n))
+                 if 2 not in omega]
+        assert len(block) == cf.w_rank(n), n
+        assert all(row[i] != 0 and not any(row[i + 1:])
+                   for i, row in enumerate(block)), n
+
+
 def test_star_product_and_twisted_law_on_every_pair(ctx, cf):
     """On every unordered pair of *-monomials a, b of positive degree with
     deg a + deg b <= 12, with a * b = ab + 2V da db, V = [CP^1]^2 - [CP^2]
